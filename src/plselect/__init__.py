@@ -40,6 +40,7 @@ from .scenario import (
     extract_features,
     generate_scene,
     ground_truth_path_loss,
+    scene_features_and_path_loss,
 )
 from .scoring import (
     ScoreBreakdown,

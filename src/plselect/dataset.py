@@ -18,16 +18,21 @@ import numpy as np
 from .scenario import (
     DEFAULT_CORRIDOR_RADIUS,
     DEFAULT_SHADOWING_SIGMA,
+    FEATURE_SYMBOLS,
     FeatureCatalog,
     Scene,
-    extract_features,
-    ground_truth_path_loss,
+    scene_features_and_path_loss,
 )
+
+# The per-point scalar reference stays importable from this module, where
+# perfbench/tracing.py looks up the names it traces; build_dataset no
+# longer calls it.
+from .scenario import extract_features, ground_truth_path_loss  # noqa: F401
 
 SPLITS = ("train", "val", "test")
 
 CSV_HEADER = ["scenario_id", "route_index"] + [
-    f"f{i}" for i in range(1, 11)
+    f"f{i}" for i in range(1, len(FEATURE_SYMBOLS) + 1)
 ] + ["path_loss"]
 
 
@@ -108,19 +113,20 @@ def build_dataset(
         raise DatasetError("duplicate scenario_id")
     samples = []
     for scene, sid in zip(scenes, scenario_ids):
-        for i in range(scene.n_route_points):
-            samples.append(
-                Sample(
-                    features=extract_features(
-                        scene, i, corridor_radius=corridor_radius
-                    ),
-                    path_loss=ground_truth_path_loss(
-                        scene, i, shadowing_sigma=shadowing_sigma
-                    ),
-                    route_index=i,
-                    scenario_id=sid,
-                )
+        features, path_loss = scene_features_and_path_loss(
+            scene,
+            shadowing_sigma=shadowing_sigma,
+            corridor_radius=corridor_radius,
+        )
+        samples.extend(
+            Sample(
+                features=features[i],
+                path_loss=float(path_loss[i]),
+                route_index=i,
+                scenario_id=sid,
             )
+            for i in range(scene.n_route_points)
+        )
     return Dataset(samples=tuple(samples))
 
 
@@ -229,18 +235,34 @@ def write_csv(ds: Dataset, path) -> None:
 
 
 def read_csv(path) -> Dataset:
+    """Inverse of write_csv. A row with the wrong number of fields, an
+    unparsable number or a non-finite value raises DatasetError naming the
+    file and line."""
     samples = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, None)
         if header != CSV_HEADER:
             raise DatasetError(f"unexpected CSV header in {path}")
         for row in reader:
+            where = f"{path}, line {reader.line_num}"
+            if len(row) != len(CSV_HEADER):
+                raise DatasetError(
+                    f"{where}: expected {len(CSV_HEADER)} fields, "
+                    f"got {len(row)}"
+                )
+            try:
+                values = np.array([float(v) for v in row[2:]])
+                route_index = int(row[1])
+            except ValueError as exc:
+                raise DatasetError(f"{where}: {exc}") from None
+            if not np.all(np.isfinite(values)):
+                raise DatasetError(f"{where}: non-finite feature or path loss")
             samples.append(
                 Sample(
-                    features=np.array([float(v) for v in row[2:12]]),
-                    path_loss=float(row[12]),
-                    route_index=int(row[1]),
+                    features=values[:-1],
+                    path_loss=float(values[-1]),
+                    route_index=route_index,
                     scenario_id=row[0],
                 )
             )

@@ -512,21 +512,16 @@ def cmd_sweep(
     agg_rows = []
     for k in range(n_seeds):
         seed = cfg.master_seed + k
-        sub_cfg = default_config(
-            master_seed=seed, out_dir=str(base_out / f"seed{seed}")
+        sub_cfg = replace(
+            cfg,
+            scenarios={
+                name: replace(sc, seed=seed * 1000 + i + 1)
+                for i, (name, sc) in enumerate(cfg.scenarios.items())
+            },
+            search=replace(cfg.search, master_seed=seed),
+            out_dir=str(base_out / f"seed{seed}"),
+            master_seed=seed,
         )
-        sub_cfg.scenarios = {
-            name: replace(sc, seed=seed * 1000 + i + 1)
-            for i, (name, sc) in enumerate(cfg.scenarios.items())
-        }
-        sub_cfg.task_scenarios = cfg.task_scenarios
-        sub_cfg.search = replace(cfg.search, master_seed=seed)
-        sub_cfg.weights = cfg.weights
-        sub_cfg.predictor = cfg.predictor
-        sub_cfg.split_fractions = cfg.split_fractions
-        sub_cfg.shadowing_sigma = cfg.shadowing_sigma
-        sub_cfg.corridor_radius = cfg.corridor_radius
-        sub_cfg.random_baseline_seeds = cfg.random_baseline_seeds
         cmd_generate(sub_cfg)
         for task_result in cmd_run(sub_cfg, tasks, jobs=jobs):
             for row in task_result["rows"]:

@@ -120,12 +120,15 @@ class Scatterer:
             self.height,
         )
 
-    def footprint_contains(self, point_xy, margin: float = 0.0) -> bool:
+    def footprint_contains(self, point_xy, margin: float = 0.0):
+        """Whether the footprint grown by margin contains a 2D point; for an
+        (n, 2+) array of points, one flag per point."""
         xmin, ymin, _, xmax, ymax, _ = self.bounds
-        x, y = float(point_xy[0]), float(point_xy[1])
+        p = np.asarray(point_xy, dtype=float)
+        x, y = p[..., 0], p[..., 1]
         return (
-            xmin - margin <= x <= xmax + margin
-            and ymin - margin <= y <= ymax + margin
+            (xmin - margin <= x) & (x <= xmax + margin)
+            & (ymin - margin <= y) & (y <= ymax + margin)
         )
 
 
@@ -292,10 +295,11 @@ def fresnel_parameter(clearance: float, d1: float, d2: float,
     """Fresnel diffraction parameter for an edge between two path nodes.
 
     clearance > 0 means the edge protrudes above the line of sight.
+    Broadcasts over arrays.
     """
-    d1 = max(d1, 1e-6)
-    d2 = max(d2, 1e-6)
-    return float(clearance * np.sqrt(2.0 * (d1 + d2) / (wavelength * d1 * d2)))
+    d1 = np.maximum(d1, 1e-6)
+    d2 = np.maximum(d2, 1e-6)
+    return clearance * np.sqrt(2.0 * (d1 + d2) / (wavelength * d1 * d2))
 
 
 def _blocker_edges(scene: Scene, rx_index: int):
@@ -316,8 +320,9 @@ def _blocker_edges(scene: Scene, rx_index: int):
     return edges
 
 
-def free_space_path_loss_db(distance_m: float, frequency_hz: float) -> float:
-    if distance_m <= 0:
+def free_space_path_loss_db(distance_m, frequency_hz: float):
+    """FSPL in dB; broadcasts over an array of distances."""
+    if np.any(np.asarray(distance_m) <= 0):
         raise ValueError("distance must be positive")
     return (
         20.0 * np.log10(distance_m)
@@ -349,41 +354,48 @@ def ground_truth_path_loss(
     if d == 0.0:
         raise ValueError("receiver coincides with transmitter")
 
-    pl = free_space_path_loss_db(d, scene.carrier_frequency)
-    wavelength = SPEED_OF_LIGHT / scene.carrier_frequency
+    return _diffraction_and_shadowing(
+        free_space_path_loss_db(d, scene.carrier_frequency),
+        d,
+        _blocker_edges(scene, rx_index),
+        tx[2],
+        rx[2],
+        SPEED_OF_LIGHT / scene.carrier_frequency,
+        scene.seed,
+        rx_index,
+        shadowing_sigma,
+    )
 
-    edges = _blocker_edges(scene, rx_index)
-    if edges:
-        # Epstein-Peterson: each edge sees the neighboring nodes (previous
-        # edge or Tx, next edge or Rx) as its terminals.
-        nodes_t = [0.0] + [t for t, _ in edges] + [1.0]
-        for j, (t_edge, edge_height) in enumerate(edges):
-            d1 = (t_edge - nodes_t[j]) * d
-            d2 = (nodes_t[j + 2] - t_edge) * d
-            z_prev = _node_height(scene, rx_index, nodes_t[j], edges, j - 1)
-            z_next = _node_height(scene, rx_index, nodes_t[j + 2], edges, j + 1)
-            # Line of sight between the neighboring nodes at the edge abscissa.
-            span = nodes_t[j + 2] - nodes_t[j]
-            frac = (t_edge - nodes_t[j]) / span if span > 0 else 0.5
-            z_los = z_prev + frac * (z_next - z_prev)
-            nu = fresnel_parameter(edge_height - z_los, d1, d2, wavelength)
-            pl += knife_edge_loss_db(nu)
+
+def _diffraction_and_shadowing(pl, d, edges, tx_z, rx_z, wavelength, seed,
+                               rx_index, shadowing_sigma) -> float:
+    """Add the knife-edge cascade over edges and the seeded shadowing draw
+    to the free-space loss pl of one route point.
+
+    edges are (t_along, edge_height) pairs sorted along the Tx-Rx segment
+    of 3D length d, as _blocker_edges returns them.
+    """
+    # Epstein-Peterson: each edge sees the neighboring nodes (previous edge
+    # or Tx, next edge or Rx) as its terminals.
+    nodes_t = [0.0] + [t for t, _ in edges] + [1.0]
+    for j, (t_edge, edge_height) in enumerate(edges):
+        d1 = (t_edge - nodes_t[j]) * d
+        d2 = (nodes_t[j + 2] - t_edge) * d
+        z_prev = edges[j - 1][1] if j > 0 else tx_z
+        z_next = edges[j + 1][1] if j + 1 < len(edges) else rx_z
+        # Line of sight between the neighboring nodes at the edge abscissa.
+        span = nodes_t[j + 2] - nodes_t[j]
+        frac = (t_edge - nodes_t[j]) / span if span > 0 else 0.5
+        z_los = z_prev + frac * (z_next - z_prev)
+        nu = fresnel_parameter(edge_height - z_los, d1, d2, wavelength)
+        pl += knife_edge_loss_db(nu)
 
     if shadowing_sigma > 0:
         rng = np.random.default_rng(
-            np.random.SeedSequence([int(scene.seed), int(rx_index)])
+            np.random.SeedSequence([int(seed), int(rx_index)])
         )
         pl += float(rng.normal(0.0, shadowing_sigma))
     return float(pl)
-
-
-def _node_height(scene, rx_index, t, edges, edge_pos):
-    """Height of an Epstein-Peterson path node (terminal or edge top)."""
-    if 0 <= edge_pos < len(edges):
-        return edges[edge_pos][1]
-    tx_z = scene.tx_position[2]
-    rx_z = scene.rx_route[rx_index][2]
-    return tx_z if t == 0.0 else rx_z if t == 1.0 else tx_z + t * (rx_z - tx_z)
 
 
 # ---------------------------------------------------------------------------
@@ -413,7 +425,7 @@ def extract_features(
         if point_segment_distance_2d(s.center, tx, rx) <= corridor_radius
     ]
 
-    f = np.zeros(10)
+    f = np.zeros(len(FEATURE_SYMBOLS))
     f[0] = d_txrx
     f[1] = tx[2] - rx[2]
 
@@ -456,6 +468,187 @@ def extract_features(
         f[9] = float(best_nu)
 
     return f
+
+
+# ---------------------------------------------------------------------------
+# Batch path: every route point of a scene at once
+# ---------------------------------------------------------------------------
+
+# Route points per block. Keeps each (points x boxes x 3) temporary near
+# 75 kB for a scene of 100 boxes, so building a dataset adds little to the
+# peak memory of the process.
+_POINT_BLOCK = 32
+
+
+def scene_features_and_path_loss(
+    scene: Scene,
+    shadowing_sigma: float = DEFAULT_SHADOWING_SIGMA,
+    corridor_radius: float = DEFAULT_CORRIDOR_RADIUS,
+) -> tuple:
+    """Features (points x N) and ground-truth path loss (points,) for every
+    route point, bit for bit equal to extract_features and
+    ground_truth_path_loss called point by point.
+
+    For each block of route points, one slab-test table (Kay & Kajiya,
+    1986) and one corridor-distance table over (points x boxes) feed both
+    the extractor and the oracle. Only the Epstein-Peterson cascade over a
+    point's blockers and its shadowing draw run per point.
+
+    The tables repeat the scalar arithmetic operation for operation. The
+    scalar 1-D dot products and norms go through BLAS ddot, whose rounding
+    differs from an elementwise sum, so _dot takes them from the same
+    kernel. Means sum each compacted row as np.mean sums the scalar 1-D
+    array, and the f9 detour sum keeps its sequential order.
+    """
+    tx = np.asarray(scene.tx_position, dtype=float)
+    route = np.asarray(scene.rx_route, dtype=float)
+    boxes = scene.scatterers
+    bounds = np.array([s.bounds for s in boxes], dtype=float).reshape(-1, 6)
+    centers = np.array([s.center for s in boxes], dtype=float).reshape(-1, 2)
+    heights = np.array([s.height for s in boxes], dtype=float)
+    volumes = np.array([s.volume for s in boxes], dtype=float)
+    # Reflection points at half height, and per-box terms that do not
+    # depend on the receiver.
+    mids = np.column_stack([centers, heights / 2.0])
+    tx_to_mid = np.sqrt(_dot(mids - tx, mids - tx))
+    tx_to_center = np.linalg.norm(centers - tx[:2], axis=1)
+    wavelength = SPEED_OF_LIGHT / scene.carrier_frequency
+
+    n_points = len(route)
+    features = np.zeros((n_points, len(FEATURE_SYMBOLS)))
+    path_loss = np.empty(n_points)
+    for start in range(0, n_points, _POINT_BLOCK):
+        rx = route[start:start + _POINT_BLOCK]
+        seg = rx - tx
+        d = np.sqrt(_dot(seg, seg))
+        if np.any(d == 0.0):
+            raise ValueError("receiver coincides with transmitter")
+        hit, t_enter, t_exit = _slab_table(
+            tx, seg, bounds[:, :3], bounds[:, 3:]
+        )
+        t_mid = 0.5 * (t_enter + t_exit)
+        seg_dist, line_dist = _corridor_tables(tx[:2], seg[:, :2], centers)
+        effective = seg_dist <= corridor_radius
+
+        f = features[start:start + len(rx)]
+        f[:, 0] = d
+        f[:, 1] = tx[2] - rx[:, 2]
+        f[:, 2] = _masked_mean(tx[2] - heights, effective)
+        f[:, 3] = _masked_mean(tx_to_center, effective)
+        f[:, 4] = _masked_mean(
+            np.linalg.norm(centers - rx[:, None, :2], axis=-1), effective
+        )
+        f[:, 5] = _masked_mean(volumes, effective)
+        f[:, 6] = np.where(
+            effective.any(axis=1),
+            np.min(np.where(effective, line_dist, np.inf), axis=1,
+                   initial=np.inf),
+            0.0,
+        )
+        rx_to_mid = rx[:, None, :] - mids
+        excess = tx_to_mid + np.sqrt(_dot(rx_to_mid, rx_to_mid)) - d[:, None]
+        detour = np.where(effective, np.exp(-excess / d[:, None]), 0.0)
+        if len(boxes):
+            # Sequential like the scalar loop; add.reduce would sum pairwise.
+            f[:, 8] = np.cumsum(detour, axis=1)[:, -1]
+        f[:, 7] = hit.sum(axis=1)
+        # Off the hit mask t_mid may be infinite; those entries are dropped.
+        with np.errstate(invalid="ignore", over="ignore"):
+            nu = fresnel_parameter(
+                heights - (tx[2] + t_mid * (rx[:, 2, None] - tx[2])),
+                t_mid * d[:, None],
+                (1.0 - t_mid) * d[:, None],
+                wavelength,
+            )
+        f[:, 9] = np.where(
+            hit.any(axis=1),
+            np.max(np.where(hit, nu, -np.inf), axis=1, initial=-np.inf),
+            0.0,
+        )
+
+        fspl = free_space_path_loss_db(d, scene.carrier_frequency)
+        for i in range(len(rx)):
+            # Sorted along the ray as _blocker_edges sorts them: stably.
+            edges = sorted(
+                zip(t_mid[i, hit[i]].tolist(), heights[hit[i]].tolist()),
+                key=lambda e: e[0],
+            )
+            path_loss[start + i] = _diffraction_and_shadowing(
+                fspl[i], d[i], edges, tx[2], rx[i, 2], wavelength,
+                scene.seed, start + i, shadowing_sigma,
+            )
+    return features, path_loss
+
+
+def _dot(a, b):
+    """Dot products over the last axis, each rounded as the 1-D a @ b or
+    np.linalg.norm of the scalar path rounds it: a stacked (1 x k) @ (k x 1)
+    product calls the same BLAS ddot."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def _slab_table(p0, seg, lo, hi):
+    """Slab tests of the segments p0 -> p0 + seg[i] against the boxes
+    [lo[j], hi[j]], operation for operation as segment_box_intersection.
+
+    Returns (hit, t_enter, t_exit) tables of shape (segments, boxes);
+    t_enter and t_exit are meaningful where hit is set.
+    """
+    shape = (len(seg), len(lo))
+    t_enter = np.zeros(shape)
+    t_exit = np.ones(shape)
+    miss = np.zeros(shape, dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for axis in range(3):
+            da = seg[:, axis, None]
+            flat = da == 0.0
+            outside = (p0[axis] < lo[:, axis]) | (p0[axis] > hi[:, axis])
+            miss |= flat & outside
+            t0 = (lo[:, axis] - p0[axis]) / da
+            t1 = (hi[:, axis] - p0[axis]) / da
+            swap = t0 > t1
+            t0, t1 = np.where(swap, t1, t0), np.where(swap, t0, t1)
+            # max(t_enter, t0) and min(t_exit, t1) keep their first argument
+            # on ties, as Python's max and min do.
+            t_enter = np.where(~flat & (t0 > t_enter), t0, t_enter)
+            t_exit = np.where(~flat & (t1 < t_exit), t1, t_exit)
+    # The scalar test stops at the first axis where t_enter > t_exit;
+    # later axes only raise t_enter and lower t_exit, so checking once at
+    # the end gives the same verdict.
+    return ~(miss | (t_enter > t_exit)), t_enter, t_exit
+
+
+def _corridor_tables(a, ab, points):
+    """2D distances (segments x points) from points to the segments
+    a -> a + ab[i] and to their lines, as point_segment_distance_2d and
+    point_line_distance_2d compute them."""
+    ap = points - a
+    ap_norm = np.sqrt(_dot(ap, ap))
+    denom = _dot(ab, ab)[:, None]
+    degenerate = denom == 0.0
+    ab = ab[:, None, :]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = np.clip(_dot(ap, ab) / denom, 0.0, 1.0)
+        off = points - (a + t[..., None] * ab)
+        seg_dist = np.where(degenerate, ap_norm, np.sqrt(_dot(off, off)))
+        cross = np.abs(ab[..., 0] * ap[:, 1] - ab[..., 1] * ap[:, 0])
+        line_dist = np.where(degenerate, ap_norm, cross / np.sqrt(denom))
+    return seg_dist, line_dist
+
+
+def _masked_mean(values, mask):
+    """Mean of values over each row's True mask entries, 0 for none.
+
+    Rows are grouped by count so that each mean sums a compacted row in
+    the same pairwise order as np.mean over the scalar 1-D array.
+    """
+    values = np.broadcast_to(values, mask.shape)
+    counts = mask.sum(axis=1)
+    out = np.zeros(len(mask))
+    for k in set(counts[counts > 0].tolist()):
+        rows = np.flatnonzero(counts == k)
+        out[rows] = values[rows][mask[rows]].reshape(-1, k).mean(axis=1)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -573,9 +766,11 @@ def _sample_box(config, rng, cx, cy):
 
 
 def _box_clear_of(box, tx, route, margin=1.0):
-    if box.footprint_contains(tx, margin):
-        return False
-    return not any(box.footprint_contains(p, margin) for p in route)
+    """route is the (n, 3) array of route points."""
+    return not (
+        box.footprint_contains(tx, margin)
+        or box.footprint_contains(route, margin).any()
+    )
 
 
 def _random_scatterers(config, rng, tx, route, keepout_center=False):
@@ -585,6 +780,7 @@ def _random_scatterers(config, rng, tx, route, keepout_center=False):
     max_w = config.scatterer_width[1]
     max_d = config.scatterer_depth[1]
     plaza_radius = 0.28 * min(w, h)
+    route = np.asarray(route)
     scatterers = []
     for k in range(count):
         for attempt in range(config.max_placement_retries):
@@ -616,6 +812,7 @@ def _intersection_scatterers(config, rng, tx, route):
     cx, cy = w / 2.0, h / 2.0
     half_corr = config.corridor_width / 2.0
     cell = max(config.scatterer_width[1], config.scatterer_depth[1]) * 1.6
+    route = np.asarray(route)
     scatterers = []
     xs = np.arange(cell / 2.0, w - cell / 2.0 + 1e-9, cell)
     ys = np.arange(cell / 2.0, h - cell / 2.0 + 1e-9, cell)

@@ -194,3 +194,33 @@ class TestCsv:
         path.write_text("foo,bar\n1,2\n")
         with pytest.raises(DatasetError):
             read_csv(path)
+
+    def test_header_names_ten_features(self):
+        assert CSV_HEADER == (
+            ["scenario_id", "route_index"]
+            + [f"f{i}" for i in range(1, 11)]
+            + ["path_loss"]
+        )
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("a,0,1,2,3,4,5,6,7,8,9", "expected 13 fields, got 11"),
+            ("a,0,1,2,3,4,5,6,7,8,9,10,11,12", "expected 13 fields, got 14"),
+            ("a,0,1,2,nan,4,5,6,7,8,9,10,11", "non-finite"),
+            ("a,0,1,2,3,4,5,6,7,8,9,10,inf", "non-finite"),
+            ("a,0,1,2,3,4,5,6,7,8,9,10,loud", "could not convert"),
+        ],
+        ids=["truncated", "overlong", "nan_feature", "inf_path_loss",
+             "not_a_number"],
+    )
+    def test_malformed_row_names_file_and_line(self, tmp_path, row, message):
+        path = tmp_path / "data.csv"
+        good = "a,0," + ",".join(["1.5"] * 11)
+        path.write_text(
+            ",".join(CSV_HEADER) + "\n" + good + "\n" + row + "\n"
+        )
+        with pytest.raises(DatasetError) as exc:
+            read_csv(path)
+        assert f"{path}, line 3" in str(exc.value)
+        assert message in str(exc.value)

@@ -1,13 +1,15 @@
 import csv
 import json
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from plselect import harness
 from plselect.cli import main
 from plselect.harness import (
+    ExperimentConfig,
     HarnessError,
     cmd_generate,
     cmd_report,
@@ -16,6 +18,8 @@ from plselect.harness import (
     default_config,
     load_config,
 )
+from plselect.predictor import PredictorConfig
+from plselect.scoring import ScoreWeights
 from plselect.search import SearchConfig
 
 
@@ -223,3 +227,52 @@ class TestCli:
         assert main(["report", "--out", out]) == 0
         captured = capsys.readouterr()
         assert "agent" in captured.out
+
+    def test_malformed_dataset_exit_code(self, tmp_path, capsys):
+        cfg = small_config(tmp_path, route_points=20)
+        cmd_generate(cfg)
+        data = Path(cfg.out_dir) / "data" / "intersection.csv"
+        lines = data.read_text().splitlines()
+        lines[5] = lines[5].rsplit(",", 1)[0]
+        data.write_text("\n".join(lines) + "\n")
+        args = ["--seed", "0", "--out", cfg.out_dir, "--task", "task1"]
+        assert main(["run"] + args) == 2
+        err = capsys.readouterr().err
+        assert f"{data}, line 6: expected 13 fields, got 12" in err
+
+
+class TestSweep:
+    def test_sub_config_keeps_every_field_but_the_per_seed_ones(
+        self, tmp_path, monkeypatch
+    ):
+        per_seed = {"scenarios", "search", "master_seed", "out_dir"}
+        changed = dict(
+            task_scenarios={"task1": ("intersection",)},
+            weights=ScoreWeights(lambda_c=0.2, lambda_n=0.1),
+            predictor=PredictorConfig(basis="linear", ridge_lambda=2.0),
+            split_fractions=(0.6, 0.2, 0.2),
+            shadowing_sigma=1.0,
+            corridor_radius=40.0,
+            random_baseline_seeds=2,
+        )
+        # A new ExperimentConfig field needs a changed value here.
+        assert set(changed) == {
+            f.name for f in fields(ExperimentConfig)
+        } - per_seed
+        cfg = replace(
+            default_config(master_seed=3, out_dir=str(tmp_path)), **changed
+        )
+        seen = []
+        monkeypatch.setattr(harness, "cmd_generate", seen.append)
+        monkeypatch.setattr(harness, "cmd_run", lambda *a, **k: [])
+        harness.cmd_sweep(cfg, 2)
+        assert [sub.master_seed for sub in seen] == [3, 4]
+        for sub in seen:
+            seed = sub.master_seed
+            assert sub.out_dir == str(tmp_path / f"seed{seed}")
+            assert sub.search == replace(cfg.search, master_seed=seed)
+            assert [sc.seed for sc in sub.scenarios.values()] == [
+                seed * 1000 + 1, seed * 1000 + 2
+            ]
+            for name, value in changed.items():
+                assert getattr(sub, name) == value
