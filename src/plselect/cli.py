@@ -44,7 +44,7 @@ def build_parser() -> argparse.ArgumentParser:
             help="restrict to a task id (repeatable)",
         )
         p.add_argument("--jobs", type=int, default=1,
-                       help="evaluation worker threads")
+                       help="accepted and ignored: evaluation is serial")
 
     for name in ("generate", "run", "run-baselines", "sweep"):
         add_common(sub.add_parser(name))
@@ -71,13 +71,12 @@ def main(argv=None) -> int:
             for path in cmd_generate(cfg):
                 print(path)
         elif args.command == "run":
-            cmd_run(cfg, tasks=args.task, jobs=args.jobs)
+            cmd_run(cfg, tasks=args.task)
             print(cmd_report(cfg.out_dir, tasks=None), end="")
         elif args.command == "run-baselines":
             cmd_run_baselines(cfg, tasks=args.task)
         elif args.command == "sweep":
-            print(cmd_sweep(cfg, args.seeds, tasks=args.task,
-                            jobs=args.jobs))
+            print(cmd_sweep(cfg, args.seeds, tasks=args.task))
         return EXIT_OK
     except (HarnessError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import os
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
@@ -28,8 +28,8 @@ from .dataset import (
     standardize,
     write_csv,
 )
-from .predictor import Candidate, PredictorConfig, evaluate_mask
-from .scenario import Scene, SceneConfig, generate_scene
+from .predictor import PredictorConfig, evaluate_mask
+from .scenario import FEATURE_SYMBOLS, SceneConfig, generate_scene
 from .scoring import ScoreWeights
 from .search import SearchConfig, SearchResult, run_search
 
@@ -37,15 +37,15 @@ ENV_PREFIX = "PLSELECT_"
 
 RESULTS_HEADER = ["task", "method", "features", "rmse_db", "total_score"]
 
+POLICY_HEADER = ["t"] + [f"p{i}" for i in range(1, len(FEATURE_SYMBOLS) + 1)]
+
+DIAGNOSTICS_HEADER = ["t", "entropy", "diversity"]
+
 GENERATIONS_HEADER = (
     ["t", "best_score", "mean_score", "entropy", "diversity"]
-    + [f"p{i}" for i in range(1, 11)]
+    + POLICY_HEADER[1:]
     + ["best_mask"]
 )
-
-TASKS = ("task1", "task2", "task3")
-
-METHODS = ("agent", "full", "random", "mi_ge_struct", "mi_ge_em")
 
 
 class HarnessError(RuntimeError):
@@ -119,6 +119,43 @@ def _apply_overrides(doc: dict, overrides: dict) -> dict:
     return doc
 
 
+_SECTIONS = {"search": SearchConfig, "weights": ScoreWeights,
+             "predictor": PredictorConfig}
+
+# Always set from the top-level master_seed, never on its own.
+_DERIVED_KEYS = ("search.master_seed",)
+
+
+def _check_keys(doc, source: str) -> None:
+    """Raise HarnessError for the first key of a config document that no
+    dataclass field takes, or for a section that is not an object."""
+
+    def check(node, path, cls=None):
+        if not isinstance(node, dict):
+            raise HarnessError(
+                f"config {'.'.join(path) or 'document'} from {source} "
+                "must be a JSON object"
+            )
+        for key in node:
+            name = ".".join(path + [key])
+            if cls is not None and (
+                key not in {f.name for f in fields(cls)}
+                or name in _DERIVED_KEYS
+            ):
+                raise HarnessError(
+                    f"unknown config key {name!r} from {source}"
+                )
+
+    check(doc, [], ExperimentConfig)
+    for key, cls in _SECTIONS.items():
+        if key in doc:
+            check(doc[key], [key], cls)
+    if "scenarios" in doc:
+        check(doc["scenarios"], ["scenarios"])
+        for name, sc_doc in doc["scenarios"].items():
+            check(sc_doc, ["scenarios", name], SceneConfig)
+
+
 def _env_overrides(environ=None) -> dict:
     """PLSELECT_SECTION__KEY=value overrides; values parsed as JSON."""
     environ = os.environ if environ is None else environ
@@ -131,10 +168,12 @@ def _env_overrides(environ=None) -> dict:
             value = json.loads(raw)
         except json.JSONDecodeError:
             value = raw
-        node = out
+        override = node = {}
         for part in path[:-1]:
             node = node.setdefault(part, {})
         node[path[-1]] = value
+        _check_keys(override, f"environment variable {name}")
+        _apply_overrides(out, override)
     return out
 
 
@@ -148,6 +187,7 @@ def load_config(
     if path is not None:
         with open(path) as fh:
             doc = json.load(fh)
+        _check_keys(doc, path)
     _apply_overrides(doc, _env_overrides(environ))
     if master_seed is not None:
         doc["master_seed"] = master_seed
@@ -171,16 +211,9 @@ def load_config(
         cfg.task_scenarios = {
             k: tuple(v) for k, v in doc["task_scenarios"].items()
         }
-    if "search" in doc:
-        cfg.search = replace(
-            cfg.search, master_seed=cfg.master_seed, **doc["search"]
-        )
-    else:
-        cfg.search = replace(cfg.search, master_seed=cfg.master_seed)
-    if "weights" in doc:
-        cfg.weights = ScoreWeights(**doc["weights"])
-    if "predictor" in doc:
-        cfg.predictor = PredictorConfig(**doc["predictor"])
+    # default_config already set search.master_seed to the master seed.
+    for key in _SECTIONS:
+        setattr(cfg, key, replace(getattr(cfg, key), **doc.get(key, {})))
     for key in (
         "split_fractions",
         "shadowing_sigma",
@@ -199,21 +232,27 @@ def load_config(
 # Atomic file helpers
 # ---------------------------------------------------------------------------
 
-def _atomic_write_text(path: Path, text: str) -> None:
+def _atomic_write(path: Path, write) -> Path:
+    """Call write(tmp) on a sibling temp file, then move it onto path."""
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_text(text)
+    write(tmp)
     os.replace(tmp, path)
+    return path
+
+
+def _atomic_write_text(path: Path, text: str) -> None:
+    _atomic_write(path, lambda tmp: tmp.write_text(text))
 
 
 def _atomic_write_rows(path: Path, header, rows) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    with open(tmp, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
-    os.replace(tmp, path)
+    def write(tmp):
+        with open(tmp, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            writer.writerows(rows)
+
+    _atomic_write(path, write)
 
 
 def _fmt(value: float) -> str:
@@ -230,6 +269,14 @@ def _feature_string(mask) -> str:
     ) + ")"
 
 
+def _result_row(row) -> List[str]:
+    """A (task, method, mask, rmse, score) row as RESULTS_HEADER fields;
+    a mask of None marks a mean over several masks."""
+    task, method, mask, rmse_db, score = row
+    features = _feature_string(mask) if mask is not None else "mean"
+    return [task, method, features, _fmt(rmse_db), _fmt(score)]
+
+
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
@@ -244,29 +291,23 @@ def cmd_generate(cfg: ExperimentConfig) -> List[Path]:
         scene_path = out / "scenes" / f"{name}.json"
         _atomic_write_text(scene_path, scene.to_json())
         written.append(scene_path)
-        ds = build_dataset(
+        ds = single[name] = build_dataset(
             [scene],
             [name],
             shadowing_sigma=cfg.shadowing_sigma,
             corridor_radius=cfg.corridor_radius,
         )
-        single[name] = ds
-        csv_path = out / "data" / f"{name}.csv"
-        csv_path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = csv_path.with_suffix(".csv.tmp")
-        write_csv(ds, tmp)
-        os.replace(tmp, csv_path)
-        written.append(csv_path)
+        written.append(_atomic_write(out / "data" / f"{name}.csv",
+                                     lambda tmp: write_csv(ds, tmp)))
     pooled = concat_datasets(list(single.values()))
-    pooled_path = out / "data" / "pooled.csv"
-    tmp = pooled_path.with_suffix(".csv.tmp")
-    write_csv(pooled, tmp)
-    os.replace(tmp, pooled_path)
-    written.append(pooled_path)
+    written.append(_atomic_write(out / "data" / "pooled.csv",
+                                 lambda tmp: write_csv(pooled, tmp)))
     return written
 
 
 def _load_task_dataset(cfg: ExperimentConfig, task: str) -> Dataset:
+    if task not in cfg.task_scenarios:
+        raise HarnessError(f"unknown task {task!r}")
     names = cfg.task_scenarios[task]
     data_dir = Path(cfg.out_dir) / "data"
     if len(names) > 1:
@@ -283,61 +324,61 @@ def _prepare(ds: Dataset, cfg: ExperimentConfig) -> Dataset:
     return standardize(ds)
 
 
-def run_task(
-    cfg: ExperimentConfig, task: str, jobs: int = 1
-) -> Dict[str, object]:
-    """Agent search plus all baselines for one task on a shared dataset."""
-    ds = _prepare(_load_task_dataset(cfg, task), cfg)
-    result = run_search(
-        ds, cfg.search, cfg.weights, cfg.predictor, jobs=jobs
-    )
-    agent = result.best_overall
+def _evaluated_row(cfg: ExperimentConfig, ds: Dataset, task: str,
+                   method: str, mask) -> tuple:
+    """A (task, method, mask, rmse, score) row for mask evaluated on ds."""
+    cand = evaluate_mask(mask, ds, cfg.weights, cfg.predictor)
+    return (task, method, mask, cand.breakdown.rmse, cand.score)
 
-    rows = [
-        (task, "agent", agent.mask, agent.breakdown.rmse, agent.score)
-    ]
 
-    full = bl.full_feature_mask(ds.n_features)
-    cand = evaluate_mask(full, ds, cfg.weights, cfg.predictor)
-    rows.append((task, "full", full, cand.breakdown.rmse, cand.score))
-
-    cardinality = int(np.sum(agent.mask))
+def _baseline_rows(
+    cfg: ExperimentConfig, task: str, ds: Dataset, cardinality: int
+) -> List[tuple]:
+    """Rows for the full, random and MI-category baselines. The random
+    masks select `cardinality` features; their mean row precedes them,
+    and with no random seeds there are neither."""
+    rows = [_evaluated_row(cfg, ds, task, "full",
+                           bl.full_feature_mask(ds.n_features))]
     random_rows = []
     for k in range(cfg.random_baseline_seeds):
         rng = np.random.default_rng(
             np.random.SeedSequence([cfg.master_seed, 9001, k])
         )
         mask = bl.random_subset_mask(cardinality, ds.n_features, rng)
-        cand = evaluate_mask(mask, ds, cfg.weights, cfg.predictor)
-        random_rows.append((task, f"random_seed{k}", mask,
-                            cand.breakdown.rmse, cand.score))
-    mean_rmse = float(np.mean([r[3] for r in random_rows]))
-    mean_score = float(np.mean([r[4] for r in random_rows]))
-    rows.append((task, "random", None, mean_rmse, mean_score))
-    rows.extend(random_rows)
+        random_rows.append(
+            _evaluated_row(cfg, ds, task, f"random_seed{k}", mask)
+        )
+    if random_rows:
+        mean_rmse = float(np.mean([r[3] for r in random_rows]))
+        mean_score = float(np.mean([r[4] for r in random_rows]))
+        rows.append((task, "random", None, mean_rmse, mean_score))
+        rows.extend(random_rows)
 
     for variant, method in (("GE_Struct", "mi_ge_struct"),
                             ("GE_EM", "mi_ge_em")):
         mask = bl.mi_category_subset(ds, variant, catalog=ds.catalog)
-        cand = evaluate_mask(mask, ds, cfg.weights, cfg.predictor)
-        rows.append((task, method, mask, cand.breakdown.rmse, cand.score))
+        rows.append(_evaluated_row(cfg, ds, task, method, mask))
+    return rows
+
+
+def run_task(cfg: ExperimentConfig, task: str) -> Dict[str, object]:
+    """Agent search plus all baselines for one task on a shared dataset."""
+    ds = _prepare(_load_task_dataset(cfg, task), cfg)
+    result = run_search(ds, cfg.search, cfg.weights, cfg.predictor)
+    agent = result.best_overall
+
+    rows = [(task, "agent", agent.mask, agent.breakdown.rmse, agent.score)]
+    rows.extend(_baseline_rows(cfg, task, ds, int(np.sum(agent.mask))))
 
     # Multi-scenario task: re-evaluate the pooled-selected mask on each
     # sub-scenario's own split.
-    sub_rows = []
     if len(cfg.task_scenarios[task]) > 1:
         for name in cfg.task_scenarios[task]:
             sub = _prepare(
                 read_csv(Path(cfg.out_dir) / "data" / f"{name}.csv"), cfg
             )
-            cand = evaluate_mask(
-                np.array(agent.mask), sub, cfg.weights, cfg.predictor
-            )
-            sub_rows.append(
-                (f"{task}--{name}", "agent", agent.mask,
-                 cand.breakdown.rmse, cand.score)
-            )
-    rows.extend(sub_rows)
+            rows.append(_evaluated_row(cfg, sub, f"{task}--{name}", "agent",
+                                       agent.mask))
 
     return {"task": task, "dataset": ds, "search": result, "rows": rows}
 
@@ -347,43 +388,31 @@ def _write_task_outputs(cfg: ExperimentConfig, task_result: dict) -> None:
     task = task_result["task"]
     result: SearchResult = task_result["search"]
 
-    result_rows = [
-        [
-            row[0],
-            row[1],
-            _feature_string(row[2]) if row[2] is not None else "mean",
-            _fmt(row[3]),
-            _fmt(row[4]),
-        ]
-        for row in task_result["rows"]
-    ]
-    _atomic_write_rows(out / f"{task}_results.csv", RESULTS_HEADER,
-                       result_rows)
+    _atomic_write_rows(
+        out / f"{task}_results.csv",
+        RESULTS_HEADER,
+        [_result_row(row) for row in task_result["rows"]],
+    )
 
-    gen_rows = []
-    policy_rows = []
-    diag_rows = []
-    for rec in result.records:
-        gen_rows.append(
-            [rec.t, _fmt(rec.best.score), _fmt(rec.mean_score),
-             _fmt(rec.entropy), _fmt(rec.diversity)]
-            + [_fmt(p) for p in rec.policy]
-            + [_mask_string(rec.best.mask)]
+    gen_rows = [
+        [rec.t, _fmt(rec.best.score), _fmt(rec.mean_score),
+         _fmt(rec.entropy), _fmt(rec.diversity)]
+        + [_fmt(p) for p in rec.policy]
+        + [_mask_string(rec.best.mask)]
+        for rec in result.records
+    ]
+    # The policy and diagnostics traces are column subsets of one trace.
+    for name, header in (
+        ("generations", GENERATIONS_HEADER),
+        ("policy", POLICY_HEADER),
+        ("diagnostics", DIAGNOSTICS_HEADER),
+    ):
+        cols = [GENERATIONS_HEADER.index(column) for column in header]
+        _atomic_write_rows(
+            out / f"{task}_{name}.csv",
+            header,
+            [[row[i] for i in cols] for row in gen_rows],
         )
-        policy_rows.append([rec.t] + [_fmt(p) for p in rec.policy])
-        diag_rows.append([rec.t, _fmt(rec.entropy), _fmt(rec.diversity)])
-    _atomic_write_rows(out / f"{task}_generations.csv", GENERATIONS_HEADER,
-                       gen_rows)
-    _atomic_write_rows(
-        out / f"{task}_policy.csv",
-        ["t"] + [f"p{i}" for i in range(1, 11)],
-        policy_rows,
-    )
-    _atomic_write_rows(
-        out / f"{task}_diagnostics.csv",
-        ["t", "entropy", "diversity"],
-        diag_rows,
-    )
 
 
 def cmd_run(
@@ -391,12 +420,12 @@ def cmd_run(
     tasks: Optional[Sequence[str]] = None,
     jobs: int = 1,
 ) -> List[dict]:
+    """Run and write each task. ``jobs`` is accepted and ignored:
+    evaluation is serial."""
     tasks = list(tasks) if tasks else list(cfg.task_scenarios)
     results = []
     for task in tasks:
-        if task not in cfg.task_scenarios:
-            raise HarnessError(f"unknown task {task!r}")
-        task_result = run_task(cfg, task, jobs=jobs)
+        task_result = run_task(cfg, task)
         _write_task_outputs(cfg, task_result)
         results.append(task_result)
     return results
@@ -422,27 +451,9 @@ def cmd_run_baselines(
                     if row["method"] == "agent":
                         k = row["features"].count(",") + 1
                         break
-        rows = []
-        full = bl.full_feature_mask(ds.n_features)
-        cand = evaluate_mask(full, ds, cfg.weights, cfg.predictor)
-        rows.append([task, "full", _feature_string(full),
-                     _fmt(cand.breakdown.rmse), _fmt(cand.score)])
-        for variant, method in (("GE_Struct", "mi_ge_struct"),
-                                ("GE_EM", "mi_ge_em")):
-            mask = bl.mi_category_subset(ds, variant, catalog=ds.catalog)
-            cand = evaluate_mask(mask, ds, cfg.weights, cfg.predictor)
-            rows.append([task, method, _feature_string(mask),
-                         _fmt(cand.breakdown.rmse), _fmt(cand.score)])
-        for seed in range(cfg.random_baseline_seeds):
-            rng = np.random.default_rng(
-                np.random.SeedSequence([cfg.master_seed, 9001, seed])
-            )
-            mask = bl.random_subset_mask(k, ds.n_features, rng)
-            cand = evaluate_mask(mask, ds, cfg.weights, cfg.predictor)
-            rows.append([task, f"random_seed{seed}", _feature_string(mask),
-                         _fmt(cand.breakdown.rmse), _fmt(cand.score)])
+        rows = _baseline_rows(cfg, task, ds, k)
         _atomic_write_rows(out / f"{task}_baselines.csv", RESULTS_HEADER,
-                           rows)
+                           [_result_row(row) for row in rows])
         results.append({"task": task, "rows": rows})
     return results
 
@@ -505,7 +516,6 @@ def cmd_sweep(
     cfg: ExperimentConfig,
     n_seeds: int,
     tasks: Optional[Sequence[str]] = None,
-    jobs: int = 1,
 ) -> Path:
     """Repeat generate+run over consecutive master seeds and aggregate."""
     base_out = Path(cfg.out_dir)
@@ -523,13 +533,10 @@ def cmd_sweep(
             master_seed=seed,
         )
         cmd_generate(sub_cfg)
-        for task_result in cmd_run(sub_cfg, tasks, jobs=jobs):
-            for row in task_result["rows"]:
-                agg_rows.append(
-                    [seed, row[0], row[1],
-                     _feature_string(row[2]) if row[2] is not None else "mean",
-                     _fmt(row[3]), _fmt(row[4])]
-                )
+        for task_result in cmd_run(sub_cfg, tasks):
+            agg_rows.extend(
+                [seed] + _result_row(row) for row in task_result["rows"]
+            )
     sweep_path = base_out / "sweep_summary.csv"
     _atomic_write_rows(sweep_path, ["seed"] + RESULTS_HEADER, agg_rows)
     return sweep_path

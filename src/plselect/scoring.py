@@ -84,10 +84,15 @@ def total_score(
     mask: Sequence[int],
     weights: ScoreWeights,
 ) -> ScoreBreakdown:
-    """Negated weighted sum of error, trend error, and normalized cardinality."""
+    """Negated weighted sum of error, trend error, and normalized cardinality;
+    the mask's length must equal ``weights.n_features``."""
     if rmse_db < 0 or trend_error_db < 0:
         raise ScoringError("rmse and trend error must be non-negative")
-    cardinality = int(np.count_nonzero(np.asarray(mask)))
+    mask = np.asarray(mask)
+    if mask.size != weights.n_features:
+        raise ScoringError(f"mask has {mask.size} features but "
+                           f"weights.n_features is {weights.n_features}")
+    cardinality = int(np.count_nonzero(mask))
     if cardinality == 0:
         raise ScoringError("mask must select at least one feature")
     total = -(

@@ -10,8 +10,7 @@ the policy toward the mean bit pattern of the top-K candidates.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
@@ -168,9 +167,10 @@ def run_search(
 ) -> SearchResult:
     """Full policy-guided evolutionary search over feature masks.
 
-    Deterministic per master_seed regardless of the worker count: all
-    randomness is drawn before evaluation, and evaluations are pure. A
-    per-run memo cache skips re-evaluating repeated masks.
+    Deterministic per master_seed. Masks are evaluated serially; a per-run
+    memo cache skips re-evaluating repeated masks. ``jobs`` is accepted and
+    ignored: a thread pool measured slower than serial evaluation, because
+    much of each evaluation holds the interpreter lock.
     """
     n = ds.n_features
     policy = initial_policy(n)
@@ -196,9 +196,7 @@ def run_search(
                 masks[a], masks[b] = crossover(masks[a], masks[b], cx_rng)
         masks = [mutate(m, config.mutation_rate, mut_rng) for m in masks]
 
-        candidates = _evaluate_all(
-            masks, ds, weights, predictor_config, cache, jobs
-        )
+        candidates = _evaluate_all(masks, ds, weights, predictor_config, cache)
 
         elites = select_elites(candidates, config.elite_count)
         gen_best = elites[0]
@@ -228,20 +226,10 @@ def run_search(
     )
 
 
-def _evaluate_all(masks, ds, weights, predictor_config, cache, jobs):
-    unique = {}
+def _evaluate_all(masks, ds, weights, predictor_config, cache):
+    # New masks are evaluated once each, in order of first appearance.
     for m in masks:
-        unique.setdefault(m.tobytes(), m)
-    missing = [key for key in unique if key not in cache]
-
-    def _eval(key):
-        return key, evaluate_mask(unique[key], ds, weights, predictor_config)
-
-    if jobs > 1 and len(missing) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            for key, cand in pool.map(_eval, missing):
-                cache[key] = cand
-    else:
-        for key in missing:
-            cache[key] = _eval(key)[1]
+        key = m.tobytes()
+        if key not in cache:
+            cache[key] = evaluate_mask(m, ds, weights, predictor_config)
     return [cache[m.tobytes()] for m in masks]

@@ -1,5 +1,7 @@
 import csv
 import json
+import re
+import warnings
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -118,6 +120,21 @@ class TestRun:
         assert len(policy) == cfg.search.generations
         assert float(policy[0]["p1"]) == 0.5
 
+    @pytest.mark.parametrize("task", ["task1", "task2", "task3"])
+    def test_policy_and_diagnostics_are_generations_columns(
+        self, run_outputs, task
+    ):
+        cfg, _ = run_outputs
+        results_dir = Path(cfg.out_dir) / "results"
+        gens = read_rows(results_dir / f"{task}_generations.csv")
+        for name, columns in (
+            ("policy", ["t"] + [f"p{i}" for i in range(1, 11)]),
+            ("diagnostics", ["t", "entropy", "diversity"]),
+        ):
+            rows = read_rows(results_dir / f"{task}_{name}.csv")
+            assert list(rows[0]) == columns
+            assert rows == [{c: g[c] for c in columns} for g in gens]
+
     def test_rerun_identical(self, tmp_path):
         cfg = small_config(tmp_path, seed=5)
         cmd_generate(cfg)
@@ -149,6 +166,38 @@ class TestBaselinesCommand:
         methods = {r["method"] for r in rows}
         assert {"full", "mi_ge_struct", "mi_ge_em"} <= methods
         assert sum(m.startswith("random_seed") for m in methods) == 3
+
+    def test_matches_baseline_rows_of_run(self, tmp_path):
+        cfg = small_config(tmp_path)
+        cmd_generate(cfg)
+        cmd_run(cfg, tasks=["task1"])
+        cmd_run_baselines(cfg, tasks=["task1"])
+        results_dir = Path(cfg.out_dir) / "results"
+        baselines = read_rows(results_dir / "task1_baselines.csv")
+        results = read_rows(results_dir / "task1_results.csv")
+        assert results[0]["method"] == "agent"
+        assert baselines == results[1:]
+        assert {"full", "random", "mi_ge_struct", "mi_ge_em",
+                "random_seed0"} <= {r["method"] for r in baselines}
+
+    def test_unknown_task(self, tmp_path):
+        cfg = small_config(tmp_path)
+        cmd_generate(cfg)
+        with pytest.raises(HarnessError, match="task9"):
+            cmd_run_baselines(cfg, tasks=["task9"])
+
+    def test_zero_random_seeds_writes_no_random_rows(self, tmp_path):
+        cfg = small_config(tmp_path)
+        cfg.random_baseline_seeds = 0
+        cmd_generate(cfg)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cmd_run_baselines(cfg, tasks=["task1"])
+        rows = read_rows(
+            Path(cfg.out_dir) / "results" / "task1_baselines.csv"
+        )
+        assert [r["method"] for r in rows] == [
+            "full", "mi_ge_struct", "mi_ge_em"]
 
 
 class TestReport:
@@ -190,6 +239,45 @@ class TestConfigLoading:
         assert cfg.shadowing_sigma == 1.5
         assert cfg.search.master_seed == 7
 
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ({"search": {"bogus": 1}}, "unknown config key 'search.bogus'"),
+            ({"bogus": 1}, "unknown config key 'bogus'"),
+            ({"scenarios": {"square": {"route_pts": 9}}},
+             "unknown config key 'scenarios.square.route_pts'"),
+            ({"weights": [0.3]}, "config weights .* must be a JSON object"),
+        ],
+    )
+    def test_bad_file_key_names_key_and_file(self, tmp_path, doc, message):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(HarnessError, match=message) as exc:
+            load_config(str(path), environ={})
+        assert str(path) in str(exc.value)
+
+    def test_misspelled_env_var_names_variable(self):
+        environ = {"PLSELECT_SERACH__GENERATIONS": "3"}
+        with pytest.raises(
+            HarnessError, match="'serach' from environment variable "
+            "PLSELECT_SERACH__GENERATIONS",
+        ):
+            load_config(environ=environ)
+
+    def test_search_master_seed_is_not_settable(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"search": {"master_seed": 4}}))
+        with pytest.raises(
+            HarnessError, match=re.escape(f"'search.master_seed' from {path}")
+        ):
+            load_config(str(path), master_seed=3, environ={})
+        environ = {"PLSELECT_SEARCH__MASTER_SEED": "4"}
+        with pytest.raises(
+            HarnessError, match="'search.master_seed' from environment "
+            "variable PLSELECT_SEARCH__MASTER_SEED",
+        ):
+            load_config(environ=environ)
+
     def test_defaults_follow_published_settings(self):
         cfg = default_config()
         assert cfg.search.population_size == 25
@@ -204,6 +292,14 @@ class TestCli:
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
         assert exc.value.code == 1
+
+    def test_unknown_config_key_exit_code(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"search": {"bogus": 1}}))
+        out = str(tmp_path / "out")
+        assert main(["generate", "--config", str(path), "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: unknown config key 'search.bogus'")
 
     def test_report_missing_dir_exit_code(self, tmp_path):
         assert main(["report", "--out", str(tmp_path / "nope")]) == 2

@@ -113,6 +113,18 @@ class TestTotalScore:
         with pytest.raises(ScoringError):
             total_score(1.0, 1.0, [0] * 10, W)
 
+    def test_mask_length_must_match_n_features(self):
+        with pytest.raises(ScoringError, match="24 features.*is 10"):
+            total_score(1.0, 1.0, [1] * 6 + [0] * 18, W)
+        with pytest.raises(ScoringError, match="10 features.*is 24"):
+            total_score(1.0, 1.0, [1] * 10, ScoreWeights(n_features=24))
+
+    def test_wide_mask_with_matching_n_features(self):
+        wide = ScoreWeights(lambda_c=0.3, lambda_n=0.3, n_features=24)
+        bd = total_score(1.0, 1.0, [1] * 6 + [0] * 18, wide)
+        assert bd.cardinality == 6
+        assert bd.total == pytest.approx(-1.375, abs=1e-12)
+
     def test_monotonicity(self):
         base = total_score(1.0, 1.0, [1] * 4 + [0] * 6, W).total
         assert total_score(1.1, 1.0, [1] * 4 + [0] * 6, W).total < base
