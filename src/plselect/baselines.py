@@ -15,7 +15,6 @@ from typing import Sequence
 import numpy as np
 
 from .dataset import Dataset, DatasetError
-from .scenario import FeatureCatalog
 
 DEFAULT_MI_BINS = 16
 
@@ -29,7 +28,7 @@ class MIRanking:
     ranking: tuple  # 1-based feature indices, MI descending
 
 
-def full_feature_mask(n_features: int = 10) -> np.ndarray:
+def full_feature_mask(n_features: int) -> np.ndarray:
     return np.ones(n_features, dtype=np.int8)
 
 
@@ -86,16 +85,16 @@ def mi_category_subset(
     ds: Dataset,
     variant: str,
     bins: int = DEFAULT_MI_BINS,
-    catalog: FeatureCatalog = FeatureCatalog(),
 ) -> np.ndarray:
-    """Top-2 Geometry features plus top-2 of the variant's second category."""
+    """Top-2 Geometry features plus top-2 of the variant's second category,
+    by the categories of ds.catalog."""
     if variant not in MI_VARIANTS:
         raise ValueError(f"variant must be one of {MI_VARIANTS}")
     ranking = mi_ranking(ds, bins)
     second = "Structure" if variant == "GE_Struct" else "Knowledge"
-    mask = np.zeros(catalog.n_features, dtype=np.int8)
+    mask = np.zeros(ds.n_features, dtype=np.int8)
     for category in ("Geometry", second):
-        members = set(catalog.indices_for_category(category))
+        members = set(ds.catalog.indices_for_category(category))
         top = [i for i in ranking.ranking if i in members][:2]
         for i in top:
             mask[i - 1] = 1

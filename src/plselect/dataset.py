@@ -156,6 +156,10 @@ def split_dataset(
     seed: int = 0,
 ) -> Dataset:
     """Assign train/val/test labels, stratified by scenario_id."""
+    if len(fractions) != len(SPLITS):
+        raise DatasetError(
+            f"expected {len(SPLITS)} split fractions, got {len(fractions)}"
+        )
     if any(f <= 0 for f in fractions):
         raise DatasetError("fractions must be positive")
     if abs(sum(fractions) - 1.0) > 1e-9:
@@ -236,34 +240,41 @@ def write_csv(ds: Dataset, path) -> None:
 
 def read_csv(path) -> Dataset:
     """Inverse of write_csv. A row with the wrong number of fields, an
-    unparsable number or a non-finite value raises DatasetError naming the
-    file and line."""
+    unparsable number, a non-finite value or a field the csv module
+    refuses raises DatasetError naming the file and line."""
     samples = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != CSV_HEADER:
-            raise DatasetError(f"unexpected CSV header in {path}")
-        for row in reader:
-            where = f"{path}, line {reader.line_num}"
-            if len(row) != len(CSV_HEADER):
-                raise DatasetError(
-                    f"{where}: expected {len(CSV_HEADER)} fields, "
-                    f"got {len(row)}"
+        try:
+            header = next(reader, None)
+            if header != CSV_HEADER:
+                raise DatasetError(f"unexpected CSV header in {path}")
+            for row in reader:
+                where = f"{path}, line {reader.line_num}"
+                if len(row) != len(CSV_HEADER):
+                    raise DatasetError(
+                        f"{where}: expected {len(CSV_HEADER)} fields, "
+                        f"got {len(row)}"
+                    )
+                try:
+                    values = np.array([float(v) for v in row[2:]])
+                    route_index = int(row[1])
+                except ValueError as exc:
+                    raise DatasetError(f"{where}: {exc}") from None
+                if not np.all(np.isfinite(values)):
+                    raise DatasetError(
+                        f"{where}: non-finite feature or path loss"
+                    )
+                samples.append(
+                    Sample(
+                        features=values[:-1],
+                        path_loss=float(values[-1]),
+                        route_index=route_index,
+                        scenario_id=row[0],
+                    )
                 )
-            try:
-                values = np.array([float(v) for v in row[2:]])
-                route_index = int(row[1])
-            except ValueError as exc:
-                raise DatasetError(f"{where}: {exc}") from None
-            if not np.all(np.isfinite(values)):
-                raise DatasetError(f"{where}: non-finite feature or path loss")
-            samples.append(
-                Sample(
-                    features=values[:-1],
-                    path_loss=float(values[-1]),
-                    route_index=route_index,
-                    scenario_id=row[0],
-                )
-            )
+        except csv.Error as exc:
+            raise DatasetError(
+                f"{path}, line {reader.line_num}: {exc}"
+            ) from None
     return Dataset(samples=tuple(samples))

@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
-from dataclasses import dataclass, field, fields, replace
+import sys
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
@@ -54,8 +56,12 @@ class HarnessError(RuntimeError):
 
 @dataclass
 class ExperimentConfig:
-    scenarios: Dict[str, SceneConfig] = field(default_factory=dict)
-    task_scenarios: Dict[str, tuple] = field(default_factory=dict)
+    # A config document may add keys to the two dicts; a new entry starts
+    # from the field's "entry" value.
+    scenarios: Dict[str, SceneConfig] = field(
+        default_factory=dict, metadata={"entry": SceneConfig()})
+    task_scenarios: Dict[str, tuple] = field(
+        default_factory=dict, metadata={"entry": ("",)})
     search: SearchConfig = field(default_factory=SearchConfig)
     weights: ScoreWeights = field(default_factory=ScoreWeights)
     predictor: PredictorConfig = field(default_factory=PredictorConfig)
@@ -65,6 +71,28 @@ class ExperimentConfig:
     random_baseline_seeds: int = 10
     out_dir: str = "out"
     master_seed: int = 0
+
+    def __post_init__(self):
+        if self.random_baseline_seeds < 0:
+            raise HarnessError("random_baseline_seeds must be non-negative")
+        for name in ("shadowing_sigma", "corridor_radius"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise HarnessError(f"{name} must be finite and non-negative")
+
+
+def seeded(cfg: ExperimentConfig, master_seed: int) -> ExperimentConfig:
+    """cfg with every seed derived from master_seed: scenario i (from 0,
+    in order) gets master_seed * 1000 + i + 1; the search, the split and
+    the random baselines take master_seed itself."""
+    return replace(
+        cfg,
+        scenarios={
+            name: replace(sc, seed=master_seed * 1000 + i + 1)
+            for i, (name, sc) in enumerate(cfg.scenarios.items())
+        },
+        search=replace(cfg.search, master_seed=master_seed),
+        master_seed=master_seed,
+    )
 
 
 def default_config(master_seed: int = 0, out_dir: str = "out") -> ExperimentConfig:
@@ -77,104 +105,82 @@ def default_config(master_seed: int = 0, out_dir: str = "out") -> ExperimentConf
     )
     scenarios = {
         "intersection": SceneConfig(
-            layout="intersection",
-            corridor_width=30.0,
-            seed=master_seed * 1000 + 1,
-            **base,
+            layout="intersection", corridor_width=30.0, **base
         ),
         "square": SceneConfig(
-            layout="square",
-            scatterer_count=(35, 45),
-            seed=master_seed * 1000 + 2,
-            **base,
+            layout="square", scatterer_count=(35, 45), **base
         ),
     }
-    return ExperimentConfig(
+    cfg = ExperimentConfig(
         scenarios=scenarios,
         task_scenarios={
             "task1": ("intersection",),
             "task2": ("square",),
             "task3": ("intersection", "square"),
         },
-        search=SearchConfig(master_seed=master_seed),
         out_dir=out_dir,
-        master_seed=master_seed,
     )
+    return seeded(cfg, master_seed)
 
 
 # ---------------------------------------------------------------------------
 # Config loading
 # ---------------------------------------------------------------------------
 
-def _apply_overrides(doc: dict, overrides: dict) -> dict:
-    for key, value in overrides.items():
-        if (
-            key in doc
-            and isinstance(doc[key], dict)
-            and isinstance(value, dict)
-        ):
-            _apply_overrides(doc[key], value)
+_JSON_TYPES = {tuple: "an array", int: "an integer", float: "a number",
+               str: "a string"}
+
+
+def _typed(default, value, key: str, source: str):
+    """value if it has the JSON type of default, an array as a tuple whose
+    elements have the type of default[0]; an int fits a float field."""
+    if isinstance(default, tuple) and isinstance(value, list):
+        return tuple(_typed(default[0], v, f"{key}[{i}]", source)
+                     for i, v in enumerate(value))
+    if (type(default) is float and type(value) is int
+            and abs(value) <= sys.float_info.max):
+        value = float(value)
+    if type(value) is not type(default):
+        raise HarnessError(f"config {key} from {source} must be "
+                           f"{_JSON_TYPES[type(default)]}")
+    return value
+
+
+def _apply(current, docs, key: str = "", entry=None):
+    """current with the config documents in docs applied in turn.
+
+    docs holds (document, source) pairs for the config key `key`. A
+    dataclass takes a JSON object of its field names, except that below
+    the top level no seed can be set (see `seeded`); a dict takes a JSON
+    object whose new keys start from `entry`. Both are merged key by key,
+    and each dataclass is rebuilt once, after all documents, so that its
+    checks see the final values. Other values go through `_typed`. A bad
+    key or type raises HarnessError naming the key and its source.
+    """
+    is_dict = isinstance(current, dict)
+    if not (is_dict or is_dataclass(current)):
+        return [_typed(current, value, key, source)
+                for value, source in docs][-1]
+    known = {} if is_dict else {f.name: f for f in fields(current)}
+    for value, source in docs:
+        if not isinstance(value, dict):
+            raise HarnessError(f"config {key or 'document'} from {source} "
+                               "must be a JSON object")
+    changes = {}
+    for k in dict.fromkeys(k for value, _ in docs for k in value):
+        sub = [(value[k], source) for value, source in docs if k in value]
+        name = f"{key}.{k}" if key else k
+        if is_dict:
+            changes[k] = _apply(current.get(k, entry), sub, name)
+        elif k not in known:
+            raise HarnessError(f"unknown config key {name!r} from {sub[0][1]}")
+        elif key and k in ("seed", "master_seed"):
+            raise HarnessError(f"config key {name!r} from {sub[0][1]} cannot "
+                               "be set: it follows master_seed")
         else:
-            doc[key] = value
-    return doc
-
-
-_SECTIONS = {"search": SearchConfig, "weights": ScoreWeights,
-             "predictor": PredictorConfig}
-
-# Always set from the top-level master_seed, never on its own.
-_DERIVED_KEYS = ("search.master_seed",)
-
-
-def _check_keys(doc, source: str) -> None:
-    """Raise HarnessError for the first key of a config document that no
-    dataclass field takes, or for a section that is not an object."""
-
-    def check(node, path, cls=None):
-        if not isinstance(node, dict):
-            raise HarnessError(
-                f"config {'.'.join(path) or 'document'} from {source} "
-                "must be a JSON object"
-            )
-        for key in node:
-            name = ".".join(path + [key])
-            if cls is not None and (
-                key not in {f.name for f in fields(cls)}
-                or name in _DERIVED_KEYS
-            ):
-                raise HarnessError(
-                    f"unknown config key {name!r} from {source}"
-                )
-
-    check(doc, [], ExperimentConfig)
-    for key, cls in _SECTIONS.items():
-        if key in doc:
-            check(doc[key], [key], cls)
-    if "scenarios" in doc:
-        check(doc["scenarios"], ["scenarios"])
-        for name, sc_doc in doc["scenarios"].items():
-            check(sc_doc, ["scenarios", name], SceneConfig)
-
-
-def _env_overrides(environ=None) -> dict:
-    """PLSELECT_SECTION__KEY=value overrides; values parsed as JSON."""
-    environ = os.environ if environ is None else environ
-    out: dict = {}
-    for name, raw in environ.items():
-        if not name.startswith(ENV_PREFIX):
-            continue
-        path = name[len(ENV_PREFIX):].lower().split("__")
-        try:
-            value = json.loads(raw)
-        except json.JSONDecodeError:
-            value = raw
-        override = node = {}
-        for part in path[:-1]:
-            node = node.setdefault(part, {})
-        node[path[-1]] = value
-        _check_keys(override, f"environment variable {name}")
-        _apply_overrides(out, override)
-    return out
+            changes[k] = _apply(getattr(current, k), sub, name,
+                                known[k].metadata.get("entry"))
+    return {**current, **changes} if is_dict else replace(current, **changes)
 
 
 def load_config(
@@ -183,49 +189,30 @@ def load_config(
     out_dir: Optional[str] = None,
     environ=None,
 ) -> ExperimentConfig:
-    doc: dict = {}
+    """default_config with, in turn, the JSON file at `path`, each
+    PLSELECT_SECTION__KEY variable (its value parsed as JSON, else taken
+    as a string) and the master_seed and out_dir arguments applied by
+    `_apply`; seeds then follow the resulting master_seed."""
+    docs = []
     if path is not None:
         with open(path) as fh:
-            doc = json.load(fh)
-        _check_keys(doc, path)
-    _apply_overrides(doc, _env_overrides(environ))
-    if master_seed is not None:
-        doc["master_seed"] = master_seed
-    if out_dir is not None:
-        doc["out_dir"] = out_dir
-
-    cfg = default_config(
-        master_seed=doc.get("master_seed", 0),
-        out_dir=doc.get("out_dir", "out"),
-    )
-    for name, sc_doc in doc.get("scenarios", {}).items():
-        base = cfg.scenarios.get(name, SceneConfig())
-        cfg.scenarios[name] = replace(
-            base,
-            **{
-                k: tuple(v) if isinstance(v, list) else v
-                for k, v in sc_doc.items()
-            },
-        )
-    if "task_scenarios" in doc:
-        cfg.task_scenarios = {
-            k: tuple(v) for k, v in doc["task_scenarios"].items()
-        }
-    # default_config already set search.master_seed to the master seed.
-    for key in _SECTIONS:
-        setattr(cfg, key, replace(getattr(cfg, key), **doc.get(key, {})))
-    for key in (
-        "split_fractions",
-        "shadowing_sigma",
-        "corridor_radius",
-        "random_baseline_seeds",
-    ):
-        if key in doc:
-            value = doc[key]
-            setattr(
-                cfg, key, tuple(value) if isinstance(value, list) else value
-            )
-    return cfg
+            docs.append((json.load(fh), path))
+    environ = os.environ if environ is None else environ
+    for name, raw in environ.items():
+        if not name.startswith(ENV_PREFIX):
+            continue
+        try:
+            value = json.loads(raw)
+        except json.JSONDecodeError:
+            value = raw
+        for part in reversed(name[len(ENV_PREFIX):].lower().split("__")):
+            value = {part: value}
+        docs.append((value, f"environment variable {name}"))
+    args = {"master_seed": master_seed, "out_dir": out_dir}
+    docs.append(({k: v for k, v in args.items() if v is not None},
+                 "the command line"))
+    cfg = _apply(default_config(), docs)
+    return seeded(cfg, cfg.master_seed)
 
 
 # ---------------------------------------------------------------------------
@@ -356,7 +343,7 @@ def _baseline_rows(
 
     for variant, method in (("GE_Struct", "mi_ge_struct"),
                             ("GE_EM", "mi_ge_em")):
-        mask = bl.mi_category_subset(ds, variant, catalog=ds.catalog)
+        mask = bl.mi_category_subset(ds, variant)
         rows.append(_evaluated_row(cfg, ds, task, method, mask))
     return rows
 
@@ -522,16 +509,8 @@ def cmd_sweep(
     agg_rows = []
     for k in range(n_seeds):
         seed = cfg.master_seed + k
-        sub_cfg = replace(
-            cfg,
-            scenarios={
-                name: replace(sc, seed=seed * 1000 + i + 1)
-                for i, (name, sc) in enumerate(cfg.scenarios.items())
-            },
-            search=replace(cfg.search, master_seed=seed),
-            out_dir=str(base_out / f"seed{seed}"),
-            master_seed=seed,
-        )
+        sub_cfg = replace(seeded(cfg, seed),
+                          out_dir=str(base_out / f"seed{seed}"))
         cmd_generate(sub_cfg)
         for task_result in cmd_run(sub_cfg, tasks):
             agg_rows.extend(

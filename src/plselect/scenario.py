@@ -262,19 +262,21 @@ def segment_box_intersection(p0, p1, bounds) -> Optional[tuple]:
     hi = np.array(bounds[3:], dtype=float)
     d = p1 - p0
     t_min, t_max = 0.0, 1.0
-    for axis in range(3):
-        if d[axis] == 0.0:
-            if p0[axis] < lo[axis] or p0[axis] > hi[axis]:
+    # A tiny d[axis] can overflow t0 and t1 to +-inf; the clip stays right.
+    with np.errstate(over="ignore"):
+        for axis in range(3):
+            if d[axis] == 0.0:
+                if p0[axis] < lo[axis] or p0[axis] > hi[axis]:
+                    return None
+                continue
+            t0 = (lo[axis] - p0[axis]) / d[axis]
+            t1 = (hi[axis] - p0[axis]) / d[axis]
+            if t0 > t1:
+                t0, t1 = t1, t0
+            t_min = max(t_min, t0)
+            t_max = min(t_max, t1)
+            if t_min > t_max:
                 return None
-            continue
-        t0 = (lo[axis] - p0[axis]) / d[axis]
-        t1 = (hi[axis] - p0[axis]) / d[axis]
-        if t0 > t1:
-            t0, t1 = t1, t0
-        t_min = max(t_min, t0)
-        t_max = min(t_max, t1)
-        if t_min > t_max:
-            return None
     return (t_min, t_max)
 
 

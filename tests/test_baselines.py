@@ -1,7 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from conftest import make_manual_dataset
+from conftest import make_manual_dataset, make_planted_dataset
 from plselect.baselines import (
     full_feature_mask,
     mi_category_subset,
@@ -95,6 +97,23 @@ class TestCategorySubsets:
     def test_ge_em_includes_both_knowledge_features(self, planted_ds):
         mask = mi_category_subset(planted_ds, "GE_EM")
         assert mask[8] == 1 and mask[9] == 1
+
+    def test_categories_come_from_the_dataset_catalog(self):
+        # Twelve features in three categories of four.
+        catalog = FeatureCatalog(
+            symbols=tuple(f"x{i}" for i in range(1, 13)),
+            categories=("Geometry",) * 4 + ("Structure",) * 4
+            + ("Knowledge",) * 4,
+        )
+        ds = replace(make_planted_dataset(n_features=12), catalog=catalog)
+        for variant, second in (("GE_Struct", range(5, 9)),
+                                ("GE_EM", range(9, 13))):
+            mask = mi_category_subset(ds, variant)
+            selected = {i + 1 for i in np.flatnonzero(mask)}
+            assert mask.shape == (12,)
+            assert len(selected) == 4
+            assert len(selected & set(range(1, 5))) == 2
+            assert len(selected & set(second)) == 2
 
     def test_unknown_variant(self, planted_ds):
         with pytest.raises(ValueError):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import make_manual_dataset
 from plselect.dataset import (
@@ -118,6 +120,8 @@ class TestSplit:
             split_dataset(ds, (0.5, 0.5, 0.2))
         with pytest.raises(DatasetError):
             split_dataset(ds, (1.0, 0.0, 0.0))
+        with pytest.raises(DatasetError, match="expected 3 split fractions"):
+            split_dataset(ds, (0.5, 0.5))
 
 
 class TestStandardize:
@@ -210,9 +214,10 @@ class TestCsv:
             ("a,0,1,2,nan,4,5,6,7,8,9,10,11", "non-finite"),
             ("a,0,1,2,3,4,5,6,7,8,9,10,inf", "non-finite"),
             ("a,0,1,2,3,4,5,6,7,8,9,10,loud", "could not convert"),
+            ("a,0," + "1" * 200_000, "field larger than field limit"),
         ],
         ids=["truncated", "overlong", "nan_feature", "inf_path_loss",
-             "not_a_number"],
+             "not_a_number", "oversized_field"],
     )
     def test_malformed_row_names_file_and_line(self, tmp_path, row, message):
         path = tmp_path / "data.csv"
@@ -224,3 +229,28 @@ class TestCsv:
             read_csv(path)
         assert f"{path}, line 3" in str(exc.value)
         assert message in str(exc.value)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        header=st.just(CSV_HEADER) | st.lists(st.text(max_size=8)),
+        rows=st.lists(
+            st.lists(
+                st.text(max_size=6) | st.floats().map(repr)
+                | st.integers().map(str),
+                min_size=11, max_size=14,
+            ) | st.lists(st.text(max_size=6), max_size=4),
+            max_size=4,
+        ),
+    )
+    @example(header=CSV_HEADER, rows=[["a", "0"] + ["1.5"] * 11])
+    @example(header=CSV_HEADER, rows=[["a", "0", "1" * 200_000]])
+    def test_arbitrary_rows_load_or_raise_dataset_error(
+        self, tmp_path_factory, header, rows
+    ):
+        path = tmp_path_factory.getbasetemp() / "fuzzed.csv"
+        path.write_text("\n".join(",".join(r) for r in [header] + rows))
+        try:
+            ds = read_csv(path)
+        except DatasetError:
+            return
+        assert all(np.isfinite(s.features).all() for s in ds.samples)

@@ -2,11 +2,13 @@ import csv
 import json
 import re
 import warnings
-from dataclasses import fields, replace
+from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from plselect import harness
 from plselect.cli import main
@@ -278,6 +280,107 @@ class TestConfigLoading:
         ):
             load_config(environ=environ)
 
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ({"search": {"generations": "3"}},
+             "config search.generations from {} must be an integer"),
+            ({"weights": {"lambda_c": 10 ** 400}},
+             "config weights.lambda_c from {} must be a number"),
+            ({"split_fractions": [0.5, "x", 0.2]},
+             "config split_fractions[1] from {} must be a number"),
+            ({"scenarios": {"extra": {"area_size": 400}}},
+             "config scenarios.extra.area_size from {} must be an array"),
+            ({"task_scenarios": {"task4": [1]}},
+             "config task_scenarios.task4[0] from {} must be a string"),
+            ({"scenarios": {"square": {"route_points": True}}},
+             "config scenarios.square.route_points from {} must be an "
+             "integer"),
+        ],
+    )
+    def test_wrong_value_type_names_key_and_file(self, tmp_path, doc,
+                                                 message):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(HarnessError, match=re.escape(
+            message.format(path)
+        )):
+            load_config(str(path), environ={})
+
+    def test_values_take_the_field_types(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({
+            "shadowing_sigma": 2,
+            "scenarios": {"square": {"area_size": [300, 300]}},
+            "task_scenarios": {"task4": ["square"]},
+        }))
+        cfg = load_config(str(path), environ={})
+        assert type(cfg.shadowing_sigma) is float
+        assert cfg.scenarios["square"].area_size == (300.0, 300.0)
+        assert type(cfg.scenarios["square"].area_size[0]) is float
+        assert cfg.task_scenarios == {
+            **default_config().task_scenarios, "task4": ("square",)
+        }
+
+    def test_sources_are_checked_together(self, tmp_path):
+        # population_size 4 with the default elite_count 5 is invalid
+        # alone; the variable makes the final config valid.
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"search": {"population_size": 4}}))
+        cfg = load_config(
+            str(path), environ={"PLSELECT_SEARCH__ELITE_COUNT": "2"}
+        )
+        assert (cfg.search.population_size, cfg.search.elite_count) == (4, 2)
+
+    @pytest.mark.parametrize("name", ["square", "extra"])
+    def test_scene_seed_is_not_settable(self, tmp_path, name):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"scenarios": {name: {"seed": 4}}}))
+        with pytest.raises(HarnessError, match=re.escape(
+            f"'scenarios.{name}.seed' from {path}"
+        )):
+            load_config(str(path), environ={})
+        variable = f"PLSELECT_SCENARIOS__{name.upper()}__SEED"
+        with pytest.raises(HarnessError, match=re.escape(
+            f"'scenarios.{name}.seed' from environment variable {variable}"
+        )):
+            load_config(environ={variable: "4"})
+
+    def test_added_scene_seed_follows_master_seed(self, tmp_path,
+                                                  monkeypatch):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"scenarios": {"extra": {}}}))
+
+        def scene_seeds(cfg):
+            return {n: sc.seed for n, sc in cfg.scenarios.items()}
+
+        for s in (0, 3):
+            cfg = load_config(str(path), master_seed=s,
+                              out_dir=str(tmp_path), environ={})
+            assert scene_seeds(cfg) == {"intersection": s * 1000 + 1,
+                                        "square": s * 1000 + 2,
+                                        "extra": s * 1000 + 3}
+            assert cfg.search.master_seed == s
+        seen = []
+        monkeypatch.setattr(harness, "cmd_generate", seen.append)
+        monkeypatch.setattr(harness, "cmd_run", lambda *a, **k: [])
+        harness.cmd_sweep(cfg, 2)
+        assert [scene_seeds(sub) for sub in seen] == [
+            scene_seeds(load_config(str(path), master_seed=s, environ={}))
+            for s in (3, 4)
+        ]
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("random_baseline_seeds", -2), ("shadowing_sigma", -3.0),
+         ("corridor_radius", -1.0), ("shadowing_sigma", float("nan"))],
+    )
+    def test_out_of_range_values_rejected(self, key, value):
+        with pytest.raises(HarnessError, match=key):
+            replace(default_config(), **{key: value})
+        with pytest.raises(HarnessError, match=key):
+            load_config(environ={f"PLSELECT_{key.upper()}": json.dumps(value)})
+
     def test_defaults_follow_published_settings(self):
         cfg = default_config()
         assert cfg.search.population_size == 25
@@ -285,6 +388,77 @@ class TestConfigLoading:
         assert cfg.search.eta == 0.1
         assert cfg.weights.lambda_c == 0.3
         assert cfg.weights.lambda_n == 0.3
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(max_size=4),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=4), children, max_size=3),
+    max_leaves=6,
+)
+
+
+def config_docs(template):
+    """Documents over the config key tree of template: at each key either
+    a value of the field's own type or any JSON value."""
+    if is_dataclass(template):
+        return st.fixed_dictionaries({}, optional={
+            f.name: config_docs(getattr(template, f.name)) | JSON_VALUES
+            for f in fields(template)
+        })
+    if isinstance(template, dict):
+        entry = next(iter(template.values()))
+        return st.dictionaries(
+            st.sampled_from(list(template) + ["extra"]),
+            config_docs(entry) | JSON_VALUES, max_size=3,
+        )
+    if isinstance(template, tuple):
+        return st.lists(config_docs(template[0]), max_size=4)
+    if isinstance(template, str):
+        return st.text(max_size=4)
+    return st.integers() if isinstance(template, int) else st.floats()
+
+
+def env_vars(doc, path=()):
+    """PLSELECT_* variables that set each leaf of doc."""
+    out = {}
+    for key, value in doc.items():
+        if isinstance(value, dict) and value:
+            out.update(env_vars(value, path + (key,)))
+        else:
+            name = "PLSELECT_" + "__".join(path + (key,)).upper()
+            out[name] = json.dumps(value)
+    return out
+
+
+def check_loads_or_refuses(**kwargs):
+    try:
+        cfg = load_config(**kwargs)
+    except (HarnessError, ValueError):
+        return
+    assert [sc.seed for sc in cfg.scenarios.values()] == [
+        cfg.master_seed * 1000 + i + 1 for i in range(len(cfg.scenarios))
+    ]
+    assert cfg.search.master_seed == cfg.master_seed
+
+
+class TestConfigProperties:
+    """load_config returns a config or raises an error the CLI maps to
+    exit 2, never another exception."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(doc=config_docs(default_config()) | JSON_VALUES,
+           seed=st.none() | st.integers(0, 10 ** 6))
+    def test_from_file(self, tmp_path_factory, doc, seed):
+        path = tmp_path_factory.getbasetemp() / "fuzzed_config.json"
+        path.write_text(json.dumps(doc))
+        check_loads_or_refuses(path=str(path), master_seed=seed, environ={})
+
+    @settings(max_examples=100, deadline=None)
+    @given(doc=config_docs(default_config()))
+    def test_from_env(self, doc):
+        check_loads_or_refuses(environ=env_vars(doc))
 
 
 class TestCli:
@@ -300,6 +474,38 @@ class TestCli:
         assert main(["generate", "--config", str(path), "--out", out]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: unknown config key 'search.bogus'")
+
+    def test_wrong_value_type_exit_code(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"search": {"generations": "3"}}))
+        out = str(tmp_path / "out")
+        assert main(["generate", "--config", str(path), "--out", out]) == 2
+        assert capsys.readouterr().err == (
+            f"error: config search.generations from {path} must be an "
+            "integer\n"
+        )
+
+    @pytest.mark.parametrize(
+        "variable, value, message",
+        [
+            ("PLSELECT_SHADOWING_SIGMA__X", "1",
+             "config shadowing_sigma from environment variable "
+             "PLSELECT_SHADOWING_SIGMA__X must be a number"),
+            ("PLSELECT_RANDOM_BASELINE_SEEDS", "-2",
+             "random_baseline_seeds must be non-negative"),
+            ("PLSELECT_SHADOWING_SIGMA", "-3",
+             "shadowing_sigma must be finite and non-negative"),
+            ("PLSELECT_CORRIDOR_RADIUS", "-1",
+             "corridor_radius must be finite and non-negative"),
+        ],
+    )
+    def test_bad_env_value_exit_code(self, tmp_path, capsys, monkeypatch,
+                                     variable, value, message):
+        monkeypatch.setenv(variable, value)
+        out = str(tmp_path / "out")
+        assert main(["generate", "--out", out]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not Path(out).exists()
 
     def test_report_missing_dir_exit_code(self, tmp_path):
         assert main(["report", "--out", str(tmp_path / "nope")]) == 2
