@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, List, Optional, Sequence, Tuple
 
@@ -82,22 +83,51 @@ class Dataset:
         return seen
 
     def feature_matrix(self, split: Optional[str] = None) -> np.ndarray:
-        idx = self._split_indices(split)
-        return np.array([self.samples[i].features for i in idx], dtype=float)
+        return self._features[self._split_indices(split)]
 
     def targets(self, split: Optional[str] = None) -> np.ndarray:
-        idx = self._split_indices(split)
-        return np.array([self.samples[i].path_loss for i in idx], dtype=float)
+        return self._path_loss[self._split_indices(split)]
 
     def split_samples(self, split: str) -> list:
         return [self.samples[i] for i in self._split_indices(split)]
 
-    def _split_indices(self, split: Optional[str]) -> list:
+    # The arrays below are built on first use and kept on the instance
+    # read-only; dataclasses.replace makes a new instance, which builds
+    # its own.
+
+    @cached_property
+    def _features(self) -> np.ndarray:
+        return _read_only(
+            np.array([s.features for s in self.samples], dtype=float))
+
+    @cached_property
+    def _path_loss(self) -> np.ndarray:
+        return _read_only(
+            np.array([s.path_loss for s in self.samples], dtype=float))
+
+    @cached_property
+    def _split_index(self) -> dict:
+        labels = np.array(self.split)
+        return {lab: _read_only(np.flatnonzero(labels == lab))
+                for lab in dict.fromkeys(self.split)}
+
+    @cached_property
+    def derived(self) -> dict:
+        """Values computed from this dataset's contents by other modules,
+        such as a learner's normal equations, by a key of theirs."""
+        return {}
+
+    def _split_indices(self, split: Optional[str]):
         if split is None:
-            return list(range(len(self.samples)))
+            return slice(None)
         if self.split is None:
             raise DatasetError("dataset has no split assigned")
-        return [i for i, lab in enumerate(self.split) if lab == split]
+        return self._split_index.get(split, np.empty(0, dtype=int))
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 def build_dataset(

@@ -78,6 +78,12 @@ class ExperimentConfig:
         for name in ("shadowing_sigma", "corridor_radius"):
             if not 0 <= getattr(self, name) < math.inf:
                 raise HarnessError(f"{name} must be finite and non-negative")
+        for task, names in self.task_scenarios.items():
+            unknown = [n for n in names if n not in self.scenarios]
+            if not names or unknown:
+                raise HarnessError(
+                    f"task {task!r} must name one or more of the scenarios "
+                    f"{list(self.scenarios)}, got {list(names)}")
 
 
 def seeded(cfg: ExperimentConfig, master_seed: int) -> ExperimentConfig:
@@ -155,7 +161,8 @@ def _apply(current, docs, key: str = "", entry=None):
     object whose new keys start from `entry`. Both are merged key by key,
     and each dataclass is rebuilt once, after all documents, so that its
     checks see the final values. Other values go through `_typed`. A bad
-    key or type raises HarnessError naming the key and its source.
+    key or type raises HarnessError naming the key and its source, and a
+    value that a section's checks refuse one naming the section.
     """
     is_dict = isinstance(current, dict)
     if not (is_dict or is_dataclass(current)):
@@ -180,7 +187,12 @@ def _apply(current, docs, key: str = "", entry=None):
         else:
             changes[k] = _apply(getattr(current, k), sub, name,
                                 known[k].metadata.get("entry"))
-    return {**current, **changes} if is_dict else replace(current, **changes)
+    if is_dict:
+        return {**current, **changes}
+    try:
+        return replace(current, **changes)
+    except ValueError as exc:  # a range check of a section's dataclass
+        raise HarnessError(f"config {key}: {exc}") from None
 
 
 def load_config(

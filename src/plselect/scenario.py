@@ -23,6 +23,8 @@ corridor radius of the 2D Tx-Rx segment.
 from __future__ import annotations
 
 import json
+import math
+import sys
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -182,23 +184,66 @@ class Scene:
 
     @classmethod
     def from_json(cls, text: str) -> "Scene":
+        """Inverse of to_json. Text that is not a JSON object, or a key
+        that is missing or malformed, raises ValueError naming the key."""
         doc = json.loads(text)
-        return cls(
-            tx_position=tuple(doc["tx_position"]),
-            scatterers=tuple(
-                Scatterer(
-                    center=tuple(s["center"]),
-                    width=s["width"],
-                    depth=s["depth"],
-                    height=s["height"],
-                )
-                for s in doc["scatterers"]
-            ),
-            rx_route=tuple(tuple(p) for p in doc["rx_route"]),
-            carrier_frequency=doc["carrier_frequency"],
-            area_bounds=tuple(doc["area_bounds"]),
-            seed=doc["seed"],
-        )
+        if not isinstance(doc, dict):
+            raise ValueError("scene JSON must be an object")
+
+        def scatterer(s):
+            if not isinstance(s, dict):
+                raise ValueError(f"expected an object, got {s!r}")
+            missing = {"center", "width", "depth", "height"} - set(s)
+            if missing:
+                raise ValueError(f"a scatterer has no {sorted(missing)}")
+            return Scatterer(
+                center=_numbers(s["center"], 2),
+                width=_number(s["width"]),
+                depth=_number(s["depth"]),
+                height=_number(s["height"]),
+            )
+
+        parsers = {
+            "tx_position": lambda v: _numbers(v, 3),
+            "scatterers": lambda v: tuple(scatterer(s) for s in _list(v)),
+            "rx_route": lambda v: tuple(_numbers(p, 3) for p in _list(v)),
+            "carrier_frequency": _number,
+            "area_bounds": lambda v: _numbers(v, 4),
+            "seed": _integer,
+        }
+        values = {}
+        for key, parse in parsers.items():
+            if key not in doc:
+                raise ValueError(f"scene JSON has no key {key!r}")
+            try:
+                values[key] = parse(doc[key])
+            except ValueError as exc:
+                raise ValueError(f"scene JSON key {key!r}: {exc}") from None
+        return cls(**values)
+
+
+def _list(value) -> list:
+    if not isinstance(value, list):
+        raise ValueError(f"expected an array, got {value!r}")
+    return value
+
+
+def _number(value):
+    if type(value) not in (int, float) or not abs(value) <= sys.float_info.max:
+        raise ValueError(f"expected a finite number, got {value!r}")
+    return value
+
+
+def _integer(value) -> int:
+    if type(value) is not int:
+        raise ValueError(f"expected an integer, got {value!r}")
+    return value
+
+
+def _numbers(value, n: int) -> tuple:
+    if len(_list(value)) != n:
+        raise ValueError(f"expected {n} numbers, got {value!r}")
+    return tuple(_number(v) for v in value)
 
 
 @dataclass
@@ -218,6 +263,28 @@ class SceneConfig:
     corridor_width: float = 30.0
     max_placement_retries: int = 200
     seed: int = 0
+
+    def __post_init__(self):
+        def bad(name, rule):
+            return ValueError(f"SceneConfig.{name} must {rule}, "
+                              f"got {getattr(self, name)!r}")
+
+        pairs = ("area_size", "scatterer_count", "scatterer_height",
+                 "scatterer_width", "scatterer_depth")
+        for name in pairs:
+            if len(getattr(self, name)) != 2:
+                raise bad(name, "have 2 entries")
+        for name in ("carrier_frequency", "area_size", "scatterer_height",
+                     "scatterer_width", "scatterer_depth"):
+            if not all(0 < v < math.inf
+                       for v in np.atleast_1d(getattr(self, name))):
+                raise bad(name, "be finite and > 0")
+        for name in pairs[1:]:
+            lo, hi = getattr(self, name)
+            if not 0 <= lo <= hi:
+                raise bad(name, "be a (min, max) pair with 0 <= min <= max")
+        if self.route_points < 2:
+            raise bad("route_points", "be >= 2")
 
 
 # ---------------------------------------------------------------------------
@@ -659,12 +726,6 @@ def _masked_mean(values, mask):
 
 def generate_scene(config: SceneConfig) -> Scene:
     """Build a Scene procedurally; deterministic for a fixed config."""
-    if config.route_points < 2:
-        raise ValueError("route needs at least 2 points")
-    lo, hi = config.scatterer_count
-    if lo < 0 or hi < lo:
-        raise ValueError("invalid scatterer count range")
-
     rng = np.random.default_rng(np.random.SeedSequence([int(config.seed)]))
     w, h = config.area_size
     bounds = (0.0, 0.0, float(w), float(h))

@@ -49,6 +49,30 @@ def rmse(pred: Sequence[float], truth: Sequence[float]) -> float:
     return float(np.sqrt(np.mean((pred - truth) ** 2)))
 
 
+def route_order(scenario_ids: Sequence[str],
+                route_indices: Sequence[int]):
+    """Sample positions in route order, and which consecutive pairs of that
+    order lie on one route.
+
+    Scenarios come in order of first appearance, each sorted by route
+    index (ties keep their input order). Returns (order, same): an index
+    array, and a bool array one shorter that is False where the pair
+    crosses a scenario boundary. Raises ScoringError if no pair is left.
+    """
+    groups = {}
+    for i, sid in enumerate(scenario_ids):
+        groups.setdefault(sid, []).append(i)
+    order, group = [], []
+    for g, idx in enumerate(groups.values()):
+        order.extend(sorted(idx, key=lambda i: route_indices[i]))
+        group.extend([g] * len(idx))
+    group = np.array(group, dtype=int)
+    same = group[1:] == group[:-1]
+    if not same.any():
+        raise ScoringError("no scenario has two or more ordered samples")
+    return np.array(order, dtype=int), same
+
+
 def trend_consistency_error(
     pred: Sequence[float],
     truth: Sequence[float],
@@ -64,18 +88,8 @@ def trend_consistency_error(
     truth = np.asarray(truth, dtype=float)
     if not (len(pred) == len(truth) == len(scenario_ids) == len(route_indices)):
         raise ScoringError("all inputs must have equal length")
-    sq_errors = []
-    for sid in dict.fromkeys(scenario_ids):
-        idx = [i for i, s in enumerate(scenario_ids) if s == sid]
-        idx.sort(key=lambda i: route_indices[i])
-        if len(idx) < 2:
-            continue
-        dp = np.diff(pred[idx])
-        dt = np.diff(truth[idx])
-        sq_errors.extend(((dp - dt) ** 2).tolist())
-    if not sq_errors:
-        raise ScoringError("no scenario has two or more ordered samples")
-    return float(np.sqrt(np.mean(sq_errors)))
+    order, same = route_order(scenario_ids, route_indices)
+    return rmse(np.diff(pred[order])[same], np.diff(truth[order])[same])
 
 
 def total_score(

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -122,6 +124,54 @@ class TestSplit:
             split_dataset(ds, (1.0, 0.0, 0.0))
         with pytest.raises(DatasetError, match="expected 3 split fractions"):
             split_dataset(ds, (0.5, 0.5))
+
+
+class TestColumnArrays:
+    def test_match_the_samples_for_every_split(self, two_scenes):
+        ds = split_dataset(build_dataset(two_scenes, ["a", "b"]), seed=3)
+        for split in (None, "train", "val", "test"):
+            rows = [i for i, lab in enumerate(ds.split)
+                    if split is None or lab == split]
+            for _ in range(2):  # built once, then read from the cache
+                np.testing.assert_array_equal(
+                    ds.feature_matrix(split),
+                    [ds.samples[i].features for i in rows])
+                np.testing.assert_array_equal(
+                    ds.targets(split), [ds.samples[i].path_loss for i in rows])
+                if split is not None:
+                    assert all(a is ds.samples[i] for a, i in
+                               zip(ds.split_samples(split), rows, strict=True))
+        assert ds.feature_matrix("other").size == 0
+        assert ds.split_samples("other") == []
+
+    def test_cached_arrays_are_read_only(self, two_scenes):
+        ds = split_dataset(build_dataset(two_scenes, ["a", "b"]), seed=3)
+        with pytest.raises(ValueError):
+            ds.feature_matrix()[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            ds.targets()[0] = 1.0
+        train = ds.feature_matrix("train")
+        train[0, 0] = 1e9  # a split's rows are a copy
+        assert ds.feature_matrix("train")[0, 0] != 1e9
+
+    def test_replaced_dataset_builds_its_own(self, two_scenes):
+        ds = split_dataset(build_dataset(two_scenes, ["a", "b"]), seed=3)
+        ds.feature_matrix("train"), ds.targets("train")
+        ds.derived["key"] = "value"
+        other = split_dataset(replace(ds, samples=tuple(
+            replace(s, path_loss=s.path_loss + 1.0, features=s.features * 2)
+            for s in ds.samples)), seed=4)
+        np.testing.assert_array_equal(other.targets(), ds.targets() + 1.0)
+        np.testing.assert_array_equal(other.feature_matrix(),
+                                      ds.feature_matrix() * 2)
+        assert [s.route_index for s in other.split_samples("val")] != [
+            s.route_index for s in ds.split_samples("val")]
+        assert other.derived == {}
+
+    def test_no_split_assigned(self, two_scenes):
+        ds = build_dataset(two_scenes, ["a", "b"])
+        with pytest.raises(DatasetError, match="no split"):
+            ds.feature_matrix("train")
 
 
 class TestStandardize:

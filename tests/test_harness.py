@@ -381,6 +381,32 @@ class TestConfigLoading:
         with pytest.raises(HarnessError, match=key):
             load_config(environ={f"PLSELECT_{key.upper()}": json.dumps(value)})
 
+    @pytest.mark.parametrize("names, shown", [
+        ([], "got []"), (["nowhere"], "got ['nowhere']"),
+        (["square", "nowhere"], "got ['square', 'nowhere']"),
+    ])
+    def test_task_must_name_known_scenarios(self, names, shown):
+        variable = {"PLSELECT_TASK_SCENARIOS__TASK1": json.dumps(names)}
+        with pytest.raises(HarnessError, match=r"task 'task1' must name.*"
+                           + re.escape(shown)):
+            load_config(environ=variable)
+        with pytest.raises(HarnessError, match="task 'task4'"):
+            replace(default_config(),
+                    task_scenarios={"task4": tuple(names)})
+
+    def test_added_task_may_name_added_scene(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"scenarios": {"extra": {}},
+                                    "task_scenarios": {"task4": ["extra"]}}))
+        cfg = load_config(str(path), environ={})
+        assert cfg.task_scenarios["task4"] == ("extra",)
+
+    def test_scene_range_error_names_scenario_and_field(self):
+        variable = {"PLSELECT_SCENARIOS__SQUARE__ROUTE_POINTS": "1"}
+        with pytest.raises(HarnessError, match=r"config scenarios\.square: "
+                           r"SceneConfig\.route_points must be >= 2"):
+            load_config(environ=variable)
+
     def test_defaults_follow_published_settings(self):
         cfg = default_config()
         assert cfg.search.population_size == 25
@@ -506,6 +532,34 @@ class TestCli:
         assert main(["generate", "--out", out]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not Path(out).exists()
+
+    @pytest.mark.parametrize("variable, value, message", [
+        ("PLSELECT_SCENARIOS__SQUARE__CARRIER_FREQUENCY", "0",
+         "config scenarios.square: SceneConfig.carrier_frequency must be "
+         "finite and > 0, got 0.0"),
+        ("PLSELECT_SCENARIOS__SQUARE__AREA_SIZE", "[0,0]",
+         "config scenarios.square: SceneConfig.area_size must be finite "
+         "and > 0, got (0.0, 0.0)"),
+        ("PLSELECT_SCENARIOS__INTERSECTION__SCATTERER_HEIGHT", "[9,3]",
+         "config scenarios.intersection: SceneConfig.scatterer_height must "
+         "be a (min, max) pair with 0 <= min <= max, got (9.0, 3.0)"),
+    ])
+    def test_scene_range_exit_code(self, tmp_path, capsys, monkeypatch,
+                                   variable, value, message):
+        monkeypatch.setenv(variable, value)
+        out = str(tmp_path / "out")
+        assert main(["generate", "--out", out]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not Path(out).exists()
+
+    @pytest.mark.parametrize("value", ["[]", '["nowhere"]'])
+    def test_bad_task_scenarios_exit_code(self, tmp_path, capsys,
+                                          monkeypatch, value):
+        monkeypatch.setenv("PLSELECT_TASK_SCENARIOS__TASK1", value)
+        args = ["--out", str(tmp_path / "out"), "--task", "task1"]
+        assert main(["run-baselines"] + args) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: task 'task1' must name one or more of the scenarios")
 
     def test_report_missing_dir_exit_code(self, tmp_path):
         assert main(["report", "--out", str(tmp_path / "nope")]) == 2

@@ -1,8 +1,11 @@
+import itertools
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from conftest import make_planted_dataset
-from plselect.dataset import DatasetError
+from plselect.dataset import Dataset, DatasetError, split_dataset, standardize
 from plselect.predictor import (
     PredictorConfig,
     PredictorError,
@@ -12,7 +15,12 @@ from plselect.predictor import (
     fit,
     predict,
 )
-from plselect.scoring import ScoreWeights
+from plselect.scoring import (
+    ScoreWeights,
+    rmse,
+    total_score,
+    trend_consistency_error,
+)
 
 LINEAR = PredictorConfig(basis="linear", ridge_lambda=1e-9)
 
@@ -159,3 +167,123 @@ class TestEvaluateMask:
         sem = diffs.std(ddof=1) / np.sqrt(len(diffs))
         t_95 = 1.729  # one-sided, 19 dof
         assert diffs.mean() + t_95 * sem < 0.0
+
+
+def reference_breakdown(mask, ds, weights, config):
+    """evaluate_mask's score composed from the reference functions, on
+    arrays built from the samples and split labels directly."""
+    sel = np.asarray(mask, dtype=bool)
+
+    def split(label):
+        return [s for s, lab in zip(ds.samples, ds.split) if lab == label]
+
+    train, val = split("train"), split("val")
+    model = fit(np.array([s.features for s in train])[:, sel],
+                np.array([s.path_loss for s in train]), config, mask)
+    y_hat = predict(model, np.array([s.features for s in val])[:, sel])
+    y_val = np.array([s.path_loss for s in val])
+    trend = trend_consistency_error(y_hat, y_val,
+                                    [s.scenario_id for s in val],
+                                    [s.route_index for s in val])
+    return total_score(rmse(y_hat, y_val), trend, mask, weights)
+
+
+def assert_matches_reference(masks, ds, weights, config, tol=1e-9):
+    for mask in masks:
+        got = evaluate_mask(mask, ds, weights, config).breakdown
+        want = reference_breakdown(mask, ds, weights, config)
+        assert got.cardinality == want.cardinality
+        for field in ("rmse", "trend_error", "total"):
+            assert abs(getattr(got, field) - getattr(want, field)) <= tol, (
+                mask, field)
+
+
+def all_masks(n):
+    return [np.array(m) for m in itertools.product((0, 1), repeat=n)
+            if any(m)]
+
+
+class TestFastPathOracle:
+    """evaluate_mask solves sub-blocks of normal equations prepared once
+    per dataset; fit, predict and trend_consistency_error are its oracle."""
+
+    @pytest.mark.parametrize("basis", ["quadratic", "linear"])
+    def test_every_mask_matches_reference(self, basis):
+        ds = make_planted_dataset()
+        assert_matches_reference(all_masks(10), ds, ScoreWeights(),
+                                 PredictorConfig(basis=basis))
+
+    def test_each_basis_gets_its_own_system(self):
+        ds = make_planted_dataset(n_samples=150, seed=7)
+        for basis in ("quadratic", "linear", "quadratic"):
+            assert_matches_reference(all_masks(10)[::50], ds, ScoreWeights(),
+                                     PredictorConfig(basis=basis))
+
+    def test_random_wide_masks_match_reference(self):
+        ds = make_planted_dataset(n_features=24, n_samples=600, seed=3)
+        rng = np.random.default_rng(24)
+        masks = [m for m in (rng.random((200, 24)) < rng.random((200, 1)))
+                 .astype(int) if m.any()]
+        assert len(masks) > 190
+        assert_matches_reference(masks, ds, ScoreWeights(n_features=24),
+                                 PredictorConfig())
+
+    def test_pooled_scenarios_match_reference(self):
+        # Two scenarios interleaved: the trend error must not difference
+        # across a scenario boundary.
+        a = make_planted_dataset(n_samples=200, seed=4)
+        samples = tuple(
+            replace(s, scenario_id="ab"[i % 2], route_index=i // 2)
+            for i, s in enumerate(a.samples)
+        )
+        ds = standardize(split_dataset(Dataset(samples=samples), seed=1))
+        assert_matches_reference(all_masks(10)[::7], ds, ScoreWeights(),
+                                 PredictorConfig())
+
+    def test_constant_column_is_singular_on_both_paths(self):
+        base = make_planted_dataset(n_samples=120)
+        samples = tuple(
+            replace(s, features=np.where(np.arange(10) == 2, 7.0, s.features))
+            for s in base.samples
+        )
+        ds = standardize(split_dataset(Dataset(samples=samples)))
+        config = PredictorConfig(basis="linear", ridge_lambda=0.0)
+        with_constant = np.array([1, 0, 1, 0, 0, 0, 0, 0, 0, 0])
+        with pytest.raises(SingularSystemError):
+            evaluate_mask(with_constant, ds, ScoreWeights(), config)
+        with pytest.raises(SingularSystemError):
+            reference_breakdown(with_constant, ds, ScoreWeights(), config)
+        # The same system serves a mask without that column.
+        assert_matches_reference([np.array([1, 1, 0, 1, 0, 0, 0, 0, 0, 0])],
+                                 ds, ScoreWeights(), config)
+
+    def test_replaced_dataset_never_reuses_another_system(self):
+        base = split_dataset(Dataset(
+            samples=make_planted_dataset(n_samples=200, seed=6).samples))
+        first = standardize(base)
+        masks = all_masks(10)[::31]
+        assert_matches_reference(masks, first, ScoreWeights(),
+                                 PredictorConfig())
+        shifted = tuple(replace(s, path_loss=s.path_loss * 2.0 + s.features[0])
+                        for s in base.samples)
+        others = [
+            standardize(replace(base, samples=shifted)),
+            replace(first, samples=tuple(
+                replace(s, path_loss=0.5 * s.path_loss + s.features[1])
+                for s in first.samples)),
+            standardize(split_dataset(base, seed=9)),
+        ]
+        for other in others:
+            assert_matches_reference(masks, other, ScoreWeights(),
+                                     PredictorConfig())
+            assert (evaluate_mask(masks[0], other).score
+                    != evaluate_mask(masks[0], first).score)
+        # The first dataset's system is unchanged by the others.
+        assert_matches_reference(masks, first, ScoreWeights(),
+                                 PredictorConfig())
+
+    def test_mask_length_must_match_dataset(self, planted_ds):
+        with pytest.raises(PredictorError, match="9 entries.*10 features"):
+            evaluate_mask(np.ones(9, dtype=int), planted_ds)
+        with pytest.raises(PredictorError, match="11 entries"):
+            evaluate_mask(np.ones(11, dtype=int), planted_ds)

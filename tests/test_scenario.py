@@ -1,5 +1,9 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from plselect.scenario import (
     FSPL_CONSTANT_DB,
@@ -79,6 +83,98 @@ class TestGenerateScene:
         cfg = SceneConfig(scatterer_count=(5, 8), route_points=12, seed=11)
         scene = generate_scene(cfg)
         assert Scene.from_json(scene.to_json()) == scene
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(max_size=4),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=8), children, max_size=4),
+    max_leaves=8,
+)
+
+VALID_SCENE = json.loads(generate_scene(
+    SceneConfig(scatterer_count=(2, 3), route_points=4, seed=5)).to_json())
+
+
+@st.composite
+def mutated_scene_docs(draw):
+    """A valid scene document with one entry, at any depth, deleted or
+    replaced by an arbitrary JSON value."""
+    doc = json.loads(json.dumps(VALID_SCENE))
+    node = doc
+    while True:
+        key = draw(st.sampled_from(
+            sorted(node) if isinstance(node, dict) else range(len(node))))
+        child = node[key]
+        if isinstance(child, (dict, list)) and child and draw(st.booleans()):
+            node = child
+            continue
+        if isinstance(node, dict) and draw(st.booleans()):
+            del node[key]
+        else:
+            node[key] = draw(JSON_VALUES)
+        return doc
+
+
+class TestSceneFromJson:
+    @pytest.mark.parametrize("text, message", [
+        ("{}", "no key 'tx_position'"),
+        ("[]", "must be an object"),
+        ("3", "must be an object"),
+        ('{"tx_position": [1, 2]}', "'tx_position': expected 3 numbers"),
+    ])
+    def test_bad_document_names_key(self, text, message):
+        with pytest.raises(ValueError, match=message):
+            Scene.from_json(text)
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("seed", 1.5, "'seed': expected an integer"),
+        ("carrier_frequency", "3.5e9", "'carrier_frequency': expected a"),
+        ("carrier_frequency", float("nan"), "'carrier_frequency': expected"),
+        ("rx_route", {"a": 1}, "'rx_route': expected an array"),
+        ("scatterers", [{"center": [1, 2]}], "'scatterers': a scatterer has"),
+        ("area_bounds", [0, 0, True, 400], "'area_bounds': expected a"),
+    ])
+    def test_malformed_key_named(self, key, value, message):
+        doc = dict(VALID_SCENE, **{key: value})
+        with pytest.raises(ValueError, match=message):
+            Scene.from_json(json.dumps(doc))
+
+    @settings(max_examples=300, deadline=None)
+    @given(doc=JSON_VALUES | mutated_scene_docs())
+    @example(doc=dict(VALID_SCENE, tx_position=[10 ** 400, 0, 1]))
+    def test_any_document_loads_or_raises_value_error(self, doc):
+        try:
+            scene = Scene.from_json(json.dumps(doc))
+        except ValueError:
+            return
+        assert Scene.from_json(scene.to_json()) == scene
+
+
+class TestSceneConfigRanges:
+    @pytest.mark.parametrize("field, value", [
+        ("carrier_frequency", 0.0),
+        ("carrier_frequency", -3.5e9),
+        ("carrier_frequency", float("inf")),
+        ("area_size", (0.0, 0.0)),
+        ("area_size", (400.0, float("nan"))),
+        ("area_size", (400.0,)),
+        ("scatterer_height", (0.0, 25.0)),
+        ("scatterer_height", (25.0, 5.0)),
+        ("scatterer_width", (8.0, float("inf"))),
+        ("scatterer_depth", (-8.0, 20.0)),
+        ("scatterer_count", (30, 20)),
+        ("scatterer_count", (-1, 2)),
+        ("route_points", 1),
+    ])
+    def test_out_of_range_value_names_field(self, field, value):
+        with pytest.raises(ValueError, match=f"SceneConfig.{field} must"):
+            SceneConfig(**{field: value})
+
+    def test_edge_values_accepted(self):
+        SceneConfig(scatterer_count=(0, 0), scatterer_height=(5.0, 5.0),
+                    route_points=2, area_size=(1e-3, 1e6))
 
 
 class TestPathLoss:

@@ -1,10 +1,13 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from conftest import make_planted_dataset
-from plselect.predictor import Candidate
+from plselect.dataset import read_csv, split_dataset, standardize
+from plselect.harness import cmd_generate, default_config
+from plselect.predictor import Candidate, evaluate_mask
 from plselect.scoring import ScoreBreakdown, ScoreWeights
 from plselect.search import (
     P_CEIL,
@@ -302,3 +305,27 @@ class TestRunSearch:
             SearchConfig(elite_count=30, population_size=25)
         with pytest.raises(SearchConfigError):
             SearchConfig(mutation_rate=-0.1)
+
+
+def exhaustive_optimum(ds, weights, predictor_config):
+    """The best of every non-empty mask, ranked as run_search ranks."""
+    candidates = [
+        evaluate_mask(np.array(m), ds, weights, predictor_config)
+        for m in itertools.product((0, 1), repeat=ds.n_features) if any(m)
+    ]
+    return select_elites(candidates, 1)[0]
+
+
+@pytest.mark.parametrize("master_seed", [0, 1, 2])
+def test_search_finds_exhaustive_optimum_on_task1(tmp_path, master_seed):
+    # task1's dataset as run_task prepares it: the intersection CSV,
+    # split and standardized with the master seed.
+    cfg = default_config(master_seed=master_seed, out_dir=str(tmp_path))
+    cmd_generate(cfg)
+    ds = standardize(split_dataset(
+        read_csv(tmp_path / "data" / "intersection.csv"),
+        cfg.split_fractions, seed=master_seed))
+    best = run_search(ds, cfg.search, cfg.weights, cfg.predictor).best_overall
+    optimum = exhaustive_optimum(ds, cfg.weights, cfg.predictor)
+    assert best.mask == optimum.mask
+    assert best.score == optimum.score
