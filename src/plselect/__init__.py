@@ -29,6 +29,7 @@ from .predictor import (
     PredictorConfig,
     PredictorModel,
     evaluate_mask,
+    evaluate_masks,
     fit,
     predict,
 )

@@ -67,6 +67,12 @@ class Dataset:
     def __post_init__(self):
         if self.split is not None and len(self.split) != len(self.samples):
             raise DatasetError("split length mismatch")
+        n = self.catalog.n_features
+        for s in self.samples:
+            if len(s.features) != n:
+                raise DatasetError(
+                    f"sample has {len(s.features)} features but the catalog "
+                    f"has {n}")
 
     def __len__(self) -> int:
         return len(self.samples)

@@ -6,10 +6,11 @@ and fast enough to sit inside the population search loop; alternative
 learners can be dropped in through the same fit/predict surface.
 
 Every mask's basis is a column subset of the basis over all features, so
-evaluate_mask builds that full basis's train normal equations and val
-design once per dataset and solves each mask on their sub-block. fit,
-predict and scoring.trend_consistency_error are the reference it must
-match (tests/test_predictor.py).
+evaluate_masks builds that full basis's train normal equations and val
+design once per dataset and solves each mask on their sub-block, one
+stacked solve per basis width. fit, predict and
+scoring.trend_consistency_error are the reference it must match
+(tests/test_predictor.py).
 """
 
 from __future__ import annotations
@@ -24,19 +25,22 @@ from .dataset import Dataset, DatasetError
 from .scoring import (
     ScoreBreakdown,
     ScoreWeights,
-    rmse,
     route_order,
-    total_score,
+    score_breakdowns,
 )
 
 # The reference stays importable from this module, where
-# perfbench/tracing.py looks up the names it traces; evaluate_mask no
-# longer calls it.
+# perfbench/tracing.py looks up the names it traces; evaluate_masks does
+# not call it.
 from .scoring import trend_consistency_error  # noqa: F401
 
 # Train rows per block when the normal equations are accumulated, so that
 # the full-basis train design never exists at once.
 GRAM_BLOCK_ROWS = 128
+
+# Matrix entries per stacked solve in evaluate_masks, which bounds the
+# stack a large batch of wide masks gathers at once.
+SOLVE_BLOCK_ENTRIES = 1 << 17
 
 
 class PredictorError(ValueError):
@@ -114,7 +118,8 @@ def fit(
     phi = expand_basis(X, config.basis)
     design = np.hstack([np.ones((phi.shape[0], 1)), phi])
     gram = design.T @ design
-    beta = _solve_ridge(gram, design.T @ y, config.ridge_lambda)
+    beta = _solve_ridge(gram[None], (design.T @ y)[None],
+                        config.ridge_lambda)[0]
     mask_tuple = tuple(int(b) for b in mask) if mask is not None else tuple(
         [1] * X.shape[1]
     )
@@ -129,25 +134,22 @@ def fit(
 
 def _solve_ridge(gram: np.ndarray, moment: np.ndarray,
                  ridge_lambda: float) -> np.ndarray:
-    """beta of (gram + ridge_lambda * I) beta = moment, with column 0, the
-    intercept, left unpenalized."""
-    a = gram.copy()
+    """beta of (gram + ridge_lambda * I) beta = moment for each system of a
+    (g, w, w) stack and its (g, w) moments, with column 0, the intercept,
+    left unpenalized. Adds the penalty to gram in place."""
+    g, w = moment.shape
     # Every diagonal entry but [0, 0]: the intercept is not penalized.
-    a.flat[a.shape[0] + 1::a.shape[0] + 1] += ridge_lambda
-    if ridge_lambda == 0 and np.linalg.cond(a) > 1e12:
-        raise SingularSystemError(
-            "normal equations are singular; use ridge_lambda > 0"
-        )
+    gram.reshape(g, w * w)[:, w + 1::w + 1] += ridge_lambda
+    singular = SingularSystemError(
+        "normal equations are singular; use ridge_lambda > 0")
+    if ridge_lambda == 0 and np.any(np.linalg.cond(gram) > 1e12):
+        raise singular
     try:
-        beta = np.linalg.solve(a, moment)
+        beta = np.linalg.solve(gram, moment[:, :, None])[:, :, 0]
     except np.linalg.LinAlgError as exc:
-        raise SingularSystemError(
-            "normal equations are singular; use ridge_lambda > 0"
-        ) from exc
+        raise singular from exc
     if not np.all(np.isfinite(beta)):
-        raise SingularSystemError(
-            "normal equations are singular; use ridge_lambda > 0"
-        )
+        raise singular
     return beta
 
 
@@ -194,9 +196,11 @@ class _Prepared:
     moment: np.ndarray  # train design.T @ y
     val_design: np.ndarray
     val_targets: np.ndarray
-    order: np.ndarray  # val rows in route order (scoring.route_order)
-    same: np.ndarray  # which consecutive pairs of that order to difference
-    val_steps: np.ndarray  # the targets' differences over those pairs
+    # The val rows differenced by scoring.trend_consistency_error: step k
+    # is row step_to[k] minus row step_from[k].
+    step_from: np.ndarray
+    step_to: np.ndarray
+    val_steps: np.ndarray  # the targets' differences over those steps
     upper: Optional[tuple]  # quadratic basis only
 
 
@@ -231,8 +235,8 @@ def _prepare(ds: Dataset, basis: str) -> _Prepared:
         moment=moment,
         val_design=_full_design(ds.feature_matrix("val"), upper),
         val_targets=val_targets,
-        order=order,
-        same=same,
+        step_from=order[:-1][same],
+        step_to=order[1:][same],
         val_steps=np.diff(val_targets[order])[same],
         upper=upper,
     )
@@ -244,16 +248,36 @@ def evaluate_mask(
     weights: ScoreWeights = ScoreWeights(),
     config: PredictorConfig = PredictorConfig(),
 ) -> Candidate:
-    """Train on the mask's features and score on the validation split.
+    """Train on the mask's features and score on the validation split:
+    evaluate_masks of a batch of one."""
+    return evaluate_masks([mask], ds, weights, config)[0]
+
+
+def evaluate_masks(
+    masks: Sequence[Sequence[int]],
+    ds: Dataset,
+    weights: ScoreWeights = ScoreWeights(),
+    config: PredictorConfig = PredictorConfig(),
+) -> list:
+    """One Candidate per mask, in order.
 
     Deterministic per (mask, dataset, config): fits the learner on the
-    train split restricted to the selected features, then combines the
+    train split restricted to the mask's features, then combines the
     validation RMSE, trend-consistency error, and cardinality penalty.
-    The fit solves the mask's sub-block of the dataset's full-basis
-    normal equations, which are built on the first call per basis.
+    Each fit solves the mask's sub-block of the dataset's full-basis
+    normal equations, which are built on the first call per basis; masks
+    of one cardinality share a basis width and are solved as one stack.
     """
-    mask = np.asarray(mask, dtype=int)
-    if mask.sum() == 0:
+    if len(masks) == 0:
+        return []
+    try:
+        masks = np.asarray(masks, dtype=int)
+    except ValueError as exc:
+        raise PredictorError(f"masks must have equal lengths: {exc}") from None
+    if masks.ndim != 2:
+        raise PredictorError("masks must be a sequence of 1-D masks")
+    cardinality = np.count_nonzero(masks, axis=1)
+    if not cardinality.all():
         raise PredictorError("mask must select at least one feature")
     if ds.split is None or ds.standardization is None:
         raise DatasetError("dataset must be split and standardized")
@@ -261,20 +285,38 @@ def evaluate_mask(
     prep = ds.derived.get(key)
     if prep is None:
         prep = ds.derived[key] = _prepare(ds, config.basis)
-    if mask.shape != (prep.n_features,):
-        raise PredictorError(f"mask has {mask.size} entries but the dataset "
-                             f"has {prep.n_features} features")
-    # The mask's basis, in expand_basis order, is the full basis's columns
+    if masks.shape[1] != prep.n_features:
+        raise PredictorError(f"mask has {masks.shape[1]} entries but the "
+                             f"dataset has {prep.n_features} features")
+    # A mask's basis, in expand_basis order, is the full basis's columns
     # whose features are all selected, in column order.
-    sel = mask.astype(bool)
-    keep = [[True], sel]
+    sel = masks.astype(bool)
+    keep = [np.ones((len(sel), 1), dtype=bool), sel]
     if prep.upper is not None:
-        keep.append(sel[prep.upper[0]] & sel[prep.upper[1]])
-    cols = np.flatnonzero(np.concatenate(keep))
-    beta = _solve_ridge(prep.gram[np.ix_(cols, cols)], prep.moment[cols],
-                        config.ridge_lambda)
-    y_hat = prep.val_design[:, cols] @ beta
-    err = rmse(y_hat, prep.val_targets)
-    trend = rmse(np.diff(y_hat[prep.order])[prep.same], prep.val_steps)
-    breakdown = total_score(err, trend, mask, weights)
-    return Candidate(mask=tuple(mask.tolist()), breakdown=breakdown)
+        keep.append(sel[:, prep.upper[0]] & sel[:, prep.upper[1]])
+    keep = np.concatenate(keep, axis=1)
+    y_hat = np.empty((len(masks), len(prep.val_targets)))
+    for k in np.flatnonzero(np.bincount(cardinality)):
+        rows = np.flatnonzero(cardinality == k)
+        width = int(keep[rows[0]].sum())
+        step = max(1, SOLVE_BLOCK_ENTRIES // (width * width))
+        for start in range(0, len(rows), step):
+            block = rows[start:start + step]
+            cols = np.nonzero(keep[block])[1].reshape(len(block), width)
+            beta = _solve_ridge(prep.gram[cols[:, :, None], cols[:, None, :]],
+                                prep.moment[cols], config.ridge_lambda)
+            # One matrix-vector product per mask, as for a batch of one,
+            # so that a mask's score does not depend on its batch.
+            y_hat[block] = (prep.val_design[:, cols].transpose(1, 0, 2)
+                            @ beta[:, :, None])[:, :, 0]
+    err = np.sqrt(np.mean((y_hat - prep.val_targets) ** 2, axis=1))
+    # np.take keeps each row contiguous, so that its mean sums in the
+    # order a batch of one does; fancy indexing would not.
+    steps = (np.take(y_hat, prep.step_to, axis=1)
+             - np.take(y_hat, prep.step_from, axis=1))
+    trend = np.sqrt(np.mean((steps - prep.val_steps) ** 2, axis=1))
+    return [
+        Candidate(mask=tuple(m), breakdown=b)
+        for m, b in zip(masks.tolist(),
+                        score_breakdowns(err, trend, masks, weights))
+    ]

@@ -148,9 +148,10 @@ class Scene:
     def __post_init__(self):
         if len(self.rx_route) < 2:
             raise ValueError("rx_route needs at least 2 points")
-        for a, b in zip(self.rx_route[:-1], self.rx_route[1:]):
-            if np.allclose(a, b):
-                raise ValueError("consecutive route points must be distinct")
+        # np.allclose of each consecutive pair, in one array step.
+        r = np.asarray(self.rx_route, dtype=float)
+        if np.isclose(r[:-1], r[1:]).all(axis=1).any():
+            raise ValueError("consecutive route points must be distinct")
         if self.tx_position[2] <= 0:
             raise ValueError("tx height must be positive")
         xmin, ymin, xmax, ymax = self.area_bounds

@@ -100,23 +100,35 @@ def total_score(
 ) -> ScoreBreakdown:
     """Negated weighted sum of error, trend error, and normalized cardinality;
     the mask's length must equal ``weights.n_features``."""
-    if rmse_db < 0 or trend_error_db < 0:
+    return score_breakdowns([rmse_db], [trend_error_db], [mask], weights)[0]
+
+
+def score_breakdowns(
+    rmse_db: Sequence[float],
+    trend_error_db: Sequence[float],
+    masks: Sequence[Sequence[int]],
+    weights: ScoreWeights,
+) -> list:
+    """total_score of each (rmse, trend error, mask) triple, computed as
+    array operations over the batch."""
+    rmse_db = np.asarray(rmse_db, dtype=float)
+    trend_error_db = np.asarray(trend_error_db, dtype=float)
+    masks = np.asarray(masks)
+    if np.any(rmse_db < 0) or np.any(trend_error_db < 0):
         raise ScoringError("rmse and trend error must be non-negative")
-    mask = np.asarray(mask)
-    if mask.size != weights.n_features:
-        raise ScoringError(f"mask has {mask.size} features but "
+    if masks.shape[1] != weights.n_features:
+        raise ScoringError(f"mask has {masks.shape[1]} features but "
                            f"weights.n_features is {weights.n_features}")
-    cardinality = int(np.count_nonzero(mask))
-    if cardinality == 0:
+    cardinality = np.count_nonzero(masks, axis=1)
+    if not cardinality.all():
         raise ScoringError("mask must select at least one feature")
     total = -(
         rmse_db
         + weights.lambda_c * trend_error_db
         + weights.lambda_n * cardinality / weights.n_features
     )
-    return ScoreBreakdown(
-        rmse=float(rmse_db),
-        trend_error=float(trend_error_db),
-        cardinality=cardinality,
-        total=float(total),
-    )
+    return [
+        ScoreBreakdown(rmse=e, trend_error=t, cardinality=c, total=s)
+        for e, t, c, s in zip(rmse_db.tolist(), trend_error_db.tolist(),
+                              cardinality.tolist(), total.tolist())
+    ]

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from plselect.dataset import Dataset, Sample, split_dataset, standardize
+from plselect.scenario import FeatureCatalog
 
 
 def make_planted_dataset(
@@ -31,7 +32,7 @@ def make_planted_dataset(
         )
         for i in range(n_samples)
     )
-    ds = Dataset(samples=samples)
+    ds = Dataset(samples=samples, catalog=catalog_for(n_features))
     return standardize(split_dataset(ds, seed=split_seed))
 
 
@@ -47,7 +48,20 @@ def make_manual_dataset(feature_columns, targets, split_labels):
         )
         for i in range(X.shape[0])
     )
-    return Dataset(samples=samples, split=tuple(split_labels))
+    return Dataset(samples=samples, catalog=catalog_for(X.shape[1]),
+                   split=tuple(split_labels))
+
+
+def catalog_for(n_features):
+    """The default catalog when it has n_features, else one of generic
+    symbols in a single category."""
+    catalog = FeatureCatalog()
+    if n_features == catalog.n_features:
+        return catalog
+    return FeatureCatalog(
+        symbols=tuple(f"x{i + 1}" for i in range(n_features)),
+        categories=("Generic",) * n_features,
+    )
 
 
 @pytest.fixture(scope="session")

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import make_manual_dataset
+from conftest import make_manual_dataset, make_planted_dataset
 from plselect.dataset import (
     CSV_HEADER,
+    Dataset,
     DatasetError,
     build_dataset,
     concat_datasets,
@@ -172,6 +173,27 @@ class TestColumnArrays:
         ds = build_dataset(two_scenes, ["a", "b"])
         with pytest.raises(DatasetError, match="no split"):
             ds.feature_matrix("train")
+
+
+class TestFeatureWidth:
+    def test_width_must_match_catalog(self):
+        samples = make_planted_dataset(n_features=12, n_samples=30).samples
+        with pytest.raises(DatasetError,
+                           match="12 features but the catalog has 10"):
+            Dataset(samples=samples)
+
+    def test_every_sample_is_checked(self):
+        samples = make_planted_dataset(n_samples=30).samples
+        short = replace(samples[17], features=samples[17].features[:9])
+        with pytest.raises(DatasetError,
+                           match="9 features but the catalog has 10"):
+            Dataset(samples=samples[:17] + (short,) + samples[18:])
+
+    def test_replace_checks_a_new_catalog(self):
+        ds = make_planted_dataset(n_features=24, n_samples=30)
+        assert ds.n_features == 24
+        with pytest.raises(DatasetError, match="24 features"):
+            replace(ds, catalog=make_planted_dataset(n_samples=30).catalog)
 
 
 class TestStandardize:

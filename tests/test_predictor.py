@@ -1,8 +1,11 @@
 import itertools
 from dataclasses import replace
+from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_planted_dataset
 from plselect.dataset import Dataset, DatasetError, split_dataset, standardize
@@ -11,6 +14,7 @@ from plselect.predictor import (
     PredictorError,
     SingularSystemError,
     evaluate_mask,
+    evaluate_masks,
     expand_basis,
     fit,
     predict,
@@ -188,9 +192,16 @@ def reference_breakdown(mask, ds, weights, config):
     return total_score(rmse(y_hat, y_val), trend, mask, weights)
 
 
-def assert_matches_reference(masks, ds, weights, config, tol=1e-9):
-    for mask in masks:
-        got = evaluate_mask(mask, ds, weights, config).breakdown
+def assert_matches_reference(masks, ds, weights, config, tol=1e-9,
+                             batch=False):
+    if batch:
+        got_all = evaluate_masks(masks, ds, weights, config)
+    else:
+        got_all = [evaluate_mask(m, ds, weights, config) for m in masks]
+    assert len(got_all) == len(masks)
+    for mask, cand in zip(masks, got_all):
+        assert cand.mask == tuple(int(b) for b in mask)
+        got = cand.breakdown
         want = reference_breakdown(mask, ds, weights, config)
         assert got.cardinality == want.cardinality
         for field in ("rmse", "trend_error", "total"):
@@ -241,12 +252,7 @@ class TestFastPathOracle:
                                  PredictorConfig())
 
     def test_constant_column_is_singular_on_both_paths(self):
-        base = make_planted_dataset(n_samples=120)
-        samples = tuple(
-            replace(s, features=np.where(np.arange(10) == 2, 7.0, s.features))
-            for s in base.samples
-        )
-        ds = standardize(split_dataset(Dataset(samples=samples)))
+        ds = constant_column_dataset()
         config = PredictorConfig(basis="linear", ridge_lambda=0.0)
         with_constant = np.array([1, 0, 1, 0, 0, 0, 0, 0, 0, 0])
         with pytest.raises(SingularSystemError):
@@ -287,3 +293,88 @@ class TestFastPathOracle:
             evaluate_mask(np.ones(9, dtype=int), planted_ds)
         with pytest.raises(PredictorError, match="11 entries"):
             evaluate_mask(np.ones(11, dtype=int), planted_ds)
+
+
+@lru_cache(maxsize=None)
+def oracle_dataset(n_features):
+    return make_planted_dataset(n_features=n_features, n_samples=300,
+                                seed=n_features)
+
+
+def constant_column_dataset():
+    """Feature 3 is constant, so a mask with it is singular at lambda 0."""
+    base = make_planted_dataset(n_samples=120)
+    samples = tuple(
+        replace(s, features=np.where(np.arange(10) == 2, 7.0, s.features))
+        for s in base.samples
+    )
+    return standardize(split_dataset(Dataset(samples=samples)))
+
+
+class TestBatchedOracle:
+    """evaluate_masks scores a batch with one stacked solve per basis
+    width; per-mask fit, predict and trend_consistency_error are its
+    oracle."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), n=st.sampled_from([10, 24]),
+           basis=st.sampled_from(["quadratic", "linear"]))
+    def test_batch_matches_reference(self, data, n, basis):
+        mask = st.lists(st.booleans(), min_size=n, max_size=n).filter(any)
+        masks = data.draw(st.lists(mask, min_size=1, max_size=8))
+        duplicates = data.draw(st.lists(st.sampled_from(masks), max_size=4))
+        order = data.draw(st.permutations(masks + duplicates))
+        assert_matches_reference(np.array(order, dtype=int),
+                                 oracle_dataset(n), ScoreWeights(n_features=n),
+                                 PredictorConfig(basis=basis), batch=True)
+
+    @pytest.mark.parametrize("basis", ["quadratic", "linear"])
+    def test_batch_equals_batches_of_one(self, basis):
+        # A mask's score does not depend on the rest of its batch: the
+        # search compares scores made in different batches exactly.
+        ds = make_planted_dataset(n_samples=200, seed=5)
+        config = PredictorConfig(basis=basis)
+        masks = all_masks(10)
+        assert evaluate_masks(masks, ds, ScoreWeights(), config) == [
+            evaluate_mask(m, ds, ScoreWeights(), config) for m in masks]
+
+    def test_wide_batch_split_over_several_solves(self):
+        # Twenty masks of cardinality 16: a quadratic basis of 153 columns,
+        # more than one stacked solve holds.
+        ds = oracle_dataset(24)
+        rng = np.random.default_rng(16)
+        masks = np.zeros((20, 24), dtype=int)
+        for m in masks:
+            m[rng.choice(24, 16, replace=False)] = 1
+        weights = ScoreWeights(n_features=24)
+        got = evaluate_masks(masks, ds, weights, PredictorConfig())
+        assert got == [evaluate_mask(m, ds, weights, PredictorConfig())
+                       for m in masks]
+        assert_matches_reference(masks[:4], ds, weights, PredictorConfig(),
+                                 batch=True)
+
+    def test_one_singular_member_fails_the_batch_at_lambda_zero(self):
+        ds = constant_column_dataset()
+        config = PredictorConfig(basis="linear", ridge_lambda=0.0)
+        with_constant = [1, 0, 1, 0, 0, 0, 0, 0, 0, 0]
+        good = [[1, 1, 0, 0, 0, 0, 0, 0, 0, 0], [1, 1, 0, 1, 0, 0, 0, 0, 0, 0]]
+        with pytest.raises(SingularSystemError):
+            evaluate_masks(good + [with_constant], ds, ScoreWeights(), config)
+        with pytest.raises(SingularSystemError):
+            reference_breakdown(with_constant, ds, ScoreWeights(), config)
+        assert_matches_reference(np.array(good), ds, ScoreWeights(), config,
+                                 batch=True)
+
+    def test_bad_masks_raise_predictor_error(self, planted_ds):
+        ones = np.ones(10, dtype=int)
+        with pytest.raises(PredictorError, match="9 entries.*10 features"):
+            evaluate_masks([np.ones(9, dtype=int)], planted_ds)
+        with pytest.raises(PredictorError, match="equal lengths"):
+            evaluate_masks([ones, np.ones(9, dtype=int)], planted_ds)
+        with pytest.raises(PredictorError, match="at least one feature"):
+            evaluate_masks([ones, np.zeros(10, dtype=int)], planted_ds)
+        with pytest.raises(PredictorError, match="1-D masks"):
+            evaluate_masks(ones, planted_ds)
+
+    def test_empty_batch(self, planted_ds):
+        assert evaluate_masks([], planted_ds) == []

@@ -152,6 +152,57 @@ class TestSceneFromJson:
         assert Scene.from_json(scene.to_json()) == scene
 
 
+# np.allclose's default tolerances.
+RTOL, ATOL = 1e-5, 1e-8
+
+
+@st.composite
+def routes_with_near_repeats(draw):
+    """Routes built backward from their last point: each coordinate of a
+    point is the next point's, moved by a multiple of the np.allclose
+    tolerance there, from an exact repeat through just inside and just
+    outside to far outside."""
+    coordinate = st.floats(-1e4, 1e4, allow_nan=False)
+    factor = st.sampled_from([0.0, 0.5, 1 - 1e-9, 1 + 1e-9, 2.0, 1e6])
+    sign = st.sampled_from([-1.0, 1.0])
+    route = [tuple(draw(coordinate) for _ in range(3))]
+    for _ in range(draw(st.integers(1, 5))):
+        route.insert(0, tuple(
+            b + draw(sign) * draw(factor) * (ATOL + RTOL * abs(b))
+            for b in route[0]))
+    return tuple(route)
+
+
+class TestRouteDistinctness:
+    @staticmethod
+    def has_repeat(route):
+        # The per-pair check the array step must agree with.
+        return any(np.allclose(a, b) for a, b in zip(route[:-1], route[1:]))
+
+    @settings(max_examples=300, deadline=None)
+    @given(route=routes_with_near_repeats())
+    @example(route=((1.0, 2.0, 1.5), (1.0, 2.0, 1.5)))
+    @example(route=((0.0, 0.0, 1.5), (ATOL * (1 - 1e-9), 0.0, 1.5)))
+    @example(route=((0.0, 0.0, 1.5), (ATOL * (1 + 1e-9), 0.0, 1.5)))
+    @example(route=((100.0, 0.0, 1.5), (200.0, 0.0, 1.5),
+                    (200.0, 0.0, 1.5 + RTOL * 1.5 * (1 - 1e-9))))
+    def test_matches_per_pair_allclose(self, route):
+        if self.has_repeat(route):
+            with pytest.raises(ValueError, match="^consecutive route points"
+                               " must be distinct$"):
+                make_scene(route=route)
+        else:
+            assert make_scene(route=route).rx_route == route
+
+    def test_repeat_is_found_at_any_position(self):
+        route = [(float(i), 0.0, 1.5) for i in range(6)]
+        for i in range(5):
+            repeated = route[:i + 1] + route[i:]
+            assert self.has_repeat(repeated)
+            with pytest.raises(ValueError, match="must be distinct"):
+                make_scene(route=repeated)
+
+
 class TestSceneConfigRanges:
     @pytest.mark.parametrize("field, value", [
         ("carrier_frequency", 0.0),

@@ -1,8 +1,12 @@
 import itertools
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import make_planted_dataset
 from plselect.dataset import read_csv, split_dataset, standardize
@@ -58,6 +62,90 @@ class TestSamplePopulation:
         a = sample_population(np.full(10, 0.3), 5, np.random.default_rng(7))
         b = sample_population(np.full(10, 0.3), 5, np.random.default_rng(7))
         assert all(np.array_equal(x, y) for x, y in zip(a, b))
+
+
+def sample_per_row(policy, population_size, rng):
+    """sample_population as one repair call per all-zero row."""
+    masks = (rng.random((population_size, policy.shape[0])) < policy)
+    out = []
+    for m in masks.astype(np.int8):
+        if m.sum() == 0:
+            m[rng.integers(m.shape[0])] = 1
+        out.append(m)
+    return np.array(out, dtype=np.int8).reshape(masks.shape)
+
+
+def mutate_per_row(masks, rate, rng):
+    """mutate as one call per mask: a row's flips, then its repair."""
+    out = []
+    for m in np.atleast_2d(masks):
+        flips = rng.random(m.shape[0]) < rate
+        row = m.astype(np.int8) ^ flips.astype(np.int8)
+        if row.sum() == 0:
+            row[rng.integers(row.shape[0])] = 1
+        out.append(row)
+    return np.array(out, dtype=np.int8).reshape(np.shape(masks))
+
+
+RATES = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
+
+
+@st.composite
+def populations(draw):
+    """(P, N) int8 masks: random, all zero or all one."""
+    shape = (draw(st.integers(0, 30)), draw(st.integers(1, 30)))
+    kind = draw(st.sampled_from(["random", "zeros", "ones"]))
+    if kind == "zeros":
+        return np.zeros(shape, dtype=np.int8)
+    if kind == "ones":
+        return np.ones(shape, dtype=np.int8)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return rng.integers(0, 2, shape).astype(np.int8)
+
+
+class TestRngStreams:
+    """The population operators consume their generator exactly as one
+    call per mask did, so a search seed keeps its masks."""
+
+    @staticmethod
+    def assert_same_stream(a, b):
+        assert a.bit_generator.state == b.bit_generator.state
+
+    @settings(max_examples=200, deadline=None)
+    @given(masks=populations(), rate=RATES, seed=st.integers(0, 2**32 - 1))
+    @example(masks=np.zeros((7, 5), dtype=np.int8), rate=0.0, seed=0)
+    @example(masks=np.ones((7, 5), dtype=np.int8), rate=1.0, seed=0)
+    def test_mutate_population_matches_per_mask(self, masks, rate, seed):
+        a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+        before = masks.copy()
+        got = mutate(masks, rate, a)
+        assert got.dtype == np.int8 and got.shape == masks.shape
+        assert np.array_equal(got, mutate_per_row(masks, rate, b))
+        assert np.array_equal(masks, before)
+        self.assert_same_stream(a, b)
+
+    @settings(max_examples=50, deadline=None)
+    @given(masks=populations(), rate=RATES, seed=st.integers(0, 2**32 - 1))
+    def test_mutate_single_mask_matches_per_mask(self, masks, rate, seed):
+        a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+        for m in masks:
+            assert np.array_equal(mutate(m, rate, a),
+                                  mutate_per_row(m, rate, b))
+        self.assert_same_stream(a, b)
+
+    @settings(max_examples=200, deadline=None)
+    @given(size=st.integers(0, 30), n=st.integers(1, 30),
+           kind=st.sampled_from(["random", "zeros", "ones"]),
+           seed=st.integers(0, 2**32 - 1))
+    @example(size=9, n=4, kind="zeros", seed=0)
+    def test_sample_population_matches_per_mask(self, size, n, kind, seed):
+        policy = {"zeros": np.zeros(n), "ones": np.ones(n),
+                  "random": np.random.default_rng(seed).random(n)}[kind]
+        a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = sample_population(policy, size, a)
+        assert got.dtype == np.int8 and got.shape == (size, n)
+        assert np.array_equal(got, sample_per_row(policy, size, b))
+        self.assert_same_stream(a, b)
 
 
 class TestCrossover:
@@ -294,6 +382,16 @@ class TestRunSearch:
             assert rec.best.score >= rec.mean_score
             assert len(rec.elite_masks) == 3
 
+    def test_wide_dataset_draws_wide_masks(self):
+        ds = make_planted_dataset(n_features=24, n_samples=120)
+        result = run_search(
+            ds, SearchConfig(population_size=6, generations=3,
+                             elite_count=2), ScoreWeights(n_features=24))
+        assert result.final_policy.shape == (24,)
+        for rec in result.records:
+            assert len(rec.best.mask) == 24
+            assert all(len(m) == 24 for m in rec.elite_masks)
+
     def test_config_validation(self):
         with pytest.raises(SearchConfigError):
             SearchConfig(population_size=1)
@@ -329,3 +427,29 @@ def test_search_finds_exhaustive_optimum_on_task1(tmp_path, master_seed):
     optimum = exhaustive_optimum(ds, cfg.weights, cfg.predictor)
     assert best.mask == optimum.mask
     assert best.score == optimum.score
+
+
+GOLDEN = Path(__file__).with_name("golden_search.json")
+
+
+def mask_string(mask):
+    return "".join(str(int(b)) for b in mask)
+
+
+@pytest.mark.parametrize("master_seed", [0, 1, 2])
+def test_search_matches_golden_run(planted_ds, master_seed):
+    # golden_search.json holds the default search on make_planted_dataset()
+    # as it ran when it scored one mask at a time: per generation the best
+    # mask, its score, the mean score and the elite masks.
+    golden = json.loads(GOLDEN.read_text())[str(master_seed)]
+    result = run_search(planted_ds, SearchConfig(master_seed=master_seed))
+    assert len(result.records) == len(golden["generations"])
+    for rec, (best, best_score, mean_score, elites) in zip(
+            result.records, golden["generations"]):
+        assert mask_string(rec.best.mask) == best
+        assert [mask_string(m) for m in rec.elite_masks] == elites
+        assert rec.best.score == pytest.approx(best_score, abs=1e-9)
+        assert rec.mean_score == pytest.approx(mean_score, abs=1e-9)
+    best, best_score = golden["best_overall"]
+    assert mask_string(result.best_overall.mask) == best
+    assert result.best_overall.score == pytest.approx(best_score, abs=1e-9)
