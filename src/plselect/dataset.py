@@ -1,18 +1,17 @@
-"""Sample assembly, split management, standardization, and CSV persistence.
+"""Dataset columns, stratified splits, standardization, and CSV persistence.
 
-A Dataset is an ordered collection of (feature vector, path loss) samples
-tagged by scenario id and route index. Route order within a scenario is
-preserved because the trend-consistency metric differentiates consecutive
-route points.
+A Dataset holds one row per route point as read-only columns: the
+feature matrix X, the path loss y, and each row's scenario id and route
+index. Route order within a scenario is preserved because the
+trend-consistency metric differentiates consecutive route points.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field, replace
+from dataclasses import InitVar, dataclass, field, replace
 from functools import cached_property
-from pathlib import Path
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -36,6 +35,9 @@ CSV_HEADER = ["scenario_id", "route_index"] + [
     f"f{i}" for i in range(1, len(FEATURE_SYMBOLS) + 1)
 ] + ["path_loss"]
 
+# Each column of a Dataset with its dtype.
+COLUMNS = {"X": float, "y": float, "scenario_id": str, "route_index": int}
+
 
 class DatasetError(ValueError):
     """Raised for malformed dataset construction or split requests."""
@@ -43,97 +45,96 @@ class DatasetError(ValueError):
 
 @dataclass(frozen=True)
 class Sample:
+    """One row, for building a Dataset with Dataset(samples=...)."""
+
     features: np.ndarray  # length-N feature vector
     path_loss: float  # dB
     route_index: int
     scenario_id: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dataset:
-    """Immutable sample collection with optional split and standardization.
+    """Read-only columns with an optional split and standardization.
 
-    standardization holds per-feature (mean, std) fitted on the train split;
-    constant_features flags columns whose train std was zero (std stored
-    as 1 so the transform stays invertible).
+    Built from the columns X (n x N), y, scenario_id and route_index, or
+    from a sequence of Sample rows passed as samples, which replaces
+    them. split holds one label in SPLITS per row. standardization holds
+    per-feature (mean, std) fitted on the train split; constant_features
+    flags columns whose train std was zero (std stored as 1 so the
+    transform stays invertible).
     """
 
-    samples: tuple
+    X: np.ndarray = None
+    y: np.ndarray = None  # path loss, dB
+    scenario_id: np.ndarray = None
+    route_index: np.ndarray = None
     catalog: FeatureCatalog = field(default_factory=FeatureCatalog)
-    split: Optional[tuple] = None  # per-sample label in SPLITS
+    split: Optional[tuple] = None
     standardization: Optional[tuple] = None  # (mean array, std array)
     constant_features: Optional[tuple] = None  # per-feature bool flags
+    samples: InitVar[Optional[Sequence[Sample]]] = None
 
-    def __post_init__(self):
-        if self.split is not None and len(self.split) != len(self.samples):
-            raise DatasetError("split length mismatch")
-        n = self.catalog.n_features
-        for s in self.samples:
-            if len(s.features) != n:
-                raise DatasetError(
-                    f"sample has {len(s.features)} features but the catalog "
-                    f"has {n}")
+    def __post_init__(self, samples):
+        for name, dtype in COLUMNS.items():
+            values = getattr(self, name)
+            if samples is not None:
+                attr = {"X": "features", "y": "path_loss"}.get(name, name)
+                values = [getattr(s, attr) for s in samples]
+            try:
+                column = np.array(values, dtype=dtype, order="C")
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise DatasetError(f"column {name}: {exc}") from None
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
+        shapes = {name: getattr(self, name).shape for name in COLUMNS}
+        if ([len(s) for s in shapes.values()] != [2, 1, 1, 1]
+                or len({s[0] for s in shapes.values()}) != 1):
+            raise DatasetError("expected X of n rows and y, scenario_id and "
+                               f"route_index of length n, got shapes {shapes}")
+        if self.X.shape[1] != self.catalog.n_features:
+            raise DatasetError(f"X has {self.X.shape[1]} features but the "
+                               f"catalog has {self.catalog.n_features}")
+        if self.split is not None:
+            object.__setattr__(self, "split", tuple(self.split))
+            if len(self.split) != len(self):
+                raise DatasetError("split length mismatch")
+            unknown = set(self.split) - set(SPLITS)
+            if unknown:
+                raise DatasetError(f"split labels {sorted(map(str, unknown))} "
+                                   f"are not in {SPLITS}")
 
     def __len__(self) -> int:
-        return len(self.samples)
+        return len(self.y)
 
     @property
     def n_features(self) -> int:
         return self.catalog.n_features
 
     def scenario_ids(self) -> list:
-        seen = []
-        for s in self.samples:
-            if s.scenario_id not in seen:
-                seen.append(s.scenario_id)
-        return seen
+        """The scenario ids in order of first appearance."""
+        names, first = np.unique(self.scenario_id, return_index=True)
+        return names[np.argsort(first)].tolist()
+
+    def rows(self, split: Optional[str] = None):
+        """A selector of the rows of one split, or of every row for None."""
+        if split is None:
+            return slice(None)
+        if self.split is None:
+            raise DatasetError("dataset has no split assigned")
+        return np.asarray(self.split) == split
 
     def feature_matrix(self, split: Optional[str] = None) -> np.ndarray:
-        return self._features[self._split_indices(split)]
+        return self.X[self.rows(split)]
 
     def targets(self, split: Optional[str] = None) -> np.ndarray:
-        return self._path_loss[self._split_indices(split)]
-
-    def split_samples(self, split: str) -> list:
-        return [self.samples[i] for i in self._split_indices(split)]
-
-    # The arrays below are built on first use and kept on the instance
-    # read-only; dataclasses.replace makes a new instance, which builds
-    # its own.
-
-    @cached_property
-    def _features(self) -> np.ndarray:
-        return _read_only(
-            np.array([s.features for s in self.samples], dtype=float))
-
-    @cached_property
-    def _path_loss(self) -> np.ndarray:
-        return _read_only(
-            np.array([s.path_loss for s in self.samples], dtype=float))
-
-    @cached_property
-    def _split_index(self) -> dict:
-        labels = np.array(self.split)
-        return {lab: _read_only(np.flatnonzero(labels == lab))
-                for lab in dict.fromkeys(self.split)}
+        return self.y[self.rows(split)]
 
     @cached_property
     def derived(self) -> dict:
         """Values computed from this dataset's contents by other modules,
         such as a learner's normal equations, by a key of theirs."""
         return {}
-
-    def _split_indices(self, split: Optional[str]):
-        if split is None:
-            return slice(None)
-        if self.split is None:
-            raise DatasetError("dataset has no split assigned")
-        return self._split_index.get(split, np.empty(0, dtype=int))
-
-
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
 
 
 def build_dataset(
@@ -142,37 +143,40 @@ def build_dataset(
     shadowing_sigma: float = DEFAULT_SHADOWING_SIGMA,
     corridor_radius: float = DEFAULT_CORRIDOR_RADIUS,
 ) -> Dataset:
-    """One sample per route point per scene, in route order."""
+    """One row per route point per scene, in route order."""
     if len(scenes) != len(scenario_ids):
         raise DatasetError("one scenario id per scene required")
-    if len(set(scenario_ids)) != len(scenario_ids):
-        raise DatasetError("duplicate scenario_id")
-    samples = []
+    parts = []
     for scene, sid in zip(scenes, scenario_ids):
-        features, path_loss = scene_features_and_path_loss(
+        X, y = scene_features_and_path_loss(
             scene,
             shadowing_sigma=shadowing_sigma,
             corridor_radius=corridor_radius,
         )
-        samples.extend(
-            Sample(
-                features=features[i],
-                path_loss=float(path_loss[i]),
-                route_index=i,
-                scenario_id=sid,
-            )
-            for i in range(scene.n_route_points)
-        )
-    return Dataset(samples=tuple(samples))
+        parts.append(Dataset(X=X, y=y, scenario_id=np.full(len(y), sid),
+                             route_index=np.arange(len(y))))
+    return concat_datasets(parts)
 
 
 def concat_datasets(datasets: Sequence[Dataset]) -> Dataset:
-    """Pool several single-scenario datasets into one (no split carried)."""
+    """Pool several datasets of distinct scenarios into one (no split
+    carried)."""
     all_ids = [sid for ds in datasets for sid in ds.scenario_ids()]
     if len(set(all_ids)) != len(all_ids):
         raise DatasetError("duplicate scenario_id across pooled datasets")
-    samples = tuple(s for ds in datasets for s in ds.samples)
-    return Dataset(samples=samples, catalog=datasets[0].catalog)
+    return Dataset(
+        **{name: np.concatenate([getattr(ds, name) for ds in datasets])
+           for name in COLUMNS},
+        catalog=datasets[0].catalog,
+    )
+
+
+def select_scenarios(ds: Dataset, names: Sequence[str]) -> Dataset:
+    """The rows of the named scenarios, in their order in ds (no split
+    carried)."""
+    keep = np.isin(ds.scenario_id, list(names))
+    return Dataset(**{name: getattr(ds, name)[keep] for name in COLUMNS},
+                   catalog=ds.catalog)
 
 
 def _stratified_counts(n: int, fractions: Tuple[float, float, float]) -> list:
@@ -191,7 +195,10 @@ def split_dataset(
     fractions: Tuple[float, float, float] = (0.7, 0.15, 0.15),
     seed: int = 0,
 ) -> Dataset:
-    """Assign train/val/test labels, stratified by scenario_id."""
+    """Assign train/val/test labels, stratified by scenario_id: each
+    scenario, in order of first appearance, draws one permutation of its
+    rows, whose first positions go to train, the next to val and the rest
+    to test."""
     if len(fractions) != len(SPLITS):
         raise DatasetError(
             f"expected {len(SPLITS)} split fractions, got {len(fractions)}"
@@ -200,21 +207,18 @@ def split_dataset(
         raise DatasetError("fractions must be positive")
     if abs(sum(fractions) - 1.0) > 1e-9:
         raise DatasetError("fractions must sum to 1")
-    labels = [None] * len(ds.samples)
+    labels = np.empty(len(ds), dtype=object)
     rng = np.random.default_rng(np.random.SeedSequence([int(seed)]))
     for sid in ds.scenario_ids():
-        idx = [i for i, s in enumerate(ds.samples) if s.scenario_id == sid]
+        idx = np.flatnonzero(ds.scenario_id == sid)
         counts = _stratified_counts(len(idx), fractions)
         if any(c == 0 for c in counts):
             raise DatasetError(
                 f"scenario {sid!r} too small to populate all three splits"
             )
         perm = rng.permutation(len(idx))
-        boundaries = np.cumsum(counts)
-        for pos, j in enumerate(perm):
-            split_idx = int(np.searchsorted(boundaries, pos, side="right"))
-            labels[idx[j]] = SPLITS[split_idx]
-    return replace(ds, split=tuple(labels))
+        labels[idx[perm]] = np.repeat(SPLITS, counts)
+    return replace(ds, split=tuple(labels.tolist()))
 
 
 def standardize(ds: Dataset) -> Dataset:
@@ -232,14 +236,11 @@ def standardize(ds: Dataset) -> Dataset:
     std = train.std(axis=0)  # population convention
     constant = std == 0.0
     std = np.where(constant, 1.0, std)
-    samples = tuple(
-        replace(s, features=(s.features - mean) / std) for s in ds.samples
-    )
     return replace(
         ds,
-        samples=samples,
+        X=(ds.X - mean) / std,
         standardization=(mean, std),
-        constant_features=tuple(bool(c) for c in constant),
+        constant_features=tuple(constant.tolist()),
     )
 
 
@@ -259,58 +260,55 @@ def _fmt(value: float) -> str:
 
 
 def write_csv(ds: Dataset, path) -> None:
-    """Rows ordered by scenario then route_index, 9 significant digits."""
-    ordered = sorted(
-        ds.samples, key=lambda s: (s.scenario_id, s.route_index)
-    )
+    """Rows ordered by scenario then route_index, 9 significant digits.
+    CSV_HEADER names the default catalog's features, so a dataset of
+    another width raises DatasetError before anything is written."""
+    width = len(CSV_HEADER) - 3
+    if ds.n_features != width:
+        raise DatasetError(f"the CSV format holds {width} features, but the "
+                           f"dataset has {ds.n_features}")
+    order = np.lexsort((ds.route_index, ds.scenario_id))
+    values = np.column_stack([ds.X, ds.y])[order]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_HEADER)
-        for s in ordered:
-            writer.writerow(
-                [s.scenario_id, s.route_index]
-                + [_fmt(v) for v in s.features]
-                + [_fmt(s.path_loss)]
-            )
+        writer.writerows(
+            [sid, route] + [_fmt(v) for v in row]
+            for sid, route, row in zip(ds.scenario_id[order].tolist(),
+                                       ds.route_index[order].tolist(),
+                                       values.tolist())
+        )
 
 
 def read_csv(path) -> Dataset:
-    """Inverse of write_csv. A row with the wrong number of fields, an
-    unparsable number, a non-finite value or a field the csv module
-    refuses raises DatasetError naming the file and line."""
-    samples = []
+    """Inverse of write_csv. The first row with the wrong number of
+    fields, an unparsable number, a non-finite value or a field the csv
+    module refuses raises DatasetError naming the file and line."""
+    width = len(CSV_HEADER)
+    values, route_index, ids, lines, failure = [], [], [], [], None
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
-            header = next(reader, None)
-            if header != CSV_HEADER:
+            if next(reader, None) != CSV_HEADER:
                 raise DatasetError(f"unexpected CSV header in {path}")
             for row in reader:
-                where = f"{path}, line {reader.line_num}"
-                if len(row) != len(CSV_HEADER):
-                    raise DatasetError(
-                        f"{where}: expected {len(CSV_HEADER)} fields, "
-                        f"got {len(row)}"
-                    )
-                try:
-                    values = np.array([float(v) for v in row[2:]])
-                    route_index = int(row[1])
-                except ValueError as exc:
-                    raise DatasetError(f"{where}: {exc}") from None
-                if not np.all(np.isfinite(values)):
-                    raise DatasetError(
-                        f"{where}: non-finite feature or path loss"
-                    )
-                samples.append(
-                    Sample(
-                        features=values[:-1],
-                        path_loss=float(values[-1]),
-                        route_index=route_index,
-                        scenario_id=row[0],
-                    )
-                )
-        except csv.Error as exc:
-            raise DatasetError(
-                f"{path}, line {reader.line_num}: {exc}"
-            ) from None
-    return Dataset(samples=tuple(samples))
+                if len(row) != width:
+                    raise ValueError(
+                        f"expected {width} fields, got {len(row)}")
+                values.append([float(v) for v in row[2:]])
+                route_index.append(int(row[1]))
+                ids.append(row[0])
+                lines.append(reader.line_num)
+        except DatasetError:
+            raise
+        except (csv.Error, ValueError) as exc:
+            failure = (reader.line_num, exc)
+    # Finiteness is checked once, over the rows read before any failure.
+    values = np.array(values[:len(ids)], dtype=float).reshape(-1, width - 2)
+    bad = ~np.isfinite(values).all(axis=1)
+    if bad.any():
+        failure = (lines[np.argmax(bad)], "non-finite feature or path loss")
+    if failure is not None:
+        raise DatasetError(f"{path}, line {failure[0]}: {failure[1]}")
+    return Dataset(X=values[:, :-1], y=values[:, -1], scenario_id=ids,
+                   route_index=route_index)

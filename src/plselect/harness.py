@@ -26,6 +26,7 @@ from .dataset import (
     build_dataset,
     concat_datasets,
     read_csv,
+    select_scenarios,
     split_dataset,
     standardize,
     write_csv,
@@ -305,17 +306,16 @@ def cmd_generate(cfg: ExperimentConfig) -> List[Path]:
 
 
 def _load_task_dataset(cfg: ExperimentConfig, task: str) -> Dataset:
+    """The rows of the task's scenarios, from pooled.csv for a
+    multi-scenario task and from the scenario's own CSV otherwise."""
     if task not in cfg.task_scenarios:
         raise HarnessError(f"unknown task {task!r}")
     names = cfg.task_scenarios[task]
     data_dir = Path(cfg.out_dir) / "data"
-    if len(names) > 1:
-        path = data_dir / "pooled.csv"
-    else:
-        path = data_dir / f"{names[0]}.csv"
+    path = data_dir / ("pooled.csv" if len(names) > 1 else f"{names[0]}.csv")
     if not path.exists():
         raise HarnessError(f"missing dataset for {task}: {path}")
-    return read_csv(path)
+    return select_scenarios(read_csv(path), names)
 
 
 def _prepare(ds: Dataset, cfg: ExperimentConfig) -> Dataset:
@@ -362,7 +362,8 @@ def _baseline_rows(
 
 def run_task(cfg: ExperimentConfig, task: str) -> Dict[str, object]:
     """Agent search plus all baselines for one task on a shared dataset."""
-    ds = _prepare(_load_task_dataset(cfg, task), cfg)
+    raw = _load_task_dataset(cfg, task)
+    ds = _prepare(raw, cfg)
     result = run_search(ds, cfg.search, cfg.weights, cfg.predictor)
     agent = result.best_overall
 
@@ -373,9 +374,7 @@ def run_task(cfg: ExperimentConfig, task: str) -> Dict[str, object]:
     # sub-scenario's own split.
     if len(cfg.task_scenarios[task]) > 1:
         for name in cfg.task_scenarios[task]:
-            sub = _prepare(
-                read_csv(Path(cfg.out_dir) / "data" / f"{name}.csv"), cfg
-            )
+            sub = _prepare(select_scenarios(raw, [name]), cfg)
             rows.append(_evaluated_row(cfg, sub, f"{task}--{name}", "agent",
                                        agent.mask))
 

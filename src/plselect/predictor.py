@@ -225,9 +225,8 @@ def _prepare(ds: Dataset, basis: str) -> _Prepared:
         block = _full_design(X[start:start + GRAM_BLOCK_ROWS], upper)
         gram += block.T @ block
         moment += block.T @ y[start:start + GRAM_BLOCK_ROWS]
-    val = ds.split_samples("val")
-    order, same = route_order([s.scenario_id for s in val],
-                              [s.route_index for s in val])
+    val = ds.rows("val")
+    order, same = route_order(ds.scenario_id[val], ds.route_index[val])
     val_targets = ds.targets("val")
     return _Prepared(
         n_features=n,

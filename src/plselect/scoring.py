@@ -59,18 +59,15 @@ def route_order(scenario_ids: Sequence[str],
     array, and a bool array one shorter that is False where the pair
     crosses a scenario boundary. Raises ScoringError if no pair is left.
     """
-    groups = {}
-    for i, sid in enumerate(scenario_ids):
-        groups.setdefault(sid, []).append(i)
-    order, group = [], []
-    for g, idx in enumerate(groups.values()):
-        order.extend(sorted(idx, key=lambda i: route_indices[i]))
-        group.extend([g] * len(idx))
-    group = np.array(group, dtype=int)
+    _, first, group = np.unique(np.asarray(scenario_ids), return_index=True,
+                                return_inverse=True)
+    group = np.argsort(np.argsort(first))[group]  # rank of first appearance
+    order = np.lexsort((route_indices, group))
+    group = group[order]
     same = group[1:] == group[:-1]
     if not same.any():
         raise ScoringError("no scenario has two or more ordered samples")
-    return np.array(order, dtype=int), same
+    return order, same
 
 
 def trend_consistency_error(

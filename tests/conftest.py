@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from plselect.dataset import Dataset, Sample, split_dataset, standardize
+from plselect.dataset import COLUMNS, Dataset, split_dataset, standardize
 from plselect.scenario import FeatureCatalog
 
 
@@ -23,33 +23,26 @@ def make_planted_dataset(
     X = rng.normal(size=(n_samples, n_features))
     y = X[:, list(planted)] @ np.asarray(coefficients[: len(planted)])
     y = y + rng.normal(0.0, noise_sigma, size=n_samples)
-    samples = tuple(
-        Sample(
-            features=X[i],
-            path_loss=float(y[i]),
-            route_index=i,
-            scenario_id="planted",
-        )
-        for i in range(n_samples)
-    )
-    ds = Dataset(samples=samples, catalog=catalog_for(n_features))
+    ds = Dataset(X=X, y=y, scenario_id=np.full(n_samples, "planted"),
+                 route_index=np.arange(n_samples),
+                 catalog=catalog_for(n_features))
     return standardize(split_dataset(ds, seed=split_seed))
 
 
 def make_manual_dataset(feature_columns, targets, split_labels):
     """Dataset built directly from explicit columns and split labels."""
     X = np.asarray(feature_columns, dtype=float)
-    samples = tuple(
-        Sample(
-            features=X[i],
-            path_loss=float(targets[i]),
-            route_index=i,
-            scenario_id="manual",
-        )
-        for i in range(X.shape[0])
-    )
-    return Dataset(samples=samples, catalog=catalog_for(X.shape[1]),
-                   split=tuple(split_labels))
+    n = X.shape[0]
+    return Dataset(X=X, y=targets, scenario_id=np.full(n, "manual"),
+                   route_index=np.arange(n), catalog=catalog_for(X.shape[1]),
+                   split=split_labels)
+
+
+def unsplit(ds, **columns):
+    """A new Dataset of ds's columns and catalog without its split and
+    standardization, with the given columns replaced."""
+    kept = {name: getattr(ds, name) for name in COLUMNS}
+    return Dataset(**{**kept, **columns}, catalog=ds.catalog)
 
 
 def catalog_for(n_features):

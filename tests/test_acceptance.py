@@ -328,9 +328,9 @@ def test_criterion_8_unit_invariants():
 
     # Split partitions the samples disjointly; standardization round-trips.
     ds = make_planted_dataset(n_samples=120, seed=9, split_seed=9)
-    labels = [ds.split[i] for i in range(len(ds.samples))]
+    labels = [ds.split[i] for i in range(len(ds))]
     ok &= sorted(set(labels)) == ["test", "train", "val"]
-    ok &= len(labels) == len(ds.samples)
+    ok &= len(labels) == len(ds)
 
     from plselect.dataset import destandardize_features
 

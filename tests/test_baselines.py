@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import make_manual_dataset, make_planted_dataset
+from conftest import make_manual_dataset, make_planted_dataset, unsplit
 from plselect.baselines import (
     full_feature_mask,
     mi_category_subset,
@@ -126,11 +126,7 @@ class TestCategorySubsets:
         X[:, 3] = X[:, 0] + rng.normal(0, 1.0, size=n)  # f4 noisy copy of f1
         y = 3.0 * X[:, 0] + rng.normal(0, 0.3, size=n)
         ds = make_manual_dataset(X, y, ["train"] * n)
-        from plselect.dataset import Dataset
-
-        ds = standardize(
-            split_dataset(Dataset(samples=ds.samples), seed=0)
-        )
+        ds = standardize(split_dataset(unsplit(ds), seed=0))
         ranking = mi_ranking(ds)
         assert ranking.ranking.index(1) < ranking.ranking.index(4)
 

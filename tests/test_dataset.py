@@ -1,3 +1,4 @@
+import itertools
 from dataclasses import replace
 
 import numpy as np
@@ -5,11 +6,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import make_manual_dataset, make_planted_dataset
+from conftest import catalog_for, make_manual_dataset, make_planted_dataset
 from plselect.dataset import (
+    COLUMNS,
     CSV_HEADER,
+    SPLITS,
     Dataset,
     DatasetError,
+    Sample,
+    _stratified_counts,
     build_dataset,
     concat_datasets,
     destandardize_features,
@@ -18,6 +23,7 @@ from plselect.dataset import (
     standardize,
     write_csv,
 )
+from plselect.predictor import evaluate_masks
 from plselect.scenario import SceneConfig, generate_scene
 
 
@@ -42,7 +48,7 @@ class TestBuild:
     def test_counts_single_scene(self, small_scene):
         ds = build_dataset([small_scene], ["a"])
         assert len(ds) == 10
-        assert [s.route_index for s in ds.samples] == list(range(10))
+        assert ds.route_index.tolist() == list(range(10))
 
     def test_counts_two_scenes(self, two_scenes):
         ds = build_dataset(two_scenes, ["a", "b"])
@@ -96,15 +102,15 @@ class TestSplit:
         ds = split_dataset(build_dataset(two_scenes, ["a", "b"]), seed=2)
         labels = set(ds.split)
         assert labels == {"train", "val", "test"}
-        assert len(ds.split) == len(ds.samples)
+        assert len(ds.split) == len(ds)
 
     def test_stratified_per_scenario(self, two_scenes):
         ds = split_dataset(build_dataset(two_scenes, ["a", "b"]), seed=2)
         for sid in ("a", "b"):
             labs = [
                 lab
-                for s, lab in zip(ds.samples, ds.split)
-                if s.scenario_id == sid
+                for row_sid, lab in zip(ds.scenario_id, ds.split)
+                if row_sid == sid
             ]
             assert labs.count("train") == 35
             assert labs.count("val") == 7 or labs.count("val") == 8
@@ -133,40 +139,36 @@ class TestColumnArrays:
         for split in (None, "train", "val", "test"):
             rows = [i for i, lab in enumerate(ds.split)
                     if split is None or lab == split]
-            for _ in range(2):  # built once, then read from the cache
-                np.testing.assert_array_equal(
-                    ds.feature_matrix(split),
-                    [ds.samples[i].features for i in rows])
-                np.testing.assert_array_equal(
-                    ds.targets(split), [ds.samples[i].path_loss for i in rows])
-                if split is not None:
-                    assert all(a is ds.samples[i] for a, i in
-                               zip(ds.split_samples(split), rows, strict=True))
+            np.testing.assert_array_equal(ds.feature_matrix(split), ds.X[rows])
+            np.testing.assert_array_equal(ds.targets(split), ds.y[rows])
         assert ds.feature_matrix("other").size == 0
-        assert ds.split_samples("other") == []
 
-    def test_cached_arrays_are_read_only(self, two_scenes):
-        ds = split_dataset(build_dataset(two_scenes, ["a", "b"]), seed=3)
+    def test_columns_are_read_only_copies(self):
+        X = np.arange(12.0).reshape(4, 3)
+        y = np.arange(4.0)
+        ds = Dataset(X=X, y=y, scenario_id=["a"] * 4, route_index=range(4),
+                     catalog=catalog_for(3))
+        for name in ("X", "y", "scenario_id", "route_index"):
+            with pytest.raises(ValueError):
+                getattr(ds, name)[0] = getattr(ds, name)[1]
         with pytest.raises(ValueError):
             ds.feature_matrix()[0, 0] = 1.0
-        with pytest.raises(ValueError):
-            ds.targets()[0] = 1.0
+        X[0, 0] = y[0] = 1e9  # the dataset holds copies of its inputs
+        assert ds.X[0, 0] == 0.0 and ds.y[0] == 0.0
+        ds = split_dataset(ds, (0.5, 0.25, 0.25))
         train = ds.feature_matrix("train")
         train[0, 0] = 1e9  # a split's rows are a copy
         assert ds.feature_matrix("train")[0, 0] != 1e9
 
     def test_replaced_dataset_builds_its_own(self, two_scenes):
         ds = split_dataset(build_dataset(two_scenes, ["a", "b"]), seed=3)
-        ds.feature_matrix("train"), ds.targets("train")
         ds.derived["key"] = "value"
-        other = split_dataset(replace(ds, samples=tuple(
-            replace(s, path_loss=s.path_loss + 1.0, features=s.features * 2)
-            for s in ds.samples)), seed=4)
+        other = split_dataset(replace(ds, X=ds.X * 2, y=ds.y + 1.0), seed=4)
         np.testing.assert_array_equal(other.targets(), ds.targets() + 1.0)
         np.testing.assert_array_equal(other.feature_matrix(),
                                       ds.feature_matrix() * 2)
-        assert [s.route_index for s in other.split_samples("val")] != [
-            s.route_index for s in ds.split_samples("val")]
+        assert (other.route_index[other.rows("val")].tolist()
+                != ds.route_index[ds.rows("val")].tolist())
         assert other.derived == {}
 
     def test_no_split_assigned(self, two_scenes):
@@ -177,23 +179,145 @@ class TestColumnArrays:
 
 class TestFeatureWidth:
     def test_width_must_match_catalog(self):
-        samples = make_planted_dataset(n_features=12, n_samples=30).samples
+        ds = make_planted_dataset(n_features=12, n_samples=30)
         with pytest.raises(DatasetError,
                            match="12 features but the catalog has 10"):
-            Dataset(samples=samples)
+            Dataset(X=ds.X, y=ds.y, scenario_id=ds.scenario_id,
+                    route_index=ds.route_index)
 
     def test_every_sample_is_checked(self):
-        samples = make_planted_dataset(n_samples=30).samples
-        short = replace(samples[17], features=samples[17].features[:9])
-        with pytest.raises(DatasetError,
-                           match="9 features but the catalog has 10"):
-            Dataset(samples=samples[:17] + (short,) + samples[18:])
+        rows = sample_rows(make_planted_dataset(n_samples=30))
+        short = replace(rows[17], features=rows[17].features[:9])
+        with pytest.raises(DatasetError, match="column X"):
+            Dataset(samples=rows[:17] + [short] + rows[18:])
 
     def test_replace_checks_a_new_catalog(self):
         ds = make_planted_dataset(n_features=24, n_samples=30)
         assert ds.n_features == 24
         with pytest.raises(DatasetError, match="24 features"):
             replace(ds, catalog=make_planted_dataset(n_samples=30).catalog)
+
+
+class TestValidation:
+    def test_columns_of_unequal_length(self):
+        ds = make_planted_dataset(n_samples=30)
+        for name in ("y", "scenario_id", "route_index"):
+            with pytest.raises(DatasetError, match="shapes"):
+                replace(ds, **{name: getattr(ds, name)[:-1]})
+        with pytest.raises(DatasetError, match="shapes"):
+            replace(ds, X=ds.X[:-1])
+
+    def test_features_must_be_a_matrix(self):
+        with pytest.raises(DatasetError, match="shapes"):
+            Dataset(X=np.zeros(10), y=[0.0], scenario_id=["a"],
+                    route_index=[0])
+        with pytest.raises(DatasetError, match="column X"):
+            Dataset(X=[[1.0] * 10, [1.0] * 9], y=[0.0, 0.0],
+                    scenario_id=["a", "a"], route_index=[0, 1])
+
+    def test_unknown_split_label(self):
+        with pytest.raises(DatasetError, match="holdout"):
+            make_manual_dataset([[1.0], [2.0]], [0, 0], ["train", "holdout"])
+
+    def test_split_length_must_match(self):
+        with pytest.raises(DatasetError, match="split length"):
+            make_manual_dataset([[1.0], [2.0]], [0, 0], ["train"])
+
+
+def sample_rows(ds):
+    """ds as Sample rows, the input of Dataset(samples=...)."""
+    return [
+        Sample(features=ds.X[i], path_loss=float(ds.y[i]),
+               route_index=int(ds.route_index[i]),
+               scenario_id=str(ds.scenario_id[i]))
+        for i in range(len(ds))
+    ]
+
+
+class TestSampleAdapter:
+    def test_same_columns_splits_and_scores(self):
+        rng = np.random.default_rng(11)
+        n = 150
+        columnar = Dataset(
+            X=rng.normal(size=(n, 10)),
+            y=rng.normal(size=n),
+            scenario_id=np.array(["b", "a", "c"])[rng.integers(0, 3, n)],
+            route_index=rng.permutation(n),
+        )
+        adapted = Dataset(samples=sample_rows(columnar))
+        for name in COLUMNS:
+            a, b = getattr(adapted, name), getattr(columnar, name)
+            assert a.dtype == b.dtype
+            np.testing.assert_array_equal(a, b)
+        adapted, columnar = (standardize(split_dataset(ds, seed=5))
+                             for ds in (adapted, columnar))
+        assert adapted.split == columnar.split
+        masks = [m for m in itertools.product((0, 1), repeat=10) if any(m)]
+        assert ([c.breakdown for c in evaluate_masks(masks[::9], adapted)]
+                == [c.breakdown for c in evaluate_masks(masks[::9], columnar)])
+
+
+def reference_split_labels(scenario_ids, fractions, seed):
+    """split_dataset's labels assigned one row at a time: each position
+    of a scenario's permutation is placed among the cumulative split
+    counts by np.searchsorted."""
+    labels = [None] * len(scenario_ids)
+    rng = np.random.default_rng(np.random.SeedSequence([int(seed)]))
+    for sid in dict.fromkeys(scenario_ids):
+        idx = [i for i, s in enumerate(scenario_ids) if s == sid]
+        counts = _stratified_counts(len(idx), fractions)
+        if any(c == 0 for c in counts):
+            raise DatasetError(f"scenario {sid!r} too small")
+        perm = rng.permutation(len(idx))
+        boundaries = np.cumsum(counts)
+        for pos, j in enumerate(perm):
+            split_idx = int(np.searchsorted(boundaries, pos, side="right"))
+            labels[idx[j]] = SPLITS[split_idx]
+    return tuple(labels)
+
+
+class TestSplitOracle:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        sizes=st.lists(st.integers(1, 40), min_size=1, max_size=4),
+        weights=st.tuples(*[st.floats(0.02, 1.0)] * 3),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    def test_labels_match_per_row_reference(self, sizes, weights, seed, data):
+        ids = np.repeat([f"s{k}" for k in range(len(sizes))], sizes)
+        ids = ids[data.draw(st.permutations(range(len(ids))))].tolist()
+        fractions = tuple(w / sum(weights) for w in weights)
+        ds = Dataset(X=np.zeros((len(ids), 1)), y=np.zeros(len(ids)),
+                     scenario_id=ids, route_index=range(len(ids)),
+                     catalog=catalog_for(1))
+        try:
+            want = reference_split_labels(ids, fractions, seed)
+        except DatasetError as exc:
+            sid = str(exc).split("'")[1]
+            with pytest.raises(DatasetError, match=f"'{sid}' too small"):
+                split_dataset(ds, fractions, seed)
+            return
+        assert split_dataset(ds, fractions, seed).split == want
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 60),
+           scale=st.floats(1e-3, 1e6), data=st.data())
+    def test_standardize_matches_row_by_row(self, seed, n, scale, data):
+        rng = np.random.default_rng(seed)
+        X = (rng.normal(size=(n, 4)) + rng.normal(size=4)) * scale
+        X[:, 2] = 7.0
+        labels = ["train"] + data.draw(
+            st.lists(st.sampled_from(SPLITS), min_size=n - 1,
+                     max_size=n - 1))
+        ds = make_manual_dataset(X, np.zeros(n), labels)
+        out = standardize(ds)
+        mean, std = out.standardization
+        train = X[np.array(labels) == "train"]
+        assert mean.tobytes() == train.mean(axis=0).tobytes()
+        assert std[2] == 1.0 and out.constant_features[2]
+        want = np.array([(x - mean) / std for x in X])
+        assert out.X.tobytes() == want.tobytes()
 
 
 class TestStandardize:
@@ -219,9 +343,8 @@ class TestStandardize:
     def test_round_trip(self, two_scenes):
         ds = split_dataset(build_dataset(two_scenes, ["a", "b"]), seed=1)
         out = standardize(ds)
-        for orig, std_s in zip(ds.samples, out.samples):
-            back = destandardize_features(out, std_s.features)
-            assert np.allclose(back, orig.features, atol=1e-12)
+        back = destandardize_features(out, out.X)
+        assert np.allclose(back, ds.X, atol=1e-12)
 
     def test_train_columns_normalized(self, two_scenes):
         ds = split_dataset(build_dataset(two_scenes, ["a", "b"]), seed=1)
@@ -246,13 +369,11 @@ class TestCsv:
         write_csv(ds, path)
         back = read_csv(path)
         assert len(back) == len(ds)
-        for orig, loaded in zip(ds.samples, back.samples):
-            assert loaded.scenario_id == orig.scenario_id
-            assert loaded.route_index == orig.route_index
-            # 9 significant digits survive the round trip
-            assert np.allclose(
-                loaded.features, orig.features, rtol=1e-8, atol=1e-8
-            )
+        np.testing.assert_array_equal(back.scenario_id, ds.scenario_id)
+        np.testing.assert_array_equal(back.route_index, ds.route_index)
+        # 9 significant digits survive the round trip
+        assert np.allclose(back.X, ds.X, rtol=1e-8, atol=1e-8)
+        assert np.allclose(back.y, ds.y, rtol=1e-8, atol=1e-8)
 
     def test_header_and_order(self, two_scenes, tmp_path):
         ds = build_dataset(two_scenes, ["b", "a"])
@@ -264,6 +385,13 @@ class TestCsv:
             (row.split(",")[0], int(row.split(",")[1])) for row in lines[1:]
         ]
         assert keys == sorted(keys)
+
+    def test_write_refuses_a_catalog_of_another_width(self, tmp_path):
+        path = tmp_path / "wide.csv"
+        with pytest.raises(DatasetError, match="holds 10 features, but the "
+                           "dataset has 12"):
+            write_csv(make_planted_dataset(n_features=12, n_samples=30), path)
+        assert not path.exists()
 
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -287,9 +415,10 @@ class TestCsv:
             ("a,0,1,2,3,4,5,6,7,8,9,10,inf", "non-finite"),
             ("a,0,1,2,3,4,5,6,7,8,9,10,loud", "could not convert"),
             ("a,0," + "1" * 200_000, "field larger than field limit"),
+            ("a,x,1,2,nan,4,5,6,7,8,9,10,11", "invalid literal for int()"),
         ],
         ids=["truncated", "overlong", "nan_feature", "inf_path_loss",
-             "not_a_number", "oversized_field"],
+             "not_a_number", "oversized_field", "bad_route_index"],
     )
     def test_malformed_row_names_file_and_line(self, tmp_path, row, message):
         path = tmp_path / "data.csv"
@@ -301,6 +430,21 @@ class TestCsv:
             read_csv(path)
         assert f"{path}, line 3" in str(exc.value)
         assert message in str(exc.value)
+
+    @pytest.mark.parametrize("first", ["a,0,1,2,nan,4,5,6,7,8,9,10,11",
+                                       "a,0,1,2,3,4,5,6,7,8,9,10,loud",
+                                       "a,x,1,2,3,4,5,6,7,8,9,10,11",
+                                       "a,0,1,2,3"])
+    @pytest.mark.parametrize("later", ["a,0,1,2,3,4,5,6,7,8,9,10,inf",
+                                       "a,0,1,2,3,4,5,6,7,8,9,10,soft",
+                                       "a,0,1,2", "a,0," + "1" * 200_000])
+    def test_first_bad_row_is_named(self, tmp_path, first, later):
+        path = tmp_path / "data.csv"
+        good = "a,0," + ",".join(["1.5"] * 11)
+        path.write_text("\n".join([",".join(CSV_HEADER), good, first, good,
+                                   later, ""]))
+        with pytest.raises(DatasetError, match=f"{path}, line 3: "):
+            read_csv(path)
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -325,4 +469,4 @@ class TestCsv:
             ds = read_csv(path)
         except DatasetError:
             return
-        assert all(np.isfinite(s.features).all() for s in ds.samples)
+        assert np.isfinite(ds.X).all() and np.isfinite(ds.y).all()

@@ -157,6 +157,65 @@ class TestRun:
             cmd_run(cfg, tasks=["task1"])
 
 
+class TestTaskScenarios:
+    @pytest.fixture
+    def spies(self, monkeypatch):
+        """The scenario ids of each dataset prepared and the name of each
+        CSV read by the harness, in call order."""
+        prepared, reads = [], []
+        real_prepare, real_read = harness._prepare, harness.read_csv
+
+        def prepare(ds, cfg):
+            prepared.append(ds.scenario_ids())
+            return real_prepare(ds, cfg)
+
+        def read(path):
+            reads.append(Path(path).name)
+            return real_read(path)
+
+        monkeypatch.setattr(harness, "_prepare", prepare)
+        monkeypatch.setattr(harness, "read_csv", read)
+        return prepared, reads
+
+    def test_default_run_reads_each_csv_once(self, tmp_path, spies):
+        cfg = small_config(tmp_path)
+        cmd_generate(cfg)
+        cmd_run(cfg)
+        prepared, reads = spies
+        assert reads == ["intersection.csv", "square.csv", "pooled.csv"]
+        assert prepared == [["intersection"], ["square"],
+                            ["intersection", "square"], ["intersection"],
+                            ["square"]]
+
+    def test_multi_scenario_task_gets_only_its_scenarios(self, tmp_path,
+                                                         spies):
+        cfg = small_config(tmp_path)
+        cfg = harness.seeded(replace(
+            cfg,
+            scenarios={**cfg.scenarios, "uniform": replace(
+                cfg.scenarios["square"], layout="uniform")},
+            task_scenarios={**cfg.task_scenarios,
+                            "task4": ("intersection", "uniform")},
+        ), 0)
+        cmd_generate(cfg)
+        prepared, reads = spies
+        results = cmd_run(cfg, tasks=["task3", "task4"])
+        assert [r["dataset"].scenario_ids() for r in results] == [
+            ["intersection", "square"], ["intersection", "uniform"]]
+        assert prepared == [["intersection", "square"], ["intersection"],
+                            ["square"], ["intersection", "uniform"],
+                            ["intersection"], ["uniform"]]
+        assert [len(r["dataset"]) for r in results] == [120, 120]
+        assert reads == ["pooled.csv"] * 2
+        rows = read_rows(Path(cfg.out_dir) / "results" / "task4_results.csv")
+        assert {"task4--intersection", "task4--uniform"} <= {
+            r["task"] for r in rows}
+        prepared.clear()
+        cmd_run_baselines(cfg, tasks=["task3", "task4"])
+        assert prepared == [["intersection", "square"],
+                            ["intersection", "uniform"]]
+
+
 class TestBaselinesCommand:
     def test_writes_baseline_rows(self, tmp_path):
         cfg = small_config(tmp_path)

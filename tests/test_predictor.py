@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_planted_dataset
-from plselect.dataset import Dataset, DatasetError, split_dataset, standardize
+from conftest import make_planted_dataset, unsplit
+from plselect.dataset import DatasetError, split_dataset, standardize
 from plselect.predictor import (
     PredictorConfig,
     PredictorError,
@@ -175,20 +175,16 @@ class TestEvaluateMask:
 
 def reference_breakdown(mask, ds, weights, config):
     """evaluate_mask's score composed from the reference functions, on
-    arrays built from the samples and split labels directly."""
+    rows picked from the columns by the split labels directly."""
     sel = np.asarray(mask, dtype=bool)
-
-    def split(label):
-        return [s for s, lab in zip(ds.samples, ds.split) if lab == label]
-
-    train, val = split("train"), split("val")
-    model = fit(np.array([s.features for s in train])[:, sel],
-                np.array([s.path_loss for s in train]), config, mask)
-    y_hat = predict(model, np.array([s.features for s in val])[:, sel])
-    y_val = np.array([s.path_loss for s in val])
+    train, val = ([i for i, lab in enumerate(ds.split) if lab == label]
+                  for label in ("train", "val"))
+    model = fit(ds.X[train][:, sel], ds.y[train], config, mask)
+    y_hat = predict(model, ds.X[val][:, sel])
+    y_val = ds.y[val]
     trend = trend_consistency_error(y_hat, y_val,
-                                    [s.scenario_id for s in val],
-                                    [s.route_index for s in val])
+                                    ds.scenario_id[val].tolist(),
+                                    ds.route_index[val].tolist())
     return total_score(rmse(y_hat, y_val), trend, mask, weights)
 
 
@@ -243,11 +239,10 @@ class TestFastPathOracle:
         # Two scenarios interleaved: the trend error must not difference
         # across a scenario boundary.
         a = make_planted_dataset(n_samples=200, seed=4)
-        samples = tuple(
-            replace(s, scenario_id="ab"[i % 2], route_index=i // 2)
-            for i, s in enumerate(a.samples)
-        )
-        ds = standardize(split_dataset(Dataset(samples=samples), seed=1))
+        i = np.arange(len(a))
+        ds = standardize(split_dataset(unsplit(
+            a, scenario_id=np.array(["a", "b"])[i % 2], route_index=i // 2),
+            seed=1))
         assert_matches_reference(all_masks(10)[::7], ds, ScoreWeights(),
                                  PredictorConfig())
 
@@ -264,19 +259,15 @@ class TestFastPathOracle:
                                  ds, ScoreWeights(), config)
 
     def test_replaced_dataset_never_reuses_another_system(self):
-        base = split_dataset(Dataset(
-            samples=make_planted_dataset(n_samples=200, seed=6).samples))
+        base = split_dataset(unsplit(
+            make_planted_dataset(n_samples=200, seed=6)))
         first = standardize(base)
         masks = all_masks(10)[::31]
         assert_matches_reference(masks, first, ScoreWeights(),
                                  PredictorConfig())
-        shifted = tuple(replace(s, path_loss=s.path_loss * 2.0 + s.features[0])
-                        for s in base.samples)
         others = [
-            standardize(replace(base, samples=shifted)),
-            replace(first, samples=tuple(
-                replace(s, path_loss=0.5 * s.path_loss + s.features[1])
-                for s in first.samples)),
+            standardize(replace(base, y=base.y * 2.0 + base.X[:, 0])),
+            replace(first, y=0.5 * first.y + first.X[:, 1]),
             standardize(split_dataset(base, seed=9)),
         ]
         for other in others:
@@ -304,11 +295,8 @@ def oracle_dataset(n_features):
 def constant_column_dataset():
     """Feature 3 is constant, so a mask with it is singular at lambda 0."""
     base = make_planted_dataset(n_samples=120)
-    samples = tuple(
-        replace(s, features=np.where(np.arange(10) == 2, 7.0, s.features))
-        for s in base.samples
-    )
-    return standardize(split_dataset(Dataset(samples=samples)))
+    X = np.where(np.arange(10) == 2, 7.0, base.X)
+    return standardize(split_dataset(unsplit(base, X=X)))
 
 
 class TestBatchedOracle:

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from plselect.scoring import (
     ScoreWeights,
     ScoringError,
     rmse,
+    route_order,
     total_score,
     trend_consistency_error,
 )
@@ -79,6 +82,36 @@ class TestTrendError:
     def test_all_excluded_raises(self):
         with pytest.raises(ScoringError):
             trend_consistency_error([1.0], [1.0], ["a"], [0])
+
+
+def reference_route_order(scenario_ids, route_indices):
+    """route_order grouped by a dict and sorted one scenario at a time."""
+    groups = {}
+    for i, sid in enumerate(scenario_ids):
+        groups.setdefault(sid, []).append(i)
+    order, group = [], []
+    for g, idx in enumerate(groups.values()):
+        order.extend(sorted(idx, key=lambda i: route_indices[i]))
+        group.extend([g] * len(idx))
+    group = np.array(group, dtype=int)
+    return np.array(order, dtype=int), group[1:] == group[:-1]
+
+
+class TestRouteOrder:
+    @settings(max_examples=200, deadline=None)
+    @given(rows=st.lists(st.tuples(st.sampled_from("abcd"),
+                                   st.integers(-3, 5)), max_size=30))
+    def test_matches_per_scenario_sort(self, rows):
+        ids = [sid for sid, _ in rows]
+        route = [r for _, r in rows]
+        want_order, want_same = reference_route_order(ids, route)
+        if not want_same.any():
+            with pytest.raises(ScoringError):
+                route_order(ids, route)
+            return
+        order, same = route_order(np.array(ids), np.array(route))
+        np.testing.assert_array_equal(order, want_order)
+        np.testing.assert_array_equal(same, want_same)
 
 
 class TestTotalScore:
