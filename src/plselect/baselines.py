@@ -24,7 +24,6 @@ MI_VARIANTS = ("GE_Struct", "GE_EM")
 @dataclass(frozen=True)
 class MIRanking:
     mi_bits: np.ndarray  # per-feature MI against the target
-    bin_count: int
     ranking: tuple  # 1-based feature indices, MI descending
 
 
@@ -76,9 +75,7 @@ def mi_ranking(ds: Dataset, bins: int = DEFAULT_MI_BINS) -> MIRanking:
         [mutual_information(X[:, i], y, bins) for i in range(X.shape[1])]
     )
     order = sorted(range(len(mi)), key=lambda i: (-mi[i], i))
-    return MIRanking(
-        mi_bits=mi, bin_count=bins, ranking=tuple(i + 1 for i in order)
-    )
+    return MIRanking(mi_bits=mi, ranking=tuple(i + 1 for i in order))
 
 
 def mi_category_subset(

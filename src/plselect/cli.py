@@ -35,21 +35,19 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="plselect", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    for name in ("generate", "run", "run-baselines", "sweep"):
+        p = sub.add_parser(name)
         p.add_argument("--config", help="JSON experiment config")
         p.add_argument("--seed", type=int, help="master seed override")
         p.add_argument("--out", help="output directory override")
-        p.add_argument(
-            "--task", action="append",
-            help="restrict to a task id (repeatable)",
-        )
-        p.add_argument("--jobs", type=int, default=1,
-                       help="accepted and ignored: evaluation is serial")
-
-    for name in ("generate", "run", "run-baselines", "sweep"):
-        add_common(sub.add_parser(name))
+        if name != "generate":  # generate writes every scenario
+            p.add_argument("--task", action="append",
+                           help="restrict to a task id (repeatable)")
+        if name in ("generate", "run"):
+            p.add_argument("--jobs", type=int, default=1,
+                           help="accepted and ignored: evaluation is serial")
     sub.choices["sweep"].add_argument(
-        "--seeds", type=int, default=10, help="number of master seeds"
+        "--seeds", type=int, default=10, help="number of master seeds (>= 1)"
     )
     report = sub.add_parser("report")
     report.add_argument("--out", required=True, help="results directory")
@@ -60,6 +58,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "sweep" and args.seeds < 1:
+        parser.error(f"--seeds must be at least 1, got {args.seeds}")
     try:
         if args.command == "report":
             print(cmd_report(args.out, tasks=args.task), end="")

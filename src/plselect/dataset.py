@@ -24,11 +24,6 @@ from .scenario import (
     scene_features_and_path_loss,
 )
 
-# The per-point scalar reference stays importable from this module, where
-# perfbench/tracing.py looks up the names it traces; build_dataset no
-# longer calls it.
-from .scenario import extract_features, ground_truth_path_loss  # noqa: F401
-
 SPLITS = ("train", "val", "test")
 
 CSV_HEADER = ["scenario_id", "route_index"] + [
@@ -190,6 +185,19 @@ def _stratified_counts(n: int, fractions: Tuple[float, float, float]) -> list:
     return counts
 
 
+def check_split_fractions(fractions: Sequence[float]) -> None:
+    """Raise DatasetError unless fractions holds one finite, positive
+    fraction per split, summing to 1."""
+    if len(fractions) != len(SPLITS):
+        raise DatasetError(
+            f"expected {len(SPLITS)} split fractions, got {len(fractions)}"
+        )
+    if not all(0 < f < np.inf for f in fractions):
+        raise DatasetError("fractions must be finite and positive")
+    if abs(sum(fractions) - 1.0) > 1e-9:
+        raise DatasetError("fractions must sum to 1")
+
+
 def split_dataset(
     ds: Dataset,
     fractions: Tuple[float, float, float] = (0.7, 0.15, 0.15),
@@ -199,14 +207,7 @@ def split_dataset(
     scenario, in order of first appearance, draws one permutation of its
     rows, whose first positions go to train, the next to val and the rest
     to test."""
-    if len(fractions) != len(SPLITS):
-        raise DatasetError(
-            f"expected {len(SPLITS)} split fractions, got {len(fractions)}"
-        )
-    if any(f <= 0 for f in fractions):
-        raise DatasetError("fractions must be positive")
-    if abs(sum(fractions) - 1.0) > 1e-9:
-        raise DatasetError("fractions must sum to 1")
+    check_split_fractions(fractions)
     labels = np.empty(len(ds), dtype=object)
     rng = np.random.default_rng(np.random.SeedSequence([int(seed)]))
     for sid in ds.scenario_ids():
@@ -255,7 +256,9 @@ def destandardize_features(ds: Dataset, features: np.ndarray) -> np.ndarray:
 # CSV persistence
 # ---------------------------------------------------------------------------
 
-def _fmt(value: float) -> str:
+def format_number(value: float) -> str:
+    """A number as every CSV of plselect writes it: 9 significant
+    digits."""
     return f"{value:.9g}"
 
 
@@ -273,7 +276,7 @@ def write_csv(ds: Dataset, path) -> None:
         writer = csv.writer(fh)
         writer.writerow(CSV_HEADER)
         writer.writerows(
-            [sid, route] + [_fmt(v) for v in row]
+            [sid, route] + [format_number(v) for v in row]
             for sid, route, row in zip(ds.scenario_id[order].tolist(),
                                        ds.route_index[order].tolist(),
                                        values.tolist())

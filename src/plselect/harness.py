@@ -4,12 +4,14 @@ Three tasks mirror the case-study layout: task1 on a dense "intersection"
 scene, task2 on an open "square" scene, and task3 on the pooled samples of
 both. Each run evaluates the agent search plus the four comparison
 strategies on an identical split and standardization, and emits CSV result
-tables together with per-generation policy and diagnostics traces.
+tables together with each search's per-generation trace, from which the
+report cuts its figure tables.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import os
@@ -23,8 +25,11 @@ import numpy as np
 from . import baselines as bl
 from .dataset import (
     Dataset,
+    DatasetError,
     build_dataset,
+    check_split_fractions,
     concat_datasets,
+    format_number,
     read_csv,
     select_scenarios,
     split_dataset,
@@ -32,7 +37,8 @@ from .dataset import (
     write_csv,
 )
 from .predictor import PredictorConfig, evaluate_mask
-from .scenario import FEATURE_SYMBOLS, SceneConfig, generate_scene
+from .scenario import (FEATURE_SYMBOLS, SceneConfig, SceneGenerationError,
+                       generate_scene)
 from .scoring import ScoreWeights
 from .search import SearchConfig, SearchResult, run_search
 
@@ -42,13 +48,22 @@ RESULTS_HEADER = ["task", "method", "features", "rmse_db", "total_score"]
 
 POLICY_HEADER = ["t"] + [f"p{i}" for i in range(1, len(FEATURE_SYMBOLS) + 1)]
 
-DIAGNOSTICS_HEADER = ["t", "entropy", "diversity"]
-
 GENERATIONS_HEADER = (
     ["t", "best_score", "mean_score", "entropy", "diversity"]
     + POLICY_HEADER[1:]
     + ["best_mask"]
 )
+
+# The columns of each report figure, report/fig_<figure>_<task>.csv, which
+# report cuts from results/<task>_generations.csv.
+FIGURES = {
+    "policy": POLICY_HEADER,
+    "entropy_diversity": ["t", "entropy", "diversity"],
+}
+
+# The figures that run also writes as results/<task>_<view>.csv, by view.
+# No command reads these files back.
+TRACE_VIEWS = {"policy": "policy", "diagnostics": "entropy_diversity"}
 
 
 class HarnessError(RuntimeError):
@@ -74,8 +89,13 @@ class ExperimentConfig:
     master_seed: int = 0
 
     def __post_init__(self):
-        if self.random_baseline_seeds < 0:
-            raise HarnessError("random_baseline_seeds must be non-negative")
+        for name in ("random_baseline_seeds", "master_seed"):
+            if getattr(self, name) < 0:
+                raise HarnessError(f"{name} must be non-negative")
+        try:
+            check_split_fractions(self.split_fractions)
+        except DatasetError as exc:
+            raise HarnessError(f"split_fractions: {exc}") from None
         for name in ("shadowing_sigma", "corridor_radius"):
             if not 0 <= getattr(self, name) < math.inf:
                 raise HarnessError(f"{name} must be finite and non-negative")
@@ -255,10 +275,6 @@ def _atomic_write_rows(path: Path, header, rows) -> None:
     _atomic_write(path, write)
 
 
-def _fmt(value: float) -> str:
-    return f"{value:.9g}"
-
-
 def _mask_string(mask) -> str:
     return "".join(str(int(b)) for b in mask)
 
@@ -274,7 +290,14 @@ def _result_row(row) -> List[str]:
     a mask of None marks a mean over several masks."""
     task, method, mask, rmse_db, score = row
     features = _feature_string(mask) if mask is not None else "mean"
-    return [task, method, features, _fmt(rmse_db), _fmt(score)]
+    return [task, method, features, format_number(rmse_db),
+            format_number(score)]
+
+
+def _trace_columns(gen_rows, header) -> List[list]:
+    """The columns named by header of each generations-trace row."""
+    cols = [GENERATIONS_HEADER.index(column) for column in header]
+    return [[row[i] for i in cols] for row in gen_rows]
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +310,10 @@ def cmd_generate(cfg: ExperimentConfig) -> List[Path]:
     written = []
     single = {}
     for name, scene_cfg in cfg.scenarios.items():
-        scene = generate_scene(scene_cfg)
+        try:
+            scene = generate_scene(scene_cfg)
+        except SceneGenerationError as exc:
+            raise HarnessError(f"scenario {name!r}: {exc}") from None
         scene_path = out / "scenes" / f"{name}.json"
         _atomic_write_text(scene_path, scene.to_json())
         written.append(scene_path)
@@ -393,24 +419,19 @@ def _write_task_outputs(cfg: ExperimentConfig, task_result: dict) -> None:
     )
 
     gen_rows = [
-        [rec.t, _fmt(rec.best.score), _fmt(rec.mean_score),
-         _fmt(rec.entropy), _fmt(rec.diversity)]
-        + [_fmt(p) for p in rec.policy]
+        [rec.t, format_number(rec.best.score),
+         format_number(rec.mean_score), format_number(rec.entropy),
+         format_number(rec.diversity)]
+        + [format_number(p) for p in rec.policy]
         + [_mask_string(rec.best.mask)]
         for rec in result.records
     ]
-    # The policy and diagnostics traces are column subsets of one trace.
-    for name, header in (
-        ("generations", GENERATIONS_HEADER),
-        ("policy", POLICY_HEADER),
-        ("diagnostics", DIAGNOSTICS_HEADER),
-    ):
-        cols = [GENERATIONS_HEADER.index(column) for column in header]
-        _atomic_write_rows(
-            out / f"{task}_{name}.csv",
-            header,
-            [[row[i] for i in cols] for row in gen_rows],
-        )
+    _atomic_write_rows(out / f"{task}_generations.csv", GENERATIONS_HEADER,
+                       gen_rows)
+    for view, figure in TRACE_VIEWS.items():
+        header = FIGURES[figure]
+        _atomic_write_rows(out / f"{task}_{view}.csv", header,
+                           _trace_columns(gen_rows, header))
 
 
 def cmd_run(
@@ -457,7 +478,8 @@ def cmd_run_baselines(
 
 
 def cmd_report(out_dir: str, tasks: Optional[Sequence[str]] = None) -> str:
-    """Aligned summary table plus per-figure data CSVs.
+    """Aligned summary table of each task's results CSV, plus the figure
+    tables cut from its generations trace. Reads nothing else.
 
     Raises HarnessError listing the missing artifacts if run outputs are
     absent.
@@ -471,23 +493,28 @@ def cmd_report(out_dir: str, tasks: Optional[Sequence[str]] = None) -> str:
     table_rows = []
     for task in tasks:
         results_path = results_dir / f"{task}_results.csv"
-        diag_path = results_dir / f"{task}_diagnostics.csv"
-        policy_path = results_dir / f"{task}_policy.csv"
-        for path in (results_path, diag_path, policy_path):
+        gens_path = results_dir / f"{task}_generations.csv"
+        for path in (results_path, gens_path):
             if not path.exists():
                 missing.append(str(path))
         if missing:
             continue
         with open(results_path, newline="") as fh:
-            for row in csv.DictReader(fh):
-                table_rows.append(row)
-        report_dir = out / "report"
-        report_dir.mkdir(parents=True, exist_ok=True)
-        for src, dst in (
-            (diag_path, report_dir / f"fig_entropy_diversity_{task}.csv"),
-            (policy_path, report_dir / f"fig_policy_{task}.csv"),
-        ):
-            _atomic_write_text(dst, src.read_text())
+            table_rows.extend(csv.DictReader(fh))
+        with open(gens_path, newline="") as fh:
+            gen_rows = list(csv.reader(fh))
+        if gen_rows[:1] != [GENERATIONS_HEADER] or any(
+                len(row) != len(GENERATIONS_HEADER) for row in gen_rows):
+            raise HarnessError(f"malformed generations trace {gens_path}")
+        for figure, columns in FIGURES.items():
+            # Figure lines end in "\n", results lines in the csv module's
+            # "\r\n": the figures were once text-mode copies of results
+            # CSVs, and keep those bytes.
+            text = io.StringIO()
+            csv.writer(text, lineterminator="\n").writerows(
+                [columns] + _trace_columns(gen_rows[1:], columns))
+            _atomic_write_text(out / "report" / f"fig_{figure}_{task}.csv",
+                               text.getvalue())
     if missing or not table_rows:
         raise HarnessError(
             "missing run artifacts:\n" + "\n".join(missing or ["(no results)"])

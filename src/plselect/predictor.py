@@ -1,21 +1,19 @@
-"""Pluggable path loss regressor used as the fitness oracle's learner.
+"""Ridge regression as the fitness oracle's learner.
 
-The default learner is closed-form ridge regression on a linear or
-quadratic monomial basis over the selected features. It is deterministic
-and fast enough to sit inside the population search loop; alternative
-learners can be dropped in through the same fit/predict surface.
+The learner is closed-form ridge regression on a linear or quadratic
+monomial basis over the selected features: deterministic, and fast
+enough to sit inside the population search loop.
 
 Every mask's basis is a column subset of the basis over all features, so
 evaluate_masks builds that full basis's train normal equations and val
 design once per dataset and solves each mask on their sub-block, one
-stacked solve per basis width. fit, predict and
-scoring.trend_consistency_error are the reference it must match
-(tests/test_predictor.py).
+stacked solve per basis width. The search and the harness score every
+mask this way; fit, predict and scoring.trend_consistency_error are the
+reference it is checked against (tests/test_predictor.py).
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -28,11 +26,6 @@ from .scoring import (
     route_order,
     score_breakdowns,
 )
-
-# The reference stays importable from this module, where
-# perfbench/tracing.py looks up the names it traces; evaluate_masks does
-# not call it.
-from .scoring import trend_consistency_error  # noqa: F401
 
 # Train rows per block when the normal equations are accumulated, so that
 # the full-basis train design never exists at once.
@@ -59,28 +52,16 @@ class PredictorConfig:
     def __post_init__(self):
         if self.basis not in ("linear", "quadratic"):
             raise PredictorError(f"unknown basis {self.basis!r}")
-        if self.ridge_lambda < 0:
-            raise PredictorError("ridge_lambda must be non-negative")
+        if not 0 <= self.ridge_lambda < np.inf:
+            raise PredictorError("ridge_lambda must be finite and "
+                                 "non-negative")
 
 
 @dataclass(frozen=True)
 class PredictorModel:
-    mask: tuple  # binary inclusion vector the model was trained under
     weights: np.ndarray  # coefficients over the expanded basis
     intercept: float
     basis: str
-    ridge_lambda: float
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "mask": list(self.mask),
-                "weights": self.weights.tolist(),
-                "intercept": self.intercept,
-                "basis": self.basis,
-                "ridge_lambda": self.ridge_lambda,
-            }
-        )
 
 
 def expand_basis(X: np.ndarray, basis: str) -> np.ndarray:
@@ -102,7 +83,6 @@ def fit(
     X: np.ndarray,
     y: np.ndarray,
     config: PredictorConfig = PredictorConfig(),
-    mask: Optional[Sequence[int]] = None,
 ) -> PredictorModel:
     """Closed-form ridge solution of the normal equations.
 
@@ -120,16 +100,8 @@ def fit(
     gram = design.T @ design
     beta = _solve_ridge(gram[None], (design.T @ y)[None],
                         config.ridge_lambda)[0]
-    mask_tuple = tuple(int(b) for b in mask) if mask is not None else tuple(
-        [1] * X.shape[1]
-    )
     return PredictorModel(
-        mask=mask_tuple,
-        weights=beta[1:],
-        intercept=float(beta[0]),
-        basis=config.basis,
-        ridge_lambda=config.ridge_lambda,
-    )
+        weights=beta[1:], intercept=float(beta[0]), basis=config.basis)
 
 
 def _solve_ridge(gram: np.ndarray, moment: np.ndarray,
@@ -176,10 +148,6 @@ class Candidate:
     @property
     def cardinality(self) -> int:
         return self.breakdown.cardinality
-
-    def feature_indices(self) -> tuple:
-        """1-based indices of the selected features."""
-        return tuple(i + 1 for i, b in enumerate(self.mask) if b)
 
 
 @dataclass(frozen=True)

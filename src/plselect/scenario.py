@@ -275,8 +275,8 @@ class SceneConfig:
         for name in pairs:
             if len(getattr(self, name)) != 2:
                 raise bad(name, "have 2 entries")
-        for name in ("carrier_frequency", "area_size", "scatterer_height",
-                     "scatterer_width", "scatterer_depth"):
+        for name in ("carrier_frequency", "tx_height", "area_size",
+                     "scatterer_height", "scatterer_width", "scatterer_depth"):
             if not all(0 < v < math.inf
                        for v in np.atleast_1d(getattr(self, name))):
                 raise bad(name, "be finite and > 0")
@@ -286,6 +286,14 @@ class SceneConfig:
                 raise bad(name, "be a (min, max) pair with 0 <= min <= max")
         if self.route_points < 2:
             raise bad("route_points", "be >= 2")
+        if not math.isfinite(self.rx_height):
+            raise bad("rx_height", "be finite")
+        if not 0 <= self.corridor_width < math.inf:
+            raise bad("corridor_width", "be finite and >= 0")
+        for name, axis in (("scatterer_width", 0), ("scatterer_depth", 1)):
+            if getattr(self, name)[1] > self.area_size[axis]:
+                raise bad(name, f"have a max of at most area_size[{axis}] = "
+                          f"{self.area_size[axis]}")
 
 
 # ---------------------------------------------------------------------------

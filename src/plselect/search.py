@@ -18,11 +18,6 @@ import numpy as np
 
 from .dataset import Dataset
 from .predictor import Candidate, PredictorConfig, evaluate_masks
-
-# The single-mask entry point stays importable from this module, where
-# perfbench/tracing.py looks up the names it traces; run_search scores
-# through evaluate_masks.
-from .predictor import evaluate_mask  # noqa: F401
 from .scoring import ScoreWeights
 
 P_FLOOR = 0.02

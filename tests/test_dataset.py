@@ -131,6 +131,9 @@ class TestSplit:
             split_dataset(ds, (1.0, 0.0, 0.0))
         with pytest.raises(DatasetError, match="expected 3 split fractions"):
             split_dataset(ds, (0.5, 0.5))
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(DatasetError, match="finite and positive"):
+                split_dataset(ds, (bad, 0.5, 0.5))
 
 
 class TestColumnArrays:

@@ -1,9 +1,14 @@
 import csv
+import io
 import json
+import os
 import re
+import shutil
 import warnings
+from contextlib import redirect_stderr
 from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -279,6 +284,57 @@ class TestReport:
         with pytest.raises(HarnessError, match="missing"):
             cmd_report(str(tmp_path))
 
+    def test_reads_only_results_and_generations(self, run_outputs):
+        cfg, _ = run_outputs
+        out = Path(cfg.out_dir)
+        cmd_report(cfg.out_dir)
+        first = tree_bytes(out / "report")
+        copy = out.parent / "only_traces"
+        shutil.copytree(out / "results", copy / "results")
+        for view in ("policy", "diagnostics"):
+            for path in (copy / "results").glob(f"*_{view}.csv"):
+                path.unlink()
+        cmd_report(str(copy))
+        assert tree_bytes(copy / "report") == first
+
+    def test_line_endings(self, run_outputs):
+        cfg, _ = run_outputs
+        cmd_report(cfg.out_dir)
+        out = Path(cfg.out_dir)
+        figures = sorted((out / "report").glob("fig_*.csv"))
+        results = sorted((out / "results").glob("*.csv"))
+        assert len(figures) == 6 and len(results) == 12
+        for path in figures:
+            data = path.read_bytes()
+            assert data.endswith(b"\n") and b"\r" not in data
+        for path in results:
+            data = path.read_bytes()
+            assert data.count(b"\r\n") == data.count(b"\n") > 1
+
+    def test_missing_generations_trace_is_named(self, run_outputs):
+        cfg, _ = run_outputs
+        copy = Path(cfg.out_dir).parent / "no_trace"
+        shutil.copytree(Path(cfg.out_dir) / "results", copy / "results")
+        trace = copy / "results" / "task2_generations.csv"
+        trace.unlink()
+        with pytest.raises(HarnessError, match=re.escape(
+            f"missing run artifacts:\n{trace}"
+        )):
+            cmd_report(str(copy))
+
+    def test_malformed_generations_trace_is_named(self, run_outputs):
+        cfg, _ = run_outputs
+        copy = Path(cfg.out_dir).parent / "bad_trace"
+        shutil.copytree(Path(cfg.out_dir) / "results", copy / "results")
+        trace = copy / "results" / "task1_generations.csv"
+        lines = trace.read_text().splitlines()
+        lines[3] = lines[3].rsplit(",", 1)[0]
+        trace.write_text("\n".join(lines) + "\n")
+        with pytest.raises(HarnessError, match=re.escape(
+            f"malformed generations trace {trace}"
+        )):
+            cmd_report(str(copy))
+
 
 class TestConfigLoading:
     def test_json_and_env_overrides(self, tmp_path, monkeypatch):
@@ -546,6 +602,68 @@ class TestConfigProperties:
         check_loads_or_refuses(environ=env_vars(doc))
 
 
+def float_leaves(node, path=()):
+    """The key path of every float in the config tree under node; a float
+    inside an array ends its path with its index."""
+    if is_dataclass(node):
+        node = {f.name: getattr(node, f.name) for f in fields(node)}
+    if isinstance(node, (dict, tuple)):
+        items = node.items() if isinstance(node, dict) else enumerate(node)
+        return [leaf for k, v in items
+                for leaf in float_leaves(v, path + (k,))]
+    return [path] if type(node) is float else []
+
+
+FLOAT_LEAVES = float_leaves(default_config())
+
+
+def leaf_variable(path, value):
+    """The PLSELECT_ variable, and its JSON text, that sets the float at
+    path to value and leaves the rest of its array as it is."""
+    keys = [k for k in path if isinstance(k, str)]
+    if isinstance(path[-1], int):
+        node = default_config()
+        for k in keys:
+            node = node[k] if isinstance(node, dict) else getattr(node, k)
+        value = [value if i == path[-1] else v for i, v in enumerate(node)]
+    return "PLSELECT_" + "__".join(keys).upper(), json.dumps(value)
+
+
+class TestNonFiniteFloats:
+    """NaN, Infinity and -Infinity at any float of the config are refused
+    at load time by an error that names the key."""
+
+    def test_every_section_has_float_leaves(self):
+        sections = {path[0] for path in FLOAT_LEAVES}
+        assert sections == {"scenarios", "search", "weights", "predictor",
+                            "split_fractions", "shadowing_sigma",
+                            "corridor_radius"}
+        assert ("scenarios", "square", "tx_height") in FLOAT_LEAVES
+        assert ("split_fractions", 0) in FLOAT_LEAVES
+
+    @settings(max_examples=150, deadline=None)
+    @given(path=st.sampled_from(FLOAT_LEAVES),
+           value=st.sampled_from([float("nan"), float("inf"),
+                                  float("-inf")]))
+    def test_refused_naming_the_key(self, tmp_path_factory, path, value):
+        variable, text = leaf_variable(path, value)
+        keys = [k for k in path if isinstance(k, str)]
+        with pytest.raises(HarnessError) as exc:
+            load_config(environ={variable: text})
+        message = str(exc.value)
+        assert re.search(rf"\b{keys[-1]}\b", message)
+        if len(keys) > 1:
+            assert message.startswith(f"config {'.'.join(keys[:-1])}: ")
+
+        out = tmp_path_factory.getbasetemp() / "non_finite_out"
+        err = io.StringIO()
+        with mock.patch.dict(os.environ, {variable: text}), \
+                redirect_stderr(err):
+            assert main(["generate", "--out", str(out)]) == 2
+        assert err.getvalue() == f"error: {message}\n"
+        assert not out.exists()
+
+
 class TestCli:
     def test_usage_error_exit_code(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -602,6 +720,21 @@ class TestCli:
         ("PLSELECT_SCENARIOS__INTERSECTION__SCATTERER_HEIGHT", "[9,3]",
          "config scenarios.intersection: SceneConfig.scatterer_height must "
          "be a (min, max) pair with 0 <= min <= max, got (9.0, 3.0)"),
+        ("PLSELECT_SCENARIOS__SQUARE__SCATTERER_WIDTH", "[500.0,500.0]",
+         "config scenarios.square: SceneConfig.scatterer_width must have a "
+         "max of at most area_size[0] = 400.0, got (500.0, 500.0)"),
+        ("PLSELECT_SCENARIOS__SQUARE__SCATTERER_DEPTH", "[8,401]",
+         "config scenarios.square: SceneConfig.scatterer_depth must have a "
+         "max of at most area_size[1] = 400.0, got (8.0, 401.0)"),
+        ("PLSELECT_SCENARIOS__SQUARE__TX_HEIGHT", "NaN",
+         "config scenarios.square: SceneConfig.tx_height must be finite "
+         "and > 0, got nan"),
+        ("PLSELECT_SCENARIOS__SQUARE__RX_HEIGHT", "Infinity",
+         "config scenarios.square: SceneConfig.rx_height must be finite, "
+         "got inf"),
+        ("PLSELECT_SCENARIOS__INTERSECTION__CORRIDOR_WIDTH", "-1",
+         "config scenarios.intersection: SceneConfig.corridor_width must "
+         "be finite and >= 0, got -1.0"),
     ])
     def test_scene_range_exit_code(self, tmp_path, capsys, monkeypatch,
                                    variable, value, message):
@@ -619,6 +752,36 @@ class TestCli:
         assert main(["run-baselines"] + args) == 2
         assert capsys.readouterr().err.startswith(
             "error: task 'task1' must name one or more of the scenarios")
+
+    def test_placement_failure_exit_code(self, tmp_path, capsys,
+                                         monkeypatch):
+        monkeypatch.setenv("PLSELECT_SCENARIOS__SQUARE__MAX_PLACEMENT_RETRIES",
+                           "0")
+        assert main(["generate", "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            "error: scenario 'square': could not place scatterer 0: "
+            "clearance from tx/route failed after 0 retries\n")
+
+    def test_negative_seed_exit_code(self, tmp_path, capsys):
+        assert main(["generate", "--seed", "-1",
+                     "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            "error: master_seed must be non-negative\n")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("args", [
+        ["generate", "--task", "nonsense"],
+        ["sweep", "--seeds", "0"],
+        ["sweep", "--seeds", "-2"],
+        ["run-baselines", "--jobs", "1"],
+        ["sweep", "--jobs", "1"],
+    ])
+    def test_options_that_do_nothing_are_usage_errors(self, tmp_path,
+                                                      capsys, args):
+        with pytest.raises(SystemExit) as exc:
+            main(args + ["--out", str(tmp_path / "out")])
+        assert exc.value.code == 1
+        assert not (tmp_path / "out").exists()
 
     def test_report_missing_dir_exit_code(self, tmp_path):
         assert main(["report", "--out", str(tmp_path / "nope")]) == 2

@@ -115,11 +115,18 @@ class TestPredict:
             predict(model, np.ones((3, 4)))
 
 
+@pytest.mark.parametrize("value", [-1.0, float("nan"), float("inf")])
+def test_ridge_lambda_must_be_finite_and_non_negative(value):
+    with pytest.raises(PredictorError,
+                       match="ridge_lambda must be finite and non-negative"):
+        PredictorConfig(ridge_lambda=value)
+
+
 class TestEvaluateMask:
     def test_full_mask_cardinality(self, planted_ds):
         cand = evaluate_mask(np.ones(10, dtype=int), planted_ds)
         assert cand.cardinality == 10
-        assert cand.feature_indices() == tuple(range(1, 11))
+        assert cand.mask == (1,) * 10
 
     def test_determinism(self, planted_ds):
         mask = np.array([1, 1, 0, 0, 1, 0, 0, 0, 0, 0])
@@ -179,7 +186,7 @@ def reference_breakdown(mask, ds, weights, config):
     sel = np.asarray(mask, dtype=bool)
     train, val = ([i for i, lab in enumerate(ds.split) if lab == label]
                   for label in ("train", "val"))
-    model = fit(ds.X[train][:, sel], ds.y[train], config, mask)
+    model = fit(ds.X[train][:, sel], ds.y[train], config)
     y_hat = predict(model, ds.X[val][:, sel])
     y_val = ds.y[val]
     trend = trend_consistency_error(y_hat, y_val,

@@ -218,6 +218,14 @@ class TestSceneConfigRanges:
         ("scatterer_count", (30, 20)),
         ("scatterer_count", (-1, 2)),
         ("route_points", 1),
+        ("tx_height", 0.0),
+        ("tx_height", float("nan")),
+        ("rx_height", float("inf")),
+        ("rx_height", float("nan")),
+        ("corridor_width", -1.0),
+        ("corridor_width", float("nan")),
+        ("scatterer_width", (8.0, 400.5)),
+        ("scatterer_depth", (500.0, 500.0)),
     ])
     def test_out_of_range_value_names_field(self, field, value):
         with pytest.raises(ValueError, match=f"SceneConfig.{field} must"):
@@ -225,7 +233,8 @@ class TestSceneConfigRanges:
 
     def test_edge_values_accepted(self):
         SceneConfig(scatterer_count=(0, 0), scatterer_height=(5.0, 5.0),
-                    route_points=2, area_size=(1e-3, 1e6))
+                    route_points=2, area_size=(1e-3, 1e6),
+                    scatterer_width=(1e-3, 1e-3), corridor_width=0.0)
 
 
 class TestPathLoss:
