@@ -35,7 +35,6 @@ from .predictor import (
 )
 from .scenario import (
     FeatureCatalog,
-    Scatterer,
     Scene,
     SceneConfig,
     extract_features,

@@ -66,16 +66,22 @@ def mutual_information(
 
 
 def mi_ranking(ds: Dataset, bins: int = DEFAULT_MI_BINS) -> MIRanking:
-    """Per-feature MI against path loss on the training split."""
+    """Per-feature MI against path loss on the training split, computed
+    once per bin count and kept in ds.derived."""
     if ds.split is None:
         raise DatasetError("dataset must be split before MI ranking")
-    X = ds.feature_matrix("train")
-    y = ds.targets("train")
-    mi = np.array(
-        [mutual_information(X[:, i], y, bins) for i in range(X.shape[1])]
-    )
-    order = sorted(range(len(mi)), key=lambda i: (-mi[i], i))
-    return MIRanking(mi_bits=mi, ranking=tuple(i + 1 for i in order))
+    key = ("mi_ranking", bins)
+    if key not in ds.derived:
+        X = ds.feature_matrix("train")
+        y = ds.targets("train")
+        mi = np.array(
+            [mutual_information(X[:, i], y, bins) for i in range(X.shape[1])]
+        )
+        mi.flags.writeable = False
+        order = sorted(range(len(mi)), key=lambda i: (-mi[i], i))
+        ds.derived[key] = MIRanking(mi_bits=mi,
+                                    ranking=tuple(i + 1 for i in order))
+    return ds.derived[key]
 
 
 def mi_category_subset(

@@ -294,6 +294,20 @@ def _result_row(row) -> List[str]:
             format_number(score)]
 
 
+def _read_table(path: Path, header, kind: str) -> List[list]:
+    """The rows below the header of a CSV that run wrote; a header other
+    than `header`, or a row of another width, raises HarnessError naming
+    the file as a malformed `kind`."""
+    try:
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+    except csv.Error:  # such as a field over csv.field_size_limit()
+        rows = []
+    if rows[:1] != [header] or any(len(row) != len(header) for row in rows):
+        raise HarnessError(f"malformed {kind} {path}")
+    return rows[1:]
+
+
 def _trace_columns(gen_rows, header) -> List[list]:
     """The columns named by header of each generations-trace row."""
     cols = [GENERATIONS_HEADER.index(column) for column in header]
@@ -341,7 +355,14 @@ def _load_task_dataset(cfg: ExperimentConfig, task: str) -> Dataset:
     path = data_dir / ("pooled.csv" if len(names) > 1 else f"{names[0]}.csv")
     if not path.exists():
         raise HarnessError(f"missing dataset for {task}: {path}")
-    return select_scenarios(read_csv(path), names)
+    ds = read_csv(path)
+    present = ds.scenario_ids()
+    absent = [name for name in names if name not in present]
+    if absent:
+        raise HarnessError(f"{path} has no rows of the scenarios {absent} "
+                           f"that {task} names; run generate with this "
+                           "config first")
+    return select_scenarios(ds, names)
 
 
 def _prepare(ds: Dataset, cfg: ExperimentConfig) -> Dataset:
@@ -465,11 +486,11 @@ def cmd_run_baselines(
         k = cardinality
         existing = out / f"{task}_results.csv"
         if existing.exists():
-            with open(existing, newline="") as fh:
-                for row in csv.DictReader(fh):
-                    if row["method"] == "agent":
-                        k = row["features"].count(",") + 1
-                        break
+            for _, method, features, _, _ in _read_table(
+                    existing, RESULTS_HEADER, "results table"):
+                if method == "agent":
+                    k = features.count(",") + 1
+                    break
         rows = _baseline_rows(cfg, task, ds, k)
         _atomic_write_rows(out / f"{task}_baselines.csv", RESULTS_HEADER,
                            [_result_row(row) for row in rows])
@@ -499,20 +520,17 @@ def cmd_report(out_dir: str, tasks: Optional[Sequence[str]] = None) -> str:
                 missing.append(str(path))
         if missing:
             continue
-        with open(results_path, newline="") as fh:
-            table_rows.extend(csv.DictReader(fh))
-        with open(gens_path, newline="") as fh:
-            gen_rows = list(csv.reader(fh))
-        if gen_rows[:1] != [GENERATIONS_HEADER] or any(
-                len(row) != len(GENERATIONS_HEADER) for row in gen_rows):
-            raise HarnessError(f"malformed generations trace {gens_path}")
+        table_rows.extend(
+            _read_table(results_path, RESULTS_HEADER, "results table"))
+        gen_rows = _read_table(gens_path, GENERATIONS_HEADER,
+                               "generations trace")
         for figure, columns in FIGURES.items():
             # Figure lines end in "\n", results lines in the csv module's
             # "\r\n": the figures were once text-mode copies of results
             # CSVs, and keep those bytes.
             text = io.StringIO()
             csv.writer(text, lineterminator="\n").writerows(
-                [columns] + _trace_columns(gen_rows[1:], columns))
+                [columns] + _trace_columns(gen_rows, columns))
             _atomic_write_text(out / "report" / f"fig_{figure}_{task}.csv",
                                text.getvalue())
     if missing or not table_rows:
@@ -520,18 +538,12 @@ def cmd_report(out_dir: str, tasks: Optional[Sequence[str]] = None) -> str:
             "missing run artifacts:\n" + "\n".join(missing or ["(no results)"])
         )
 
-    widths = {key: len(key) for key in RESULTS_HEADER}
-    for row in table_rows:
-        for key in RESULTS_HEADER:
-            widths[key] = max(widths[key], len(row[key]))
+    widths = [max(map(len, column))
+              for column in zip(RESULTS_HEADER, *table_rows)]
     lines = [
-        "  ".join(key.ljust(widths[key]) for key in RESULTS_HEADER),
-        "  ".join("-" * widths[key] for key in RESULTS_HEADER),
+        "  ".join(cell.ljust(w) for cell, w in zip(row, widths))
+        for row in [RESULTS_HEADER, ["-" * w for w in widths], *table_rows]
     ]
-    for row in table_rows:
-        lines.append(
-            "  ".join(row[key].ljust(widths[key]) for key in RESULTS_HEADER)
-        )
     summary = "\n".join(lines) + "\n"
     _atomic_write_text(out / "report" / "summary.txt", summary)
     return summary

@@ -24,9 +24,8 @@ from __future__ import annotations
 
 import json
 import math
-import sys
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -68,6 +67,9 @@ FEATURE_CATEGORIES = (
 )
 
 
+LAYOUTS = ("uniform", "intersection", "square")
+
+
 class SceneGenerationError(RuntimeError):
     """Raised when scatterer placement cannot satisfy its constraints."""
 
@@ -92,159 +94,83 @@ class FeatureCatalog:
         return [i + 1 for i, c in enumerate(self.categories) if c == category]
 
 
-@dataclass(frozen=True)
-class Scatterer:
-    """Axis-aligned box scatterer standing on the ground plane."""
-
-    center: tuple  # (x, y) in meters
-    width: float
-    depth: float
-    height: float
-
-    def __post_init__(self):
-        if self.width <= 0 or self.depth <= 0 or self.height <= 0:
-            raise ValueError("scatterer dimensions must be strictly positive")
-
-    @property
-    def volume(self) -> float:
-        return self.width * self.depth * self.height
-
-    @property
-    def bounds(self) -> tuple:
-        """(xmin, ymin, zmin, xmax, ymax, zmax) of the box."""
-        cx, cy = self.center
-        return (
-            cx - self.width / 2.0,
-            cy - self.depth / 2.0,
-            0.0,
-            cx + self.width / 2.0,
-            cy + self.depth / 2.0,
-            self.height,
-        )
-
-    def footprint_contains(self, point_xy, margin: float = 0.0):
-        """Whether the footprint grown by margin contains a 2D point; for an
-        (n, 2+) array of points, one flag per point."""
-        xmin, ymin, _, xmax, ymax, _ = self.bounds
-        p = np.asarray(point_xy, dtype=float)
-        x, y = p[..., 0], p[..., 1]
-        return (
-            (xmin - margin <= x) & (x <= xmax + margin)
-            & (ymin - margin <= y) & (y <= ymax + margin)
-        )
+# The shape of each float column of a Scene; None is any number of rows.
+SCENE_COLUMNS = {"tx_position": (3,), "rx_route": (None, 3), "boxes": (None, 5)}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Scene:
-    """Transmitter, scatterers, and a receiver route inside a bounded area."""
+    """Transmitter, box scatterers and a receiver route inside a bounded
+    area, held as read-only float columns:
 
-    tx_position: tuple  # (x, y, z) meters
-    scatterers: tuple  # tuple of Scatterer
-    rx_route: tuple  # tuple of (x, y, z) meters, route order is significant
+        tx_position  (3,)          x, y, z in meters
+        rx_route     (points, 3)   x, y, z of each point, in route order
+        boxes        (boxes, 5)    center x, center y, width, depth, height
+                                   of each axis-aligned box on the ground
+    """
+
+    tx_position: np.ndarray
+    rx_route: np.ndarray
+    boxes: np.ndarray
     carrier_frequency: float  # Hz
     area_bounds: tuple  # (xmin, ymin, xmax, ymax)
     seed: int
 
     def __post_init__(self):
+        for name, shape in SCENE_COLUMNS.items():
+            column = np.array(getattr(self, name), dtype=float, order="C")
+            if column.size == 0 and len(shape) == 2:
+                column = column.reshape(0, shape[1])
+            if column.ndim != len(shape) or column.shape[-1] != shape[-1]:
+                raise ValueError(f"{name} must have shape {shape}, "
+                                 f"got {column.shape}")
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
         if len(self.rx_route) < 2:
             raise ValueError("rx_route needs at least 2 points")
         # np.allclose of each consecutive pair, in one array step.
-        r = np.asarray(self.rx_route, dtype=float)
+        r = self.rx_route
         if np.isclose(r[:-1], r[1:]).all(axis=1).any():
             raise ValueError("consecutive route points must be distinct")
         if self.tx_position[2] <= 0:
             raise ValueError("tx height must be positive")
+        if (self.boxes[:, 2:] <= 0).any():
+            raise ValueError("scatterer dimensions must be strictly positive")
         xmin, ymin, xmax, ymax = self.area_bounds
-        for s in self.scatterers:
-            bxmin, bymin, _, bxmax, bymax, _ = s.bounds
-            if bxmin < xmin or bymin < ymin or bxmax > xmax or bymax > ymax:
-                raise ValueError("scatterer footprint outside area bounds")
+        b = self.bounds
+        if ((b[:, 0] < xmin) | (b[:, 1] < ymin)
+                | (b[:, 3] > xmax) | (b[:, 4] > ymax)).any():
+            raise ValueError("scatterer footprint outside area bounds")
 
     @property
     def n_route_points(self) -> int:
         return len(self.rx_route)
 
+    @property
+    def bounds(self) -> np.ndarray:
+        """(boxes, 6) table of xmin, ymin, zmin, xmax, ymax, zmax."""
+        x, y, w, d, h = self.boxes.T
+        return np.column_stack([x - w / 2.0, y - d / 2.0, np.zeros_like(h),
+                                x + w / 2.0, y + d / 2.0, h])
+
+    @property
+    def volumes(self) -> np.ndarray:
+        w, d, h = self.boxes[:, 2:].T
+        return (w * d) * h
+
     def to_json(self) -> str:
         doc = {
-            "tx_position": list(self.tx_position),
+            "tx_position": self.tx_position.tolist(),
             "scatterers": [
-                {
-                    "center": list(s.center),
-                    "width": s.width,
-                    "depth": s.depth,
-                    "height": s.height,
-                }
-                for s in self.scatterers
+                {"center": [x, y], "width": w, "depth": d, "height": h}
+                for x, y, w, d, h in self.boxes.tolist()
             ],
-            "rx_route": [list(p) for p in self.rx_route],
+            "rx_route": self.rx_route.tolist(),
             "carrier_frequency": self.carrier_frequency,
             "area_bounds": list(self.area_bounds),
             "seed": self.seed,
         }
         return json.dumps(doc, indent=2, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "Scene":
-        """Inverse of to_json. Text that is not a JSON object, or a key
-        that is missing or malformed, raises ValueError naming the key."""
-        doc = json.loads(text)
-        if not isinstance(doc, dict):
-            raise ValueError("scene JSON must be an object")
-
-        def scatterer(s):
-            if not isinstance(s, dict):
-                raise ValueError(f"expected an object, got {s!r}")
-            missing = {"center", "width", "depth", "height"} - set(s)
-            if missing:
-                raise ValueError(f"a scatterer has no {sorted(missing)}")
-            return Scatterer(
-                center=_numbers(s["center"], 2),
-                width=_number(s["width"]),
-                depth=_number(s["depth"]),
-                height=_number(s["height"]),
-            )
-
-        parsers = {
-            "tx_position": lambda v: _numbers(v, 3),
-            "scatterers": lambda v: tuple(scatterer(s) for s in _list(v)),
-            "rx_route": lambda v: tuple(_numbers(p, 3) for p in _list(v)),
-            "carrier_frequency": _number,
-            "area_bounds": lambda v: _numbers(v, 4),
-            "seed": _integer,
-        }
-        values = {}
-        for key, parse in parsers.items():
-            if key not in doc:
-                raise ValueError(f"scene JSON has no key {key!r}")
-            try:
-                values[key] = parse(doc[key])
-            except ValueError as exc:
-                raise ValueError(f"scene JSON key {key!r}: {exc}") from None
-        return cls(**values)
-
-
-def _list(value) -> list:
-    if not isinstance(value, list):
-        raise ValueError(f"expected an array, got {value!r}")
-    return value
-
-
-def _number(value):
-    if type(value) not in (int, float) or not abs(value) <= sys.float_info.max:
-        raise ValueError(f"expected a finite number, got {value!r}")
-    return value
-
-
-def _integer(value) -> int:
-    if type(value) is not int:
-        raise ValueError(f"expected an integer, got {value!r}")
-    return value
-
-
-def _numbers(value, n: int) -> tuple:
-    if len(_list(value)) != n:
-        raise ValueError(f"expected {n} numbers, got {value!r}")
-    return tuple(_number(v) for v in value)
 
 
 @dataclass
@@ -260,7 +186,7 @@ class SceneConfig:
     carrier_frequency: float = 3.5e9
     tx_height: float = 10.0
     rx_height: float = 1.5
-    layout: str = "uniform"  # uniform | intersection | square
+    layout: str = "uniform"  # one of LAYOUTS
     corridor_width: float = 30.0
     max_placement_retries: int = 200
     seed: int = 0
@@ -286,6 +212,10 @@ class SceneConfig:
                 raise bad(name, "be a (min, max) pair with 0 <= min <= max")
         if self.route_points < 2:
             raise bad("route_points", "be >= 2")
+        if self.max_placement_retries < 1:
+            raise bad("max_placement_retries", "be >= 1")
+        if self.layout not in LAYOUTS:
+            raise bad("layout", f"be one of {LAYOUTS}")
         if not math.isfinite(self.rx_height):
             raise bad("rx_height", "be finite")
         if not 0 <= self.corridor_width < math.inf:
@@ -386,14 +316,14 @@ def _blocker_edges(scene: Scene, rx_index: int):
     Returns a list of (t_along, edge_height) where t is the parametric
     midpoint of the box crossing and edge_height is the box top.
     """
-    tx = np.asarray(scene.tx_position, dtype=float)
-    rx = np.asarray(scene.rx_route[rx_index], dtype=float)
+    tx = scene.tx_position
+    rx = scene.rx_route[rx_index]
     edges = []
-    for s in scene.scatterers:
-        hit = segment_box_intersection(tx, rx, s.bounds)
+    for bounds in scene.bounds:
+        hit = segment_box_intersection(tx, rx, bounds)
         if hit is not None:
             t_mid = 0.5 * (hit[0] + hit[1])
-            edges.append((t_mid, s.height))
+            edges.append((t_mid, bounds[5]))
     edges.sort(key=lambda e: e[0])
     return edges
 
@@ -426,8 +356,8 @@ def ground_truth_path_loss(
     """
     if not 0 <= rx_index < scene.n_route_points:
         raise IndexError(f"rx_index {rx_index} out of range")
-    tx = np.asarray(scene.tx_position, dtype=float)
-    rx = np.asarray(scene.rx_route[rx_index], dtype=float)
+    tx = scene.tx_position
+    rx = scene.rx_route[rx_index]
     d = float(np.linalg.norm(rx - tx))
     if d == 0.0:
         raise ValueError("receiver coincides with transmitter")
@@ -492,15 +422,15 @@ def extract_features(
     """
     if not 0 <= rx_index < scene.n_route_points:
         raise IndexError(f"rx_index {rx_index} out of range")
-    tx = np.asarray(scene.tx_position, dtype=float)
-    rx = np.asarray(scene.rx_route[rx_index], dtype=float)
+    tx = scene.tx_position
+    rx = scene.rx_route[rx_index]
     d_txrx = float(np.linalg.norm(rx - tx))
     wavelength = SPEED_OF_LIGHT / scene.carrier_frequency
 
     effective = [
-        s
-        for s in scene.scatterers
-        if point_segment_distance_2d(s.center, tx, rx) <= corridor_radius
+        j
+        for j, center in enumerate(scene.boxes[:, :2])
+        if point_segment_distance_2d(center, tx, rx) <= corridor_radius
     ]
 
     f = np.zeros(len(FEATURE_SYMBOLS))
@@ -508,19 +438,19 @@ def extract_features(
     f[1] = tx[2] - rx[2]
 
     if effective:
-        centers = np.array([s.center for s in effective], dtype=float)
-        heights = np.array([s.height for s in effective], dtype=float)
+        centers = scene.boxes[effective, :2]
+        heights = scene.boxes[effective, 4]
         f[2] = float(np.mean(tx[2] - heights))
         f[3] = float(np.mean(np.linalg.norm(centers - tx[:2], axis=1)))
         f[4] = float(np.mean(np.linalg.norm(centers - rx[:2], axis=1)))
-        f[5] = float(np.mean([s.volume for s in effective]))
+        f[5] = float(np.mean(scene.volumes[effective]))
         f[6] = float(
-            min(point_line_distance_2d(s.center, tx, rx) for s in effective)
+            min(point_line_distance_2d(c, tx, rx) for c in centers)
         )
         # First-order reflection detour excess via the half-height point.
         detour = 0.0
-        for s in effective:
-            p = np.array([s.center[0], s.center[1], s.height / 2.0])
+        for (cx, cy), height in zip(centers, heights):
+            p = np.array([cx, cy, height / 2.0])
             excess = (
                 np.linalg.norm(p - tx) + np.linalg.norm(rx - p) - d_txrx
             )
@@ -528,20 +458,20 @@ def extract_features(
         f[8] = float(detour)
 
     blockers = []
-    for s in scene.scatterers:
-        hit = segment_box_intersection(tx, rx, s.bounds)
+    for bounds in scene.bounds:
+        hit = segment_box_intersection(tx, rx, bounds)
         if hit is not None:
-            blockers.append((s, hit))
+            blockers.append((bounds[5], hit))
     f[7] = float(len(blockers))
 
     if blockers:
         best_nu = -np.inf
-        for s, hit in blockers:
+        for height, hit in blockers:
             t_mid = 0.5 * (hit[0] + hit[1])
             d1 = t_mid * d_txrx
             d2 = (1.0 - t_mid) * d_txrx
             z_los = tx[2] + t_mid * (rx[2] - tx[2])
-            nu = fresnel_parameter(s.height - z_los, d1, d2, wavelength)
+            nu = fresnel_parameter(height - z_los, d1, d2, wavelength)
             best_nu = max(best_nu, nu)
         f[9] = float(best_nu)
 
@@ -578,13 +508,12 @@ def scene_features_and_path_loss(
     kernel. Means sum each compacted row as np.mean sums the scalar 1-D
     array, and the f9 detour sum keeps its sequential order.
     """
-    tx = np.asarray(scene.tx_position, dtype=float)
-    route = np.asarray(scene.rx_route, dtype=float)
-    boxes = scene.scatterers
-    bounds = np.array([s.bounds for s in boxes], dtype=float).reshape(-1, 6)
-    centers = np.array([s.center for s in boxes], dtype=float).reshape(-1, 2)
-    heights = np.array([s.height for s in boxes], dtype=float)
-    volumes = np.array([s.volume for s in boxes], dtype=float)
+    tx = scene.tx_position
+    route = scene.rx_route
+    bounds = scene.bounds
+    centers = scene.boxes[:, :2]
+    heights = scene.boxes[:, 4]
+    volumes = scene.volumes
     # Reflection points at half height, and per-box terms that do not
     # depend on the receiver.
     mids = np.column_stack([centers, heights / 2.0])
@@ -626,7 +555,7 @@ def scene_features_and_path_loss(
         rx_to_mid = rx[:, None, :] - mids
         excess = tx_to_mid + np.sqrt(_dot(rx_to_mid, rx_to_mid)) - d[:, None]
         detour = np.where(effective, np.exp(-excess / d[:, None]), 0.0)
-        if len(boxes):
+        if len(heights):
             # Sequential like the scalar loop; add.reduce would sum pairwise.
             f[:, 8] = np.cumsum(detour, axis=1)[:, -1]
         f[:, 7] = hit.sum(axis=1)
@@ -741,22 +670,20 @@ def generate_scene(config: SceneConfig) -> Scene:
 
     if config.layout == "intersection":
         tx, route = _intersection_tx_route(config)
-        scatterers = _intersection_scatterers(config, rng, tx, route)
+        boxes = _intersection_boxes(config, rng, tx, route)
     elif config.layout == "square":
         tx, route = _square_tx_route(config)
-        scatterers = _random_scatterers(
-            config, rng, tx, route, keepout_center=True
-        )
+        boxes = _random_boxes(config, rng, tx, route, keepout_center=True)
     elif config.layout == "uniform":
         tx, route = _uniform_tx_route(config, rng)
-        scatterers = _random_scatterers(config, rng, tx, route)
+        boxes = _random_boxes(config, rng, tx, route)
     else:
         raise ValueError(f"unknown layout {config.layout!r}")
 
     return Scene(
         tx_position=tx,
-        scatterers=tuple(scatterers),
-        rx_route=tuple(route),
+        rx_route=route,
+        boxes=boxes,
         carrier_frequency=config.carrier_frequency,
         area_bounds=bounds,
         seed=int(config.seed),
@@ -764,25 +691,22 @@ def generate_scene(config: SceneConfig) -> Scene:
 
 
 def _route_along_waypoints(waypoints, n_points, rx_height):
-    """Equally spaced points along a polyline, at receiver height."""
-    waypoints = [np.asarray(p, dtype=float) for p in waypoints]
-    seg_lengths = [
-        np.linalg.norm(b - a) for a, b in zip(waypoints[:-1], waypoints[1:])
-    ]
-    total = float(sum(seg_lengths))
-    route = []
-    for k in range(n_points):
-        target = total * k / (n_points - 1)
-        acc = 0.0
-        for a, b, L in zip(waypoints[:-1], waypoints[1:], seg_lengths):
-            if target <= acc + L or (a is waypoints[-2] and b is waypoints[-1]):
-                frac = (target - acc) / L if L > 0 else 0.0
-                frac = min(max(frac, 0.0), 1.0)
-                p = a + frac * (b - a)
-                route.append((float(p[0]), float(p[1]), float(rx_height)))
-                break
-            acc += L
-    return route
+    """(n_points, 3) equally spaced points along a polyline, at receiver
+    height."""
+    a = np.array(waypoints[:-1], dtype=float)
+    ab = np.array(waypoints[1:], dtype=float) - a
+    lengths = np.sqrt(_dot(ab, ab))
+    ends = np.cumsum(lengths)
+    targets = ends[-1] * np.arange(n_points) / (n_points - 1)
+    # Each target lies on the first segment that ends at or past it, or on
+    # the last segment.
+    seg = np.minimum(np.searchsorted(ends, targets), len(ab) - 1)
+    start = np.concatenate([[0.0], ends[:-1]])[seg]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        frac = np.where(lengths[seg] > 0,
+                        (targets - start) / lengths[seg], 0.0)
+    xy = a[seg] + np.clip(frac, 0.0, 1.0)[:, None] * ab[seg]
+    return np.column_stack([xy, np.full(n_points, float(rx_height))])
 
 
 def _uniform_tx_route(config, rng):
@@ -819,41 +743,42 @@ def _square_tx_route(config):
     tx = (w / 2.0, h / 2.0, config.tx_height)
     radius = 0.38 * min(w, h)
     angles = np.linspace(0.0, 2.0 * np.pi, config.route_points, endpoint=False)
-    route = [
-        (
-            float(w / 2.0 + radius * np.cos(a)),
-            float(h / 2.0 + radius * np.sin(a)),
-            float(config.rx_height),
-        )
-        for a in angles
-    ]
+    route = np.column_stack([
+        w / 2.0 + radius * np.cos(angles),
+        h / 2.0 + radius * np.sin(angles),
+        np.full(config.route_points, float(config.rx_height)),
+    ])
     return tx, route
 
 
 def _sample_box(config, rng, cx, cy):
+    """A (x, y, width, depth, height) box row centered at (cx, cy)."""
     width = rng.uniform(*config.scatterer_width)
     depth = rng.uniform(*config.scatterer_depth)
     height = rng.uniform(*config.scatterer_height)
-    return Scatterer(center=(cx, cy), width=width, depth=depth, height=height)
+    return (cx, cy, width, depth, height)
 
 
 def _box_clear_of(box, tx, route, margin=1.0):
-    """route is the (n, 3) array of route points."""
+    """Whether the box's footprint grown by margin holds neither tx nor
+    any point of the (n, 3) route."""
+    x, y, w, d, _ = box
+    points = np.vstack([tx, route])
+    px, py = points[:, 0], points[:, 1]
     return not (
-        box.footprint_contains(tx, margin)
-        or box.footprint_contains(route, margin).any()
-    )
+        (x - w / 2.0 - margin <= px) & (px <= x + w / 2.0 + margin)
+        & (y - d / 2.0 - margin <= py) & (py <= y + d / 2.0 + margin)
+    ).any()
 
 
-def _random_scatterers(config, rng, tx, route, keepout_center=False):
+def _random_boxes(config, rng, tx, route, keepout_center=False):
     w, h = config.area_size
     lo, hi = config.scatterer_count
     count = int(rng.integers(lo, hi + 1))
     max_w = config.scatterer_width[1]
     max_d = config.scatterer_depth[1]
     plaza_radius = 0.28 * min(w, h)
-    route = np.asarray(route)
-    scatterers = []
+    boxes = []
     for k in range(count):
         for attempt in range(config.max_placement_retries):
             cx = rng.uniform(max_w / 2.0, w - max_w / 2.0)
@@ -863,29 +788,29 @@ def _random_scatterers(config, rng, tx, route, keepout_center=False):
                 if r < plaza_radius:
                     continue
             box = _sample_box(config, rng, cx, cy)
-            bxmin, bymin, _, bxmax, bymax, _ = box.bounds
-            if bxmin < 0 or bymin < 0 or bxmax > w or bymax > h:
+            _, _, bw, bd, _ = box
+            if (cx - bw / 2.0 < 0 or cy - bd / 2.0 < 0
+                    or cx + bw / 2.0 > w or cy + bd / 2.0 > h):
                 continue
             if _box_clear_of(box, tx, route):
-                scatterers.append(box)
+                boxes.append(box)
                 break
         else:
             raise SceneGenerationError(
                 f"could not place scatterer {k}: clearance from tx/route "
                 f"failed after {config.max_placement_retries} retries"
             )
-    return scatterers
+    return boxes
 
 
-def _intersection_scatterers(config, rng, tx, route):
+def _intersection_boxes(config, rng, tx, route):
     # Dense grid of blocks filling the four quadrants outside the two
     # corridors; grid cells touching tx or the route are skipped.
     w, h = config.area_size
     cx, cy = w / 2.0, h / 2.0
     half_corr = config.corridor_width / 2.0
     cell = max(config.scatterer_width[1], config.scatterer_depth[1]) * 1.6
-    route = np.asarray(route)
-    scatterers = []
+    boxes = []
     xs = np.arange(cell / 2.0, w - cell / 2.0 + 1e-9, cell)
     ys = np.arange(cell / 2.0, h - cell / 2.0 + 1e-9, cell)
     for gx in xs:
@@ -896,5 +821,5 @@ def _intersection_scatterers(config, rng, tx, route):
                 continue
             box = _sample_box(config, rng, float(gx), float(gy))
             if _box_clear_of(box, tx, route):
-                scatterers.append(box)
-    return scatterers
+                boxes.append(box)
+    return boxes

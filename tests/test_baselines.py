@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import make_manual_dataset, make_planted_dataset, unsplit
+from plselect import baselines
 from plselect.baselines import (
     full_feature_mask,
     mi_category_subset,
@@ -134,3 +135,32 @@ class TestCategorySubsets:
         ranking = mi_ranking(planted_ds)
         assert sorted(ranking.ranking) == list(range(1, 11))
         assert np.all(ranking.mi_bits >= 0)
+
+
+class TestRankingCache:
+    def test_one_ranking_per_dataset_and_bin_count(self, monkeypatch):
+        ds = make_planted_dataset(seed=11)
+        calls = []
+        real = baselines.mutual_information
+
+        def spy(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(baselines, "mutual_information", spy)
+        masks = [mi_category_subset(ds, v) for v in ("GE_Struct", "GE_EM")]
+        assert len(calls) == ds.n_features
+        ranking = mi_ranking(ds)
+        assert len(calls) == ds.n_features
+        assert not ranking.mi_bits.flags.writeable
+        X, y = ds.feature_matrix("train"), ds.targets("train")
+        assert ranking.mi_bits.tolist() == [
+            real(X[:, i], y) for i in range(ds.n_features)]
+        # A fresh copy of the dataset computes the same ranking and masks.
+        fresh = replace(ds)
+        assert mi_ranking(fresh).ranking == ranking.ranking
+        assert len(calls) == 2 * ds.n_features
+        for variant, mask in zip(("GE_Struct", "GE_EM"), masks):
+            assert np.array_equal(mi_category_subset(fresh, variant), mask)
+        mi_ranking(ds, bins=8)
+        assert len(calls) == 3 * ds.n_features

@@ -1,8 +1,14 @@
-"""Byte identity of the default pipeline's outputs.
+"""Byte identity of the default pipeline's outputs and of each scene layout.
 
-tests/golden_outputs.json holds the sha256 of every file that `generate`,
-`run` and `report` write for master seed 0 with the default config. To
-record it again, after a change that is meant to alter the outputs, run
+tests/golden_outputs.json holds two tables of sha256 digests:
+
+- "outputs": every file that `generate`, `run`, `run-baselines` and
+  `report` write for master seed 0 with the default config;
+- "scenes": for each layout and seeds 0-4 of the default SceneConfig, the
+  scene's `to_json()` followed by the bytes of the features and path loss
+  that `scene_features_and_path_loss` computes for it.
+
+To record them again, after a change that is meant to alter the outputs, run
 
     PYTHONPATH=src python tests/test_golden_outputs.py > tests/golden_outputs.json
 """
@@ -13,17 +19,24 @@ import sys
 import tempfile
 from pathlib import Path
 
-from plselect.harness import cmd_generate, cmd_report, cmd_run, default_config
+from plselect.harness import (cmd_generate, cmd_report, cmd_run,
+                              cmd_run_baselines, default_config)
+from plselect.scenario import (SceneConfig, generate_scene,
+                               scene_features_and_path_loss)
 
 GOLDEN = Path(__file__).with_name("golden_outputs.json")
 
+LAYOUTS = ("uniform", "intersection", "square")
+SCENE_SEEDS = range(5)
+
 
 def output_digests(out_dir) -> dict:
-    """sha256 of every file that generate, run and report write under
-    out_dir, by path relative to it."""
+    """sha256 of every file that generate, run, run-baselines and report
+    write under out_dir, by path relative to it."""
     cfg = default_config(master_seed=0, out_dir=str(out_dir))
     cmd_generate(cfg)
     cmd_run(cfg)
+    cmd_run_baselines(cfg)
     cmd_report(cfg.out_dir)
     root = Path(out_dir)
     return {
@@ -33,12 +46,33 @@ def output_digests(out_dir) -> dict:
     }
 
 
+def scene_digests() -> dict:
+    """sha256 of each layout's scene JSON, features and path loss, by
+    "<layout>/seed<k>"."""
+    digests = {}
+    for layout in LAYOUTS:
+        for seed in SCENE_SEEDS:
+            scene = generate_scene(SceneConfig(layout=layout, seed=seed))
+            X, y = scene_features_and_path_loss(scene)
+            h = hashlib.sha256(scene.to_json().encode())
+            h.update(X.tobytes())
+            h.update(y.tobytes())
+            digests[f"{layout}/seed{seed}"] = h.hexdigest()
+    return digests
+
+
 def test_default_outputs_match_golden_digests(tmp_path):
-    assert output_digests(tmp_path / "out") == json.loads(GOLDEN.read_text())
+    golden = json.loads(GOLDEN.read_text())["outputs"]
+    assert output_digests(tmp_path / "out") == golden
+
+
+def test_layout_scenes_match_golden_digests():
+    assert scene_digests() == json.loads(GOLDEN.read_text())["scenes"]
 
 
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
-        json.dump(output_digests(Path(tmp) / "out"), sys.stdout, indent=2,
-                  sort_keys=True)
-        sys.stdout.write("\n")
+        golden = {"outputs": output_digests(Path(tmp) / "out"),
+                  "scenes": scene_digests()}
+    json.dump(golden, sys.stdout, indent=2, sort_keys=True)
+    sys.stdout.write("\n")

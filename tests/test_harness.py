@@ -15,10 +15,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from plselect import harness
+from plselect import baselines, harness
 from plselect.cli import main
 from plselect.harness import (
     ExperimentConfig,
+    RESULTS_HEADER,
     HarnessError,
     cmd_generate,
     cmd_report,
@@ -49,6 +50,17 @@ def small_config(tmp_path, seed=0, route_points=60, generations=8):
 def read_rows(path):
     with open(path, newline="") as fh:
         return list(csv.DictReader(fh))
+
+
+# A results CSV without most of its columns, one with a short row, and
+# one with a field longer than the csv module reads.
+MALFORMED_RESULTS = [
+    "task,method\r\ntask1,agent\r\n",
+    ",".join(RESULTS_HEADER) + "\r\ntask1,agent\r\n",
+    ",".join(RESULTS_HEADER) + "\r\ntask1,agent," + "9" * 200_000
+    + ",1,1\r\n",
+]
+MALFORMED_RESULTS_IDS = ["few_columns", "short_row", "oversized_field"]
 
 
 def tree_bytes(root):
@@ -221,6 +233,42 @@ class TestTaskScenarios:
                             ["intersection", "uniform"]]
 
 
+    def test_task_scenario_missing_from_data_is_named(self, tmp_path):
+        cfg = small_config(tmp_path)
+        cmd_generate(cfg)
+        cfg = harness.seeded(replace(
+            cfg,
+            scenarios={**cfg.scenarios, "uniform": replace(
+                cfg.scenarios["square"], layout="uniform")},
+            task_scenarios={**cfg.task_scenarios,
+                            "task4": ("intersection", "uniform")},
+        ), 0)
+        pooled = Path(cfg.out_dir) / "data" / "pooled.csv"
+        message = re.escape(
+            f"{pooled} has no rows of the scenarios ['uniform'] that task4 "
+            "names; run generate with this config first")
+        with pytest.raises(HarnessError, match=message):
+            cmd_run(cfg, tasks=["task4"])
+        with pytest.raises(HarnessError, match=message):
+            cmd_run_baselines(cfg, tasks=["task4"])
+
+    def test_mi_ranking_once_per_baseline_dataset(self, tmp_path,
+                                                  monkeypatch):
+        cfg = small_config(tmp_path)
+        cmd_generate(cfg)
+        calls = []
+        real = baselines.mutual_information
+
+        def spy(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(baselines, "mutual_information", spy)
+        cmd_run(cfg)
+        # task1, task2 and task3 each rank the 10 features of one dataset.
+        assert len(calls) == 3 * 10
+
+
 class TestBaselinesCommand:
     def test_writes_baseline_rows(self, tmp_path):
         cfg = small_config(tmp_path)
@@ -332,6 +380,21 @@ class TestReport:
         trace.write_text("\n".join(lines) + "\n")
         with pytest.raises(HarnessError, match=re.escape(
             f"malformed generations trace {trace}"
+        )):
+            cmd_report(str(copy))
+
+
+    @pytest.mark.parametrize("text", MALFORMED_RESULTS,
+                             ids=MALFORMED_RESULTS_IDS)
+    def test_malformed_results_table_is_named(self, run_outputs, text):
+        cfg, _ = run_outputs
+        copy = Path(cfg.out_dir).parent / "bad_results"
+        shutil.copytree(Path(cfg.out_dir) / "results", copy / "results",
+                        dirs_exist_ok=True)
+        table = copy / "results" / "task1_results.csv"
+        table.write_bytes(text.encode())
+        with pytest.raises(HarnessError, match=re.escape(
+            f"malformed results table {table}"
         )):
             cmd_report(str(copy))
 
@@ -735,6 +798,12 @@ class TestCli:
         ("PLSELECT_SCENARIOS__INTERSECTION__CORRIDOR_WIDTH", "-1",
          "config scenarios.intersection: SceneConfig.corridor_width must "
          "be finite and >= 0, got -1.0"),
+        ("PLSELECT_SCENARIOS__SQUARE__LAYOUT", "hexagon",
+         "config scenarios.square: SceneConfig.layout must be one of "
+         "('uniform', 'intersection', 'square'), got 'hexagon'"),
+        ("PLSELECT_SCENARIOS__SQUARE__MAX_PLACEMENT_RETRIES", "-3",
+         "config scenarios.square: SceneConfig.max_placement_retries must "
+         "be >= 1, got -3"),
     ])
     def test_scene_range_exit_code(self, tmp_path, capsys, monkeypatch,
                                    variable, value, message):
@@ -753,14 +822,38 @@ class TestCli:
         assert capsys.readouterr().err.startswith(
             "error: task 'task1' must name one or more of the scenarios")
 
+    def test_bad_layout_refused_by_run(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("PLSELECT_SCENARIOS__SQUARE__LAYOUT", "hexagon")
+        assert main(["run", "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: config scenarios.square: SceneConfig.layout must be")
+
     def test_placement_failure_exit_code(self, tmp_path, capsys,
                                          monkeypatch):
+        # A box as large as the area always covers the transmitter.
+        for key in ("SCATTERER_WIDTH", "SCATTERER_DEPTH"):
+            monkeypatch.setenv(f"PLSELECT_SCENARIOS__SQUARE__{key}",
+                               "[400, 400]")
         monkeypatch.setenv("PLSELECT_SCENARIOS__SQUARE__MAX_PLACEMENT_RETRIES",
-                           "0")
+                           "1")
         assert main(["generate", "--out", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err == (
             "error: scenario 'square': could not place scatterer 0: "
-            "clearance from tx/route failed after 0 retries\n")
+            "clearance from tx/route failed after 1 retries\n")
+
+    @pytest.mark.parametrize("command", ["report", "run-baselines"])
+    @pytest.mark.parametrize("text", MALFORMED_RESULTS,
+                             ids=MALFORMED_RESULTS_IDS)
+    def test_malformed_results_exit_code(self, run_outputs, tmp_path, capsys,
+                                         command, text):
+        cfg, _ = run_outputs
+        out = tmp_path / "out"
+        shutil.copytree(cfg.out_dir, out)
+        table = out / "results" / "task1_results.csv"
+        table.write_bytes(text.encode())
+        assert main([command, "--out", str(out), "--task", "task1"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: malformed results table {table}\n")
 
     def test_negative_seed_exit_code(self, tmp_path, capsys):
         assert main(["generate", "--seed", "-1",

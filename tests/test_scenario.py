@@ -1,14 +1,12 @@
-import json
-
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from plselect import scenario
 from plselect.scenario import (
     FSPL_CONSTANT_DB,
     FeatureCatalog,
-    Scatterer,
     Scene,
     SceneConfig,
     SceneGenerationError,
@@ -19,15 +17,16 @@ from plselect.scenario import (
 )
 
 
-def make_scene(scatterers=(), tx=(0.0, 0.0, 10.0), route=None,
+def make_scene(boxes=(), tx=(0.0, 0.0, 10.0), route=None,
                frequency=3.5e9, bounds=(-2000.0, -2000.0, 2000.0, 2000.0),
                seed=0):
+    """A Scene of box rows (center x, center y, width, depth, height)."""
     if route is None:
         route = ((100.0, 0.0, 1.5), (200.0, 0.0, 1.5))
     return Scene(
         tx_position=tx,
-        scatterers=tuple(scatterers),
-        rx_route=tuple(route),
+        rx_route=route,
+        boxes=boxes,
         carrier_frequency=frequency,
         area_bounds=bounds,
         seed=seed,
@@ -49,7 +48,7 @@ class TestGenerateScene:
     def test_empty_scene(self):
         cfg = SceneConfig(scatterer_count=(0, 0), route_points=10, seed=7)
         scene = generate_scene(cfg)
-        assert len(scene.scatterers) == 0
+        assert scene.boxes.shape == (0, 5)
         assert scene.n_route_points == 10
 
     def test_determinism(self):
@@ -59,10 +58,9 @@ class TestGenerateScene:
     def test_count_range_and_containment(self):
         cfg = SceneConfig(scatterer_count=(20, 30), route_points=40, seed=1)
         scene = generate_scene(cfg)
-        assert 20 <= len(scene.scatterers) <= 30
+        assert 20 <= len(scene.boxes) <= 30
         xmin, ymin, xmax, ymax = scene.area_bounds
-        for s in scene.scatterers:
-            bxmin, bymin, _, bxmax, bymax, _ = s.bounds
+        for bxmin, bymin, _, bxmax, bymax, _ in scene.bounds:
             assert bxmin >= xmin and bymin >= ymin
             assert bxmax <= xmax and bymax <= ymax
 
@@ -79,77 +77,120 @@ class TestGenerateScene:
         with pytest.raises(SceneGenerationError):
             generate_scene(cfg)
 
-    def test_json_round_trip(self):
-        cfg = SceneConfig(scatterer_count=(5, 8), route_points=12, seed=11)
-        scene = generate_scene(cfg)
-        assert Scene.from_json(scene.to_json()) == scene
 
+class TestSceneColumns:
+    def test_columns_are_read_only_copies(self):
+        tx = np.array([0.0, 0.0, 10.0])
+        route = np.array([[100.0, 0.0, 1.5], [200.0, 0.0, 1.5]])
+        boxes = np.array([[50.0, 20.0, 4.0, 6.0, 8.0]])
+        scene = make_scene(boxes=boxes, tx=tx, route=route)
+        for name, given in (("tx_position", tx), ("rx_route", route),
+                            ("boxes", boxes)):
+            column = getattr(scene, name)
+            assert column.dtype == float and not column.flags.writeable
+            assert np.array_equal(column, given)
+            given += 1.0
+            assert not np.array_equal(column, given)
+            with pytest.raises(ValueError):
+                column[0] = 0.0
 
-JSON_VALUES = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats()
-    | st.text(max_size=4),
-    lambda children: st.lists(children, max_size=4)
-    | st.dictionaries(st.text(max_size=8), children, max_size=4),
-    max_leaves=8,
-)
+    def test_bounds_and_volumes_follow_the_box_rows(self):
+        scene = make_scene(boxes=[(50.0, 20.0, 4.0, 6.0, 8.0),
+                                  (-30.0, 5.0, 1.0, 3.0, 2.5)])
+        assert scene.bounds.tolist() == [
+            [48.0, 17.0, 0.0, 52.0, 23.0, 8.0],
+            [-30.5, 3.5, 0.0, -29.5, 6.5, 2.5],
+        ]
+        assert scene.volumes.tolist() == [192.0, 7.5]
 
-VALID_SCENE = json.loads(generate_scene(
-    SceneConfig(scatterer_count=(2, 3), route_points=4, seed=5)).to_json())
-
-
-@st.composite
-def mutated_scene_docs(draw):
-    """A valid scene document with one entry, at any depth, deleted or
-    replaced by an arbitrary JSON value."""
-    doc = json.loads(json.dumps(VALID_SCENE))
-    node = doc
-    while True:
-        key = draw(st.sampled_from(
-            sorted(node) if isinstance(node, dict) else range(len(node))))
-        child = node[key]
-        if isinstance(child, (dict, list)) and child and draw(st.booleans()):
-            node = child
-            continue
-        if isinstance(node, dict) and draw(st.booleans()):
-            del node[key]
-        else:
-            node[key] = draw(JSON_VALUES)
-        return doc
-
-
-class TestSceneFromJson:
-    @pytest.mark.parametrize("text, message", [
-        ("{}", "no key 'tx_position'"),
-        ("[]", "must be an object"),
-        ("3", "must be an object"),
-        ('{"tx_position": [1, 2]}', "'tx_position': expected 3 numbers"),
+    @pytest.mark.parametrize("columns, message", [
+        (dict(route=[(100.0, 0.0), (200.0, 0.0)]), "rx_route must have shape"),
+        (dict(route=[100.0, 0.0, 1.5, 200.0, 0.0, 1.5]),
+         "rx_route must have shape"),
+        (dict(boxes=[(50.0, 20.0, 4.0, 6.0)]), "boxes must have shape"),
+        (dict(boxes=[50.0, 20.0, 4.0, 6.0, 8.0]), "boxes must have shape"),
+        (dict(tx=(0.0, 10.0)), "tx_position must have shape"),
+        (dict(route=[(100.0, 0.0, 1.5)]), "at least 2 points"),
+        (dict(tx=(0.0, 0.0, 0.0)), "tx height must be positive"),
     ])
-    def test_bad_document_names_key(self, text, message):
+    def test_malformed_columns_raise(self, columns, message):
         with pytest.raises(ValueError, match=message):
-            Scene.from_json(text)
+            make_scene(**columns)
 
-    @pytest.mark.parametrize("key, value, message", [
-        ("seed", 1.5, "'seed': expected an integer"),
-        ("carrier_frequency", "3.5e9", "'carrier_frequency': expected a"),
-        ("carrier_frequency", float("nan"), "'carrier_frequency': expected"),
-        ("rx_route", {"a": 1}, "'rx_route': expected an array"),
-        ("scatterers", [{"center": [1, 2]}], "'scatterers': a scatterer has"),
-        ("area_bounds", [0, 0, True, 400], "'area_bounds': expected a"),
+    @pytest.mark.parametrize("column", [2, 3, 4])
+    @pytest.mark.parametrize("value", [0.0, -1.0])
+    def test_non_positive_dimension_raises(self, column, value):
+        box = [50.0, 20.0, 4.0, 6.0, 8.0]
+        box[column] = value
+        with pytest.raises(ValueError, match="strictly positive"):
+            make_scene(boxes=[box])
+
+    @pytest.mark.parametrize("box", [
+        (1.0, 50.0, 4.0, 4.0, 5.0),
+        (50.0, 1.0, 4.0, 4.0, 5.0),
+        (99.0, 50.0, 4.0, 4.0, 5.0),
+        (50.0, 99.0, 4.0, 4.0, 5.0),
     ])
-    def test_malformed_key_named(self, key, value, message):
-        doc = dict(VALID_SCENE, **{key: value})
-        with pytest.raises(ValueError, match=message):
-            Scene.from_json(json.dumps(doc))
+    def test_footprint_outside_area_raises(self, box):
+        with pytest.raises(ValueError, match="outside area bounds"):
+            make_scene(boxes=[box], bounds=(0.0, 0.0, 100.0, 100.0))
+        inside = (50.0, 50.0) + box[2:]
+        make_scene(boxes=[inside], bounds=(0.0, 0.0, 100.0, 100.0))
+
+
+def scalar_waypoint_route(waypoints, n_points, rx_height):
+    """The point-by-point walk along the polyline that the array
+    _route_along_waypoints must reproduce bit for bit."""
+    waypoints = [np.asarray(p, dtype=float) for p in waypoints]
+    segments = list(zip(waypoints[:-1], waypoints[1:]))
+    lengths = [np.linalg.norm(b - a) for a, b in segments]
+    total = float(sum(lengths))
+    route = []
+    for k in range(n_points):
+        target = total * k / (n_points - 1)
+        acc = 0.0
+        for i, ((a, b), length) in enumerate(zip(segments, lengths)):
+            if target <= acc + length or i == len(segments) - 1:
+                frac = (target - acc) / length if length > 0 else 0.0
+                p = a + min(max(frac, 0.0), 1.0) * (b - a)
+                route.append((float(p[0]), float(p[1]), float(rx_height)))
+                break
+            acc += length
+    return route
+
+
+class TestRouteOracle:
+    # Whole-meter coordinates repeat often, giving zero-length segments.
+    coordinate = st.one_of(st.integers(0, 3).map(float),
+                           st.floats(0.0, 1000.0, allow_nan=False))
 
     @settings(max_examples=300, deadline=None)
-    @given(doc=JSON_VALUES | mutated_scene_docs())
-    @example(doc=dict(VALID_SCENE, tx_position=[10 ** 400, 0, 1]))
-    def test_any_document_loads_or_raises_value_error(self, doc):
-        try:
-            scene = Scene.from_json(json.dumps(doc))
-        except ValueError:
-            return
-        assert Scene.from_json(scene.to_json()) == scene
+    @given(waypoints=st.lists(st.tuples(coordinate, coordinate),
+                              min_size=2, max_size=6),
+           n_points=st.integers(2, 80))
+    @example(waypoints=[(0.0, 0.0), (0.0, 0.0)], n_points=5)
+    @example(waypoints=[(1.0, 1.0), (1.0, 1.0), (3.0, 1.0)], n_points=7)
+    def test_waypoint_route_matches_scalar_walk(self, waypoints, n_points):
+        route = scenario._route_along_waypoints(waypoints, n_points, 1.5)
+        expected = np.array(scalar_waypoint_route(waypoints, n_points, 1.5))
+        assert route.shape == (n_points, 3)
+        np.testing.assert_array_equal(route.view(np.int64),
+                                      expected.view(np.int64))
+
+    @pytest.mark.parametrize("area_size", [(400.0, 400.0), (250.0, 310.0)])
+    @pytest.mark.parametrize("route_points", [2, 3, 7, 53, 100, 600])
+    def test_square_ring_matches_scalar_trigonometry(self, area_size,
+                                                     route_points):
+        cfg = SceneConfig(area_size=area_size, route_points=route_points)
+        _, route = scenario._square_tx_route(cfg)
+        w, h = area_size
+        radius = 0.38 * min(w, h)
+        angles = np.linspace(0.0, 2.0 * np.pi, route_points, endpoint=False)
+        expected = np.array([(float(w / 2.0 + radius * np.cos(a)),
+                              float(h / 2.0 + radius * np.sin(a)), 1.5)
+                             for a in angles])
+        np.testing.assert_array_equal(route.view(np.int64),
+                                      expected.view(np.int64))
 
 
 # np.allclose's default tolerances.
@@ -192,7 +233,7 @@ class TestRouteDistinctness:
                                " must be distinct$"):
                 make_scene(route=route)
         else:
-            assert make_scene(route=route).rx_route == route
+            assert np.array_equal(make_scene(route=route).rx_route, route)
 
     def test_repeat_is_found_at_any_position(self):
         route = [(float(i), 0.0, 1.5) for i in range(6)]
@@ -226,6 +267,9 @@ class TestSceneConfigRanges:
         ("corridor_width", float("nan")),
         ("scatterer_width", (8.0, 400.5)),
         ("scatterer_depth", (500.0, 500.0)),
+        ("layout", "hexagon"),
+        ("max_placement_retries", 0),
+        ("max_placement_retries", -3),
     ])
     def test_out_of_range_value_names_field(self, field, value):
         with pytest.raises(ValueError, match=f"SceneConfig.{field} must"):
@@ -254,9 +298,9 @@ class TestPathLoss:
         assert b - a == pytest.approx(20 * np.log10(2), abs=1e-9)
 
     def test_blocker_adds_loss(self):
-        blocker = Scatterer(center=(100.0, 0.0), width=10, depth=10, height=30)
+        blocker = (100.0, 0.0, 10, 10, 30)
         route = ((200.0, 0.0, 1.5), (210.0, 0.0, 1.5))
-        blocked = make_scene(scatterers=[blocker], route=route)
+        blocked = make_scene(boxes=[blocker], route=route)
         clear = make_scene(route=route)
         assert ground_truth_path_loss(
             blocked, 0, shadowing_sigma=0.0
@@ -344,17 +388,14 @@ class TestSegmentBoxIntersection:
             p0 = rng.uniform(-50, 450, size=3)
             p1 = rng.uniform(-50, 450, size=3)
             center = rng.uniform(0, 400, size=2)
-            box = Scatterer(
-                center=tuple(center),
-                width=rng.uniform(5, 60),
-                depth=rng.uniform(5, 60),
-                height=rng.uniform(5, 60),
-            )
-            fast = segment_box_intersection(p0, p1, box.bounds) is not None
-            brute = self.brute_force_hit(p0, p1, box.bounds)
+            box = (*center, rng.uniform(5, 60), rng.uniform(5, 60),
+                   rng.uniform(5, 60))
+            bounds = make_scene(boxes=[box]).bounds[0]
+            fast = segment_box_intersection(p0, p1, bounds) is not None
+            brute = self.brute_force_hit(p0, p1, bounds)
             if fast != brute:
                 # sampling can miss a sliver crossing; re-check densely
-                brute = self.brute_force_hit(p0, p1, box.bounds, n=2_000_000)
+                brute = self.brute_force_hit(p0, p1, bounds, n=2_000_000)
             assert fast == brute
 
     def test_blockage_count_matches_brute_force(self):
@@ -367,13 +408,12 @@ class TestSegmentBoxIntersection:
             scene = generate_scene(cfg)
             i = int(rng.integers(scene.n_route_points))
             f8 = extract_features(scene, i)[7]
-            p0 = np.asarray(scene.tx_position)
-            p1 = np.asarray(scene.rx_route[i])
+            p0 = scene.tx_position
+            p1 = scene.rx_route[i]
             pts = p0 + t * (p1 - p0)
             brute = 0
-            for s in scene.scatterers:
-                lo = np.asarray(s.bounds[:3])
-                hi = np.asarray(s.bounds[3:])
+            for bounds in scene.bounds:
+                lo, hi = bounds[:3], bounds[3:]
                 brute += bool(
                     np.all((pts >= lo) & (pts <= hi), axis=1).any()
                 )

@@ -11,7 +11,6 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from plselect.scenario import (
-    Scatterer,
     Scene,
     SceneConfig,
     extract_features,
@@ -71,8 +70,8 @@ AREA = (0.0, 0.0, 100.0, 100.0)
 def make_scene(route, boxes=(), tx=(50.0, 50.0, 10.0), seed=7):
     return Scene(
         tx_position=tx,
-        scatterers=tuple(boxes),
-        rx_route=tuple(route),
+        rx_route=route,
+        boxes=boxes,
         carrier_frequency=3.5e9,
         area_bounds=AREA,
         seed=seed,
@@ -80,9 +79,10 @@ def make_scene(route, boxes=(), tx=(50.0, 50.0, 10.0), seed=7):
 
 
 LINE = [(10.0, 50.0, 1.5), (20.0, 50.0, 1.5), (30.0, 55.0, 1.5)]
-WALL = Scatterer(center=(40.0, 60.0), width=4.0, depth=30.0, height=20.0)
-LOW_WALL = Scatterer(center=(35.0, 62.0), width=2.0, depth=30.0, height=5.0)
-FAR_BOX = Scatterer(center=(90.0, 10.0), width=6.0, depth=6.0, height=12.0)
+# Box rows: center x, center y, width, depth, height.
+WALL = (40.0, 60.0, 4.0, 30.0, 20.0)
+LOW_WALL = (35.0, 62.0, 2.0, 30.0, 5.0)
+FAR_BOX = (90.0, 10.0, 6.0, 6.0, 12.0)
 
 NO_SCATTERERS = make_scene(LINE)
 # Receivers at the Tx height: the direct ray has d_z == 0 and takes the
@@ -142,7 +142,7 @@ def boxes(draw):
     cx = draw(st.floats(8.0, 92.0))
     cy = draw(st.floats(8.0, 92.0))
     height = draw(st.sampled_from([1.5, 5.0, 10.0, 25.0]))
-    return Scatterer(center=(cx, cy), width=width, depth=depth, height=height)
+    return (cx, cy, width, depth, height)
 
 
 @st.composite
