@@ -18,7 +18,8 @@ from .dataset import Dataset, DatasetError
 
 DEFAULT_MI_BINS = 16
 
-MI_VARIANTS = ("GE_Struct", "GE_EM")
+# Each MI subset variant with the category that joins Geometry in it.
+MI_VARIANTS = {"GE_Struct": "Structure", "GE_EM": "Knowledge"}
 
 
 @dataclass(frozen=True)
@@ -92,11 +93,10 @@ def mi_category_subset(
     """Top-2 Geometry features plus top-2 of the variant's second category,
     by the categories of ds.catalog."""
     if variant not in MI_VARIANTS:
-        raise ValueError(f"variant must be one of {MI_VARIANTS}")
+        raise ValueError(f"variant must be one of {tuple(MI_VARIANTS)}")
     ranking = mi_ranking(ds, bins)
-    second = "Structure" if variant == "GE_Struct" else "Knowledge"
     mask = np.zeros(ds.n_features, dtype=np.int8)
-    for category in ("Geometry", second):
+    for category in ("Geometry", MI_VARIANTS[variant]):
         members = set(ds.catalog.indices_for_category(category))
         top = [i for i in ranking.ranking if i in members][:2]
         for i in top:

@@ -26,6 +26,9 @@ from .scenario import (
 
 SPLITS = ("train", "val", "test")
 
+# The fraction of each scenario's rows in each split, in SPLITS order.
+DEFAULT_SPLIT_FRACTIONS = (0.7, 0.15, 0.15)
+
 CSV_HEADER = ["scenario_id", "route_index"] + [
     f"f{i}" for i in range(1, len(FEATURE_SYMBOLS) + 1)
 ] + ["path_loss"]
@@ -200,7 +203,7 @@ def check_split_fractions(fractions: Sequence[float]) -> None:
 
 def split_dataset(
     ds: Dataset,
-    fractions: Tuple[float, float, float] = (0.7, 0.15, 0.15),
+    fractions: Tuple[float, float, float] = DEFAULT_SPLIT_FRACTIONS,
     seed: int = 0,
 ) -> Dataset:
     """Assign train/val/test labels, stratified by scenario_id: each

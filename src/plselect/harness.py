@@ -11,7 +11,6 @@ report cuts its figure tables.
 from __future__ import annotations
 
 import csv
-import io
 import json
 import math
 import os
@@ -24,6 +23,7 @@ import numpy as np
 
 from . import baselines as bl
 from .dataset import (
+    DEFAULT_SPLIT_FRACTIONS,
     Dataset,
     DatasetError,
     build_dataset,
@@ -37,7 +37,8 @@ from .dataset import (
     write_csv,
 )
 from .predictor import PredictorConfig, evaluate_mask
-from .scenario import (FEATURE_SYMBOLS, SceneConfig, SceneGenerationError,
+from .scenario import (DEFAULT_CORRIDOR_RADIUS, DEFAULT_SHADOWING_SIGMA,
+                       FEATURE_SYMBOLS, SceneConfig, SceneGenerationError,
                        generate_scene)
 from .scoring import ScoreWeights
 from .search import SearchConfig, SearchResult, run_search
@@ -81,9 +82,9 @@ class ExperimentConfig:
     search: SearchConfig = field(default_factory=SearchConfig)
     weights: ScoreWeights = field(default_factory=ScoreWeights)
     predictor: PredictorConfig = field(default_factory=PredictorConfig)
-    split_fractions: tuple = (0.7, 0.15, 0.15)
-    shadowing_sigma: float = 3.0
-    corridor_radius: float = 50.0
+    split_fractions: tuple = DEFAULT_SPLIT_FRACTIONS
+    shadowing_sigma: float = DEFAULT_SHADOWING_SIGMA
+    corridor_radius: float = DEFAULT_CORRIDOR_RADIUS
     random_baseline_seeds: int = 10
     out_dir: str = "out"
     master_seed: int = 0
@@ -101,10 +102,10 @@ class ExperimentConfig:
                 raise HarnessError(f"{name} must be finite and non-negative")
         for task, names in self.task_scenarios.items():
             unknown = [n for n in names if n not in self.scenarios]
-            if not names or unknown:
+            if not names or unknown or len(set(names)) < len(names):
                 raise HarnessError(
                     f"task {task!r} must name one or more of the scenarios "
-                    f"{list(self.scenarios)}, got {list(names)}")
+                    f"{list(self.scenarios)}, each once, got {list(names)}")
 
 
 def seeded(cfg: ExperimentConfig, master_seed: int) -> ExperimentConfig:
@@ -123,23 +124,16 @@ def seeded(cfg: ExperimentConfig, master_seed: int) -> ExperimentConfig:
 
 
 def default_config(master_seed: int = 0, out_dir: str = "out") -> ExperimentConfig:
-    base = dict(
-        area_size=(400.0, 400.0),
-        route_points=600,
-        carrier_frequency=3.5e9,
-        tx_height=10.0,
-        rx_height=1.5,
-    )
-    scenarios = {
-        "intersection": SceneConfig(
-            layout="intersection", corridor_width=30.0, **base
-        ),
-        "square": SceneConfig(
-            layout="square", scatterer_count=(35, 45), **base
-        ),
-    }
+    """The published experiment. Its scenes keep SceneConfig's defaults
+    but for the layout, the route length and the square's scatterer
+    count."""
     cfg = ExperimentConfig(
-        scenarios=scenarios,
+        scenarios={
+            "intersection": SceneConfig(layout="intersection",
+                                        route_points=600),
+            "square": SceneConfig(layout="square", route_points=600,
+                                  scatterer_count=(35, 45)),
+        },
         task_scenarios={
             "task1": ("intersection",),
             "task2": ("square",),
@@ -265,10 +259,11 @@ def _atomic_write_text(path: Path, text: str) -> None:
     _atomic_write(path, lambda tmp: tmp.write_text(text))
 
 
-def _atomic_write_rows(path: Path, header, rows) -> None:
+def _atomic_write_rows(path: Path, header, rows,
+                       lineterminator: str = "\r\n") -> None:
     def write(tmp):
         with open(tmp, "w", newline="") as fh:
-            writer = csv.writer(fh)
+            writer = csv.writer(fh, lineterminator=lineterminator)
             writer.writerow(header)
             writer.writerows(rows)
 
@@ -283,6 +278,18 @@ def _feature_string(mask) -> str:
     return "(" + ",".join(
         str(i + 1) for i, b in enumerate(mask) if b
     ) + ")"
+
+
+def _feature_count(features: str, n_features: int, path: Path) -> int:
+    """The number of features that a features field names, as
+    _feature_string writes it for a mask of n_features with at least one
+    feature set; any other field raises HarnessError naming the results
+    table at path as malformed."""
+    indices = features[1:-1].split(",")
+    mask = [str(i) in indices for i in range(1, n_features + 1)]
+    if not any(mask) or _feature_string(mask) != features:
+        raise HarnessError(f"malformed results table {path}")
+    return sum(mask)
 
 
 def _result_row(row) -> List[str]:
@@ -400,10 +407,10 @@ def _baseline_rows(
         rows.append((task, "random", None, mean_rmse, mean_score))
         rows.extend(random_rows)
 
-    for variant, method in (("GE_Struct", "mi_ge_struct"),
-                            ("GE_EM", "mi_ge_em")):
+    for variant in bl.MI_VARIANTS:
         mask = bl.mi_category_subset(ds, variant)
-        rows.append(_evaluated_row(cfg, ds, task, method, mask))
+        rows.append(_evaluated_row(cfg, ds, task, f"mi_{variant.lower()}",
+                                   mask))
     return rows
 
 
@@ -489,7 +496,7 @@ def cmd_run_baselines(
             for _, method, features, _, _ in _read_table(
                     existing, RESULTS_HEADER, "results table"):
                 if method == "agent":
-                    k = features.count(",") + 1
+                    k = _feature_count(features, ds.n_features, existing)
                     break
         rows = _baseline_rows(cfg, task, ds, k)
         _atomic_write_rows(out / f"{task}_baselines.csv", RESULTS_HEADER,
@@ -528,11 +535,9 @@ def cmd_report(out_dir: str, tasks: Optional[Sequence[str]] = None) -> str:
             # Figure lines end in "\n", results lines in the csv module's
             # "\r\n": the figures were once text-mode copies of results
             # CSVs, and keep those bytes.
-            text = io.StringIO()
-            csv.writer(text, lineterminator="\n").writerows(
-                [columns] + _trace_columns(gen_rows, columns))
-            _atomic_write_text(out / "report" / f"fig_{figure}_{task}.csv",
-                               text.getvalue())
+            _atomic_write_rows(out / "report" / f"fig_{figure}_{task}.csv",
+                               columns, _trace_columns(gen_rows, columns),
+                               lineterminator="\n")
     if missing or not table_rows:
         raise HarnessError(
             "missing run artifacts:\n" + "\n".join(missing or ["(no results)"])

@@ -457,23 +457,16 @@ def extract_features(
             detour += np.exp(-excess / d_txrx)
         f[8] = float(detour)
 
-    blockers = []
-    for bounds in scene.bounds:
-        hit = segment_box_intersection(tx, rx, bounds)
-        if hit is not None:
-            blockers.append((bounds[5], hit))
-    f[7] = float(len(blockers))
-
-    if blockers:
-        best_nu = -np.inf
-        for height, hit in blockers:
-            t_mid = 0.5 * (hit[0] + hit[1])
-            d1 = t_mid * d_txrx
-            d2 = (1.0 - t_mid) * d_txrx
-            z_los = tx[2] + t_mid * (rx[2] - tx[2])
-            nu = fresnel_parameter(height - z_los, d1, d2, wavelength)
-            best_nu = max(best_nu, nu)
-        f[9] = float(best_nu)
+    edges = _blocker_edges(scene, rx_index)
+    f[7] = float(len(edges))
+    # The edges are sorted along the ray; their max is the same in any order.
+    nus = []
+    for t_mid, height in edges:
+        z_los = tx[2] + t_mid * (rx[2] - tx[2])
+        nus.append(fresnel_parameter(height - z_los, t_mid * d_txrx,
+                                     (1.0 - t_mid) * d_txrx, wavelength))
+    if nus:
+        f[9] = float(max(nus))
 
     return f
 

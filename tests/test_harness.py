@@ -562,6 +562,8 @@ class TestConfigLoading:
     @pytest.mark.parametrize("names, shown", [
         ([], "got []"), (["nowhere"], "got ['nowhere']"),
         (["square", "nowhere"], "got ['square', 'nowhere']"),
+        (["intersection", "intersection"],
+         "each once, got ['intersection', 'intersection']"),
     ])
     def test_task_must_name_known_scenarios(self, names, shown):
         variable = {"PLSELECT_TASK_SCENARIOS__TASK1": json.dumps(names)}
@@ -592,6 +594,19 @@ class TestConfigLoading:
         assert cfg.search.eta == 0.1
         assert cfg.weights.lambda_c == 0.3
         assert cfg.weights.lambda_n == 0.3
+        for sc in cfg.scenarios.values():
+            assert sc.area_size == (400.0, 400.0)
+            assert sc.route_points == 600
+            assert sc.carrier_frequency == 3.5e9
+            assert sc.tx_height == 10.0
+            assert sc.rx_height == 1.5
+        assert cfg.scenarios["intersection"].layout == "intersection"
+        assert cfg.scenarios["intersection"].corridor_width == 30.0
+        assert cfg.scenarios["square"].layout == "square"
+        assert cfg.scenarios["square"].scatterer_count == (35, 45)
+        assert cfg.shadowing_sigma == 3.0
+        assert cfg.corridor_radius == 50.0
+        assert cfg.split_fractions == (0.7, 0.15, 0.15)
 
 
 JSON_VALUES = st.recursive(
@@ -852,6 +867,31 @@ class TestCli:
         table = out / "results" / "task1_results.csv"
         table.write_bytes(text.encode())
         assert main([command, "--out", str(out), "--task", "task1"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: malformed results table {table}\n")
+
+    # No feature, a mean row's field, an index out of range, a repeated
+    # index, and more indices than features.
+    @pytest.mark.parametrize("features", [
+        "()", "mean", "(0)", "(2,2,2)",
+        "(" + ",".join(str(i) for i in range(1, 12)) + ")",
+    ])
+    def test_malformed_agent_features_exit_code(self, run_outputs, tmp_path,
+                                                capsys, features):
+        cfg, _ = run_outputs
+        out = tmp_path / "out"
+        shutil.copytree(cfg.out_dir, out)
+        table = out / "results" / "task1_results.csv"
+        rows = read_rows(table)
+        for row in rows:
+            if row["method"] == "agent":
+                row["features"] = features
+        with open(table, "w", newline="") as fh:
+            writer = csv.DictWriter(fh, RESULTS_HEADER)
+            writer.writeheader()
+            writer.writerows(rows)
+        args = ["--out", str(out), "--task", "task1"]
+        assert main(["run-baselines"] + args) == 2
         assert capsys.readouterr().err == (
             f"error: malformed results table {table}\n")
 
