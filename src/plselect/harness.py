@@ -36,7 +36,7 @@ from .dataset import (
     standardize,
     write_csv,
 )
-from .predictor import PredictorConfig, evaluate_mask
+from .predictor import PredictorConfig, evaluate_mask, evaluate_masks
 from .scenario import (DEFAULT_CORRIDOR_RADIUS, DEFAULT_SHADOWING_SIGMA,
                        FEATURE_SYMBOLS, SceneConfig, SceneGenerationError,
                        generate_scene)
@@ -377,40 +377,30 @@ def _prepare(ds: Dataset, cfg: ExperimentConfig) -> Dataset:
     return standardize(ds)
 
 
-def _evaluated_row(cfg: ExperimentConfig, ds: Dataset, task: str,
-                   method: str, mask) -> tuple:
-    """A (task, method, mask, rmse, score) row for mask evaluated on ds."""
-    cand = evaluate_mask(mask, ds, cfg.weights, cfg.predictor)
-    return (task, method, mask, cand.breakdown.rmse, cand.score)
-
-
 def _baseline_rows(
     cfg: ExperimentConfig, task: str, ds: Dataset, cardinality: int
 ) -> List[tuple]:
-    """Rows for the full, random and MI-category baselines. The random
-    masks select `cardinality` features; their mean row precedes them,
-    and with no random seeds there are neither."""
-    rows = [_evaluated_row(cfg, ds, task, "full",
-                           bl.full_feature_mask(ds.n_features))]
-    random_rows = []
+    """Rows for the full, random and MI-category baselines, scored as one
+    batch. The random masks select `cardinality` features; their mean row
+    precedes them, and with no random seeds there are neither."""
+    named = [("full", bl.full_feature_mask(ds.n_features))]
     for k in range(cfg.random_baseline_seeds):
         rng = np.random.default_rng(
             np.random.SeedSequence([cfg.master_seed, 9001, k])
         )
-        mask = bl.random_subset_mask(cardinality, ds.n_features, rng)
-        random_rows.append(
-            _evaluated_row(cfg, ds, task, f"random_seed{k}", mask)
-        )
+        named.append((f"random_seed{k}",
+                      bl.random_subset_mask(cardinality, ds.n_features, rng)))
+    named.extend((f"mi_{variant.lower()}", bl.mi_category_subset(ds, variant))
+                 for variant in bl.MI_VARIANTS)
+    scored = evaluate_masks([mask for _, mask in named], ds, cfg.weights,
+                            cfg.predictor)
+    rows = [(task, method, mask, cand.breakdown.rmse, cand.score)
+            for (method, mask), cand in zip(named, scored)]
+    random_rows = rows[1:1 + cfg.random_baseline_seeds]
     if random_rows:
         mean_rmse = float(np.mean([r[3] for r in random_rows]))
         mean_score = float(np.mean([r[4] for r in random_rows]))
-        rows.append((task, "random", None, mean_rmse, mean_score))
-        rows.extend(random_rows)
-
-    for variant in bl.MI_VARIANTS:
-        mask = bl.mi_category_subset(ds, variant)
-        rows.append(_evaluated_row(cfg, ds, task, f"mi_{variant.lower()}",
-                                   mask))
+        rows.insert(1, (task, "random", None, mean_rmse, mean_score))
     return rows
 
 
@@ -429,8 +419,9 @@ def run_task(cfg: ExperimentConfig, task: str) -> Dict[str, object]:
     if len(cfg.task_scenarios[task]) > 1:
         for name in cfg.task_scenarios[task]:
             sub = _prepare(select_scenarios(raw, [name]), cfg)
-            rows.append(_evaluated_row(cfg, sub, f"{task}--{name}", "agent",
-                                       agent.mask))
+            cand = evaluate_mask(agent.mask, sub, cfg.weights, cfg.predictor)
+            rows.append((f"{task}--{name}", "agent", agent.mask,
+                         cand.breakdown.rmse, cand.score))
 
     return {"task": task, "dataset": ds, "search": result, "rows": rows}
 

@@ -10,11 +10,24 @@ design once per dataset and solves each mask on their sub-block, one
 stacked solve per basis width. The search and the harness score every
 mask this way; fit, predict and scoring.trend_consistency_error are the
 reference it is checked against (tests/test_predictor.py).
+
+evaluate_masks runs its BLAS and LAPACK calls on the calling thread. Its
+solves and products are small, and OpenBLAS's worker threads spin
+between them: on 2 cores a wide search used twice the CPU time of its
+wall time. Scores are therefore independent of the OpenBLAS thread count
+(OPENBLAS_NUM_THREADS, the number of cores). Where numpy's BLAS is not a
+loaded OpenBLAS with openblas_set_num_threads_local, _CallingThreadBlas
+is a no-op, and the BLAS keeps the threads it was configured with.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import os
+import threading
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
@@ -34,6 +47,59 @@ GRAM_BLOCK_ROWS = 128
 # Matrix entries per stacked solve in evaluate_masks, which bounds the
 # stack a large batch of wide masks gathers at once.
 SOLVE_BLOCK_ENTRIES = 1 << 17
+
+
+@functools.cache
+def _openblas_set_threads():
+    """openblas_set_num_threads_local of the OpenBLAS numpy bundles and
+    has loaded, which sets the thread count and returns the old one; None
+    where there is no such library or call."""
+    pkg = Path(np.__file__).parent
+    for path in sorted([*pkg.parent.glob("numpy.libs/*openblas*"),
+                        *pkg.glob(".dylibs/*openblas*")]):
+        try:
+            # RTLD_NOLOAD: only a library the process has already loaded.
+            lib = ctypes.CDLL(str(path), mode=getattr(os, "RTLD_NOLOAD", 0))
+            set_threads = lib.openblas_set_num_threads_local
+        except (OSError, AttributeError):
+            continue
+        set_threads.argtypes = [ctypes.c_int]
+        set_threads.restype = ctypes.c_int
+        return set_threads
+    return None
+
+
+class _CallingThreadBlas:
+    """Inside `with`, OpenBLAS runs on the calling thread only.
+
+    OpenBLAS's usual (pthreads) build keeps one thread count per process,
+    so scopes open at once in several Python threads share it: the first
+    to enter sets 1, and the last to leave restores what the first found.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._open = 0
+        self._saved = None
+
+    def __enter__(self):
+        set_threads = _openblas_set_threads()
+        if set_threads is not None:
+            with self._lock:
+                if self._open == 0:
+                    self._saved = set_threads(1)
+                self._open += 1
+
+    def __exit__(self, *exc):
+        set_threads = _openblas_set_threads()
+        if set_threads is not None:
+            with self._lock:
+                self._open -= 1
+                if self._open == 0:
+                    set_threads(self._saved)
+
+
+_CALLING_THREAD_BLAS = _CallingThreadBlas()
 
 
 class PredictorError(ValueError):
@@ -249,12 +315,26 @@ def evaluate_masks(
     if ds.split is None or ds.standardization is None:
         raise DatasetError("dataset must be split and standardized")
     key = ("predictor", config.basis)
-    prep = ds.derived.get(key)
-    if prep is None:
-        prep = ds.derived[key] = _prepare(ds, config.basis)
-    if masks.shape[1] != prep.n_features:
-        raise PredictorError(f"mask has {masks.shape[1]} entries but the "
-                             f"dataset has {prep.n_features} features")
+    with _CALLING_THREAD_BLAS:
+        prep = ds.derived.get(key)
+        if prep is None:
+            prep = ds.derived[key] = _prepare(ds, config.basis)
+        if masks.shape[1] != prep.n_features:
+            raise PredictorError(f"mask has {masks.shape[1]} entries but "
+                                 f"the dataset has {prep.n_features} "
+                                 "features")
+        err, trend = _val_errors(masks, cardinality, prep,
+                                 config.ridge_lambda)
+    return [
+        Candidate(mask=tuple(m), breakdown=b)
+        for m, b in zip(masks.tolist(),
+                        score_breakdowns(err, trend, masks, weights))
+    ]
+
+
+def _val_errors(masks: np.ndarray, cardinality: np.ndarray,
+                prep: _Prepared, ridge_lambda: float) -> tuple:
+    """Each mask's val RMSE and trend-consistency error."""
     # A mask's basis, in expand_basis order, is the full basis's columns
     # whose features are all selected, in column order.
     sel = masks.astype(bool)
@@ -271,7 +351,7 @@ def evaluate_masks(
             block = rows[start:start + step]
             cols = np.nonzero(keep[block])[1].reshape(len(block), width)
             beta = _solve_ridge(prep.gram[cols[:, :, None], cols[:, None, :]],
-                                prep.moment[cols], config.ridge_lambda)
+                                prep.moment[cols], ridge_lambda)
             # One matrix-vector product per mask, as for a batch of one,
             # so that a mask's score does not depend on its batch.
             y_hat[block] = (prep.val_design[:, cols].transpose(1, 0, 2)
@@ -282,8 +362,4 @@ def evaluate_masks(
     steps = (np.take(y_hat, prep.step_to, axis=1)
              - np.take(y_hat, prep.step_from, axis=1))
     trend = np.sqrt(np.mean((steps - prep.val_steps) ** 2, axis=1))
-    return [
-        Candidate(mask=tuple(m), breakdown=b)
-        for m, b in zip(masks.tolist(),
-                        score_breakdowns(err, trend, masks, weights))
-    ]
+    return err, trend

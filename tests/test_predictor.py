@@ -1,6 +1,11 @@
 import itertools
+import os
+import subprocess
+import sys
+import threading
 from dataclasses import replace
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_planted_dataset, unsplit
+from plselect import predictor
 from plselect.dataset import DatasetError, split_dataset, standardize
 from plselect.predictor import (
     PredictorConfig,
@@ -373,3 +379,96 @@ class TestBatchedOracle:
 
     def test_empty_batch(self, planted_ds):
         assert evaluate_masks([], planted_ds) == []
+
+
+# Scores 60 masks of cardinality 13..24 on a planted N=24 dataset, whose
+# quadratic bases have 105..325 columns, and prints them exactly.
+WIDE_SCORES = """
+import numpy as np
+from conftest import make_planted_dataset
+from plselect.predictor import evaluate_masks
+from plselect.scoring import ScoreWeights
+rng = np.random.default_rng(24)
+masks = np.zeros((60, 24), dtype=int)
+for m in masks:
+    m[rng.choice(24, rng.integers(13, 25), replace=False)] = 1
+got = evaluate_masks(masks, make_planted_dataset(n_features=24),
+                     ScoreWeights(n_features=24))
+print([c.score.hex() for c in got])
+"""
+
+needs_openblas = pytest.mark.skipif(
+    predictor._openblas_set_threads() is None,
+    reason="numpy's BLAS is not an OpenBLAS with a thread-count call")
+
+
+class TestCallingThreadBlas:
+    """evaluate_masks runs OpenBLAS on the calling thread and leaves its
+    thread count as it found it."""
+
+    @needs_openblas
+    def test_scores_do_not_depend_on_blas_thread_count(self):
+        tests = Path(__file__).resolve().parent
+        path = os.pathsep.join([str(tests.parent / "src"), str(tests)])
+        scores = [
+            subprocess.run(
+                [sys.executable, "-c", WIDE_SCORES], check=True,
+                capture_output=True, text=True, timeout=120,
+                env={**os.environ, "PYTHONPATH": path,
+                     "OPENBLAS_NUM_THREADS": threads},
+            ).stdout
+            for threads in ("1", "2")
+        ]
+        assert scores[0] == scores[1]
+
+    @needs_openblas
+    def test_thread_count_restored_after_return_and_raise(self):
+        # 3 differs from 1 and from the count OpenBLAS starts with on a
+        # 2-core machine.
+        set_threads = predictor._openblas_set_threads()
+        found = set_threads(3)
+        try:
+            evaluate_masks([np.ones(10, dtype=int)], make_planted_dataset())
+            assert set_threads(3) == 3
+            config = PredictorConfig(basis="linear", ridge_lambda=0.0)
+            with pytest.raises(SingularSystemError):
+                evaluate_mask([1, 0, 1, 0, 0, 0, 0, 0, 0, 0],
+                              constant_column_dataset(), ScoreWeights(),
+                              config)
+            assert set_threads(3) == 3
+        finally:
+            set_threads(found)
+
+    def test_scopes_open_in_several_threads_keep_one_thread(
+            self, monkeypatch):
+        # The count is process-wide, so it must stay 1 until the last of
+        # the scopes open at once closes, and then be restored.
+        count = [3]
+
+        def set_threads(n):
+            found, count[0] = count[0], n
+            return found
+
+        monkeypatch.setattr(predictor, "_openblas_set_threads",
+                            lambda: set_threads)
+        scope = predictor._CallingThreadBlas()
+        seen = []
+
+        def work():
+            for _ in range(2000):
+                with scope:
+                    seen.append(count[0])
+
+        threads = [threading.Thread(target=work) for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert len(seen) == 8000 and set(seen) == {1}
+        assert count == [3]
