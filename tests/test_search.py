@@ -453,3 +453,32 @@ def test_search_matches_golden_run(planted_ds, master_seed):
     best, best_score = golden["best_overall"]
     assert mask_string(result.best_overall.mask) == best
     assert result.best_overall.score == pytest.approx(best_score, abs=1e-9)
+
+
+def candidate_fields(cand):
+    b = cand.breakdown
+    return [mask_string(cand.mask), b.rmse, b.trend_error, b.total]
+
+
+def test_wide_search_matches_golden_run_bitwise():
+    # golden_search.json's "wide" entry holds the default search (master
+    # seed 0) on a planted N=24 dataset, whose full quadratic basis has
+    # 325 columns: per generation the best candidate's mask, rmse, trend
+    # error and total, the mean score, entropy, diversity, elite masks and
+    # the policy it sampled from. Every float is compared exactly.
+    golden = json.loads(GOLDEN.read_text())["wide"]
+    result = run_search(make_planted_dataset(n_features=24),
+                        SearchConfig(master_seed=0),
+                        ScoreWeights(n_features=24))
+    assert len(result.records) == len(golden["generations"])
+    for t, (rec, want) in enumerate(zip(result.records,
+                                        golden["generations"])):
+        best, mean_score, entropy, diversity, elites, policy = want
+        assert rec.t == t
+        assert candidate_fields(rec.best) == best
+        assert [rec.mean_score, rec.entropy, rec.diversity] == [
+            mean_score, entropy, diversity]
+        assert [mask_string(m) for m in rec.elite_masks] == elites
+        assert rec.policy.tolist() == policy
+    assert candidate_fields(result.best_overall) == golden["best_overall"]
+    assert result.final_policy.tolist() == golden["final_policy"]
