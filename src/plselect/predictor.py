@@ -5,13 +5,15 @@ monomial basis over the selected features: deterministic, and fast
 enough to sit inside the population search loop.
 
 Every mask's basis is a column subset of the basis over all features, so
-evaluate_masks builds that full basis's train normal equations and val
-design once per dataset and solves each mask on their sub-block, one
-stacked solve per basis width. The search and the harness score every
-mask this way; fit, predict and scoring.trend_consistency_error are the
-reference it is checked against (tests/test_predictor.py).
+prepared_system builds that full basis's train normal equations and val
+design once per dataset, and score_masks solves each mask on their
+sub-block, one stacked solve per basis width, returning rmse, trend
+error and total as arrays. The search calls score_masks on masks it has
+made itself; evaluate_masks checks masks from elsewhere and wraps each
+score in a Candidate. fit, predict and scoring.trend_consistency_error
+are the reference both are checked against (tests/test_predictor.py).
 
-evaluate_masks runs its BLAS and LAPACK calls on the calling thread. Its
+The scoring runs its BLAS and LAPACK calls on the calling thread. Its
 solves and products are small, and OpenBLAS's worker threads spin
 between them: on 2 cores a wide search used twice the CPU time of its
 wall time. Scores are therefore independent of the OpenBLAS thread count
@@ -36,15 +38,16 @@ from .dataset import Dataset, DatasetError
 from .scoring import (
     ScoreBreakdown,
     ScoreWeights,
+    check_weights,
     route_order,
-    score_breakdowns,
+    total_scores,
 )
 
 # Train rows per block when the normal equations are accumulated, so that
 # the full-basis train design never exists at once.
 GRAM_BLOCK_ROWS = 128
 
-# Matrix entries per stacked solve in evaluate_masks, which bounds the
+# Matrix entries per stacked solve in score_masks, which bounds the
 # stack a large batch of wide masks gathers at once.
 SOLVE_BLOCK_ENTRIES = 1 << 17
 
@@ -178,16 +181,15 @@ def _solve_ridge(gram: np.ndarray, moment: np.ndarray,
     g, w = moment.shape
     # Every diagonal entry but [0, 0]: the intercept is not penalized.
     gram.reshape(g, w * w)[:, w + 1::w + 1] += ridge_lambda
-    singular = SingularSystemError(
-        "normal equations are singular; use ridge_lambda > 0")
+    singular = "normal equations are singular; use ridge_lambda > 0"
     if ridge_lambda == 0 and np.any(np.linalg.cond(gram) > 1e12):
-        raise singular
+        raise SingularSystemError(singular)
     try:
         beta = np.linalg.solve(gram, moment[:, :, None])[:, :, 0]
     except np.linalg.LinAlgError as exc:
-        raise singular from exc
-    if not np.all(np.isfinite(beta)):
-        raise singular
+        raise SingularSystemError(singular) from exc
+    if not np.isfinite(beta).all():
+        raise SingularSystemError(singular)
     return beta
 
 
@@ -292,70 +294,106 @@ def evaluate_masks(
     weights: ScoreWeights = ScoreWeights(),
     config: PredictorConfig = PredictorConfig(),
 ) -> list:
-    """One Candidate per mask, in order.
+    """One Candidate per mask, in order: score_masks of the checked masks.
 
     Deterministic per (mask, dataset, config): fits the learner on the
     train split restricted to the mask's features, then combines the
     validation RMSE, trend-consistency error, and cardinality penalty.
-    Each fit solves the mask's sub-block of the dataset's full-basis
-    normal equations, which are built on the first call per basis; masks
-    of one cardinality share a basis width and are solved as one stack.
+    Each mask is a sequence of N entries, each 0 or 1, at least one 1.
     """
     if len(masks) == 0:
         return []
     try:
-        masks = np.asarray(masks, dtype=int)
+        masks = np.asarray(masks)
     except ValueError as exc:
         raise PredictorError(f"masks must have equal lengths: {exc}") from None
     if masks.ndim != 2:
         raise PredictorError("masks must be a sequence of 1-D masks")
-    cardinality = np.count_nonzero(masks, axis=1)
-    if not cardinality.all():
+    bad = np.argwhere((masks != 0) & (masks != 1))
+    if len(bad):
+        i, j = bad[0]
+        raise PredictorError(f"mask {i} entry {j} is {masks[i, j].item()!r}; "
+                             "mask entries must be 0 or 1")
+    masks = masks.astype(np.int8)
+    if not masks.any(axis=1).all():
         raise PredictorError("mask must select at least one feature")
-    if ds.split is None or ds.standardization is None:
-        raise DatasetError("dataset must be split and standardized")
-    key = ("predictor", config.basis)
-    with _CALLING_THREAD_BLAS:
-        prep = ds.derived.get(key)
-        if prep is None:
-            prep = ds.derived[key] = _prepare(ds, config.basis)
-        if masks.shape[1] != prep.n_features:
-            raise PredictorError(f"mask has {masks.shape[1]} entries but "
-                                 f"the dataset has {prep.n_features} "
-                                 "features")
-        err, trend = _val_errors(masks, cardinality, prep,
-                                 config.ridge_lambda)
+    prep = prepared_system(ds, config)
+    if masks.shape[1] != prep.n_features:
+        raise PredictorError(f"mask has {masks.shape[1]} entries but "
+                             f"the dataset has {prep.n_features} features")
+    check_weights(prep.n_features, weights)
+    err, trend, total = score_masks(masks, prep, weights, config.ridge_lambda)
     return [
-        Candidate(mask=tuple(m), breakdown=b)
-        for m, b in zip(masks.tolist(),
-                        score_breakdowns(err, trend, masks, weights))
+        Candidate(mask=tuple(m), breakdown=ScoreBreakdown(
+            rmse=e, trend_error=t, cardinality=sum(m), total=s))
+        for m, e, t, s in zip(masks.tolist(), err.tolist(), trend.tolist(),
+                              total.tolist())
     ]
 
 
-def _val_errors(masks: np.ndarray, cardinality: np.ndarray,
+def prepared_system(ds: Dataset, config: PredictorConfig) -> _Prepared:
+    """ds's full-basis system for config.basis, built on first use and
+    kept in ds.derived. ds must be split and standardized."""
+    if ds.split is None or ds.standardization is None:
+        raise DatasetError("dataset must be split and standardized")
+    key = ("predictor", config.basis)
+    prep = ds.derived.get(key)
+    if prep is None:
+        with _CALLING_THREAD_BLAS:
+            prep = ds.derived[key] = _prepare(ds, config.basis)
+    return prep
+
+
+def score_masks(masks: np.ndarray, prep: _Prepared, weights: ScoreWeights,
+                ridge_lambda: float) -> tuple:
+    """Val RMSE, trend-consistency error and total score of each row of a
+    (k, N) int8 array of 0s and 1s, as three float arrays.
+
+    The masks are not checked: each row must select at least one of
+    prep's N features, and weights must be for N features (check_weights).
+    Each fit solves the mask's sub-block of prep's normal equations; masks
+    of one cardinality share a basis width and are solved as one stack.
+    """
+    cardinality = np.count_nonzero(masks, axis=1)
+    with _CALLING_THREAD_BLAS:
+        err, trend = _val_errors(masks.view(bool), cardinality, prep,
+                                 ridge_lambda)
+    return err, trend, total_scores(err, trend, cardinality, weights)
+
+
+def _val_errors(sel: np.ndarray, cardinality: np.ndarray,
                 prep: _Prepared, ridge_lambda: float) -> tuple:
-    """Each mask's val RMSE and trend-consistency error."""
+    """Each mask's val RMSE and trend-consistency error; sel is the masks
+    as a bool array."""
     # A mask's basis, in expand_basis order, is the full basis's columns
     # whose features are all selected, in column order.
-    sel = masks.astype(bool)
     keep = [np.ones((len(sel), 1), dtype=bool), sel]
     if prep.upper is not None:
         keep.append(sel[:, prep.upper[0]] & sel[:, prep.upper[1]])
     keep = np.concatenate(keep, axis=1)
-    y_hat = np.empty((len(masks), len(prep.val_targets)))
-    for k in np.flatnonzero(np.bincount(cardinality)):
-        rows = np.flatnonzero(cardinality == k)
-        width = int(keep[rows[0]].sum())
+    # Masks sorted by cardinality, so that each basis width's columns are
+    # one run of the nonzero columns of keep.
+    order = np.argsort(cardinality, kind="stable")
+    all_cols = np.nonzero(keep[order])[1]
+    y_hat = np.empty((len(sel), len(prep.val_targets)))
+    start = offset = 0
+    for k, count in enumerate(np.bincount(cardinality).tolist()):
+        if count == 0:
+            continue
+        width = 1 + k if prep.upper is None else 1 + k + k * (k + 1) // 2
         step = max(1, SOLVE_BLOCK_ENTRIES // (width * width))
-        for start in range(0, len(rows), step):
-            block = rows[start:start + step]
-            cols = np.nonzero(keep[block])[1].reshape(len(block), width)
+        for first in range(start, start + count, step):
+            block = order[first:min(first + step, start + count)]
+            cols = all_cols[offset:offset + len(block) * width].reshape(
+                len(block), width)
+            offset += len(block) * width
             beta = _solve_ridge(prep.gram[cols[:, :, None], cols[:, None, :]],
                                 prep.moment[cols], ridge_lambda)
             # One matrix-vector product per mask, as for a batch of one,
             # so that a mask's score does not depend on its batch.
             y_hat[block] = (prep.val_design[:, cols].transpose(1, 0, 2)
                             @ beta[:, :, None])[:, :, 0]
+        start += count
     err = np.sqrt(np.mean((y_hat - prep.val_targets) ** 2, axis=1))
     # np.take keeps each row contiguous, so that its mean sums in the
     # order a batch of one does; fancy indexing would not.

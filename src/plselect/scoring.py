@@ -89,43 +89,42 @@ def trend_consistency_error(
     return rmse(np.diff(pred[order])[same], np.diff(truth[order])[same])
 
 
+def check_weights(n_features: int, weights: ScoreWeights) -> None:
+    """Raise ScoringError unless weights are for masks of n_features."""
+    if n_features != weights.n_features:
+        raise ScoringError(f"mask has {n_features} features but "
+                           f"weights.n_features is {weights.n_features}")
+
+
+def total_scores(rmse_db: np.ndarray, trend_error_db: np.ndarray,
+                 cardinality: np.ndarray,
+                 weights: ScoreWeights) -> np.ndarray:
+    """Negated weighted sum of error, trend error, and normalized
+    cardinality, as one array expression over a batch."""
+    return -(
+        rmse_db
+        + weights.lambda_c * trend_error_db
+        + weights.lambda_n * cardinality / weights.n_features
+    )
+
+
 def total_score(
     rmse_db: float,
     trend_error_db: float,
     mask: Sequence[int],
     weights: ScoreWeights,
 ) -> ScoreBreakdown:
-    """Negated weighted sum of error, trend error, and normalized cardinality;
-    the mask's length must equal ``weights.n_features``."""
-    return score_breakdowns([rmse_db], [trend_error_db], [mask], weights)[0]
-
-
-def score_breakdowns(
-    rmse_db: Sequence[float],
-    trend_error_db: Sequence[float],
-    masks: Sequence[Sequence[int]],
-    weights: ScoreWeights,
-) -> list:
-    """total_score of each (rmse, trend error, mask) triple, computed as
-    array operations over the batch."""
-    rmse_db = np.asarray(rmse_db, dtype=float)
-    trend_error_db = np.asarray(trend_error_db, dtype=float)
-    masks = np.asarray(masks)
-    if np.any(rmse_db < 0) or np.any(trend_error_db < 0):
+    """total_scores of one (rmse, trend error, mask); the mask's length
+    must equal ``weights.n_features``."""
+    if rmse_db < 0 or trend_error_db < 0:
         raise ScoringError("rmse and trend error must be non-negative")
-    if masks.shape[1] != weights.n_features:
-        raise ScoringError(f"mask has {masks.shape[1]} features but "
-                           f"weights.n_features is {weights.n_features}")
-    cardinality = np.count_nonzero(masks, axis=1)
-    if not cardinality.all():
+    mask = np.asarray(mask)
+    check_weights(mask.shape[0], weights)
+    cardinality = np.count_nonzero(mask)
+    if cardinality == 0:
         raise ScoringError("mask must select at least one feature")
-    total = -(
-        rmse_db
-        + weights.lambda_c * trend_error_db
-        + weights.lambda_n * cardinality / weights.n_features
-    )
-    return [
-        ScoreBreakdown(rmse=e, trend_error=t, cardinality=c, total=s)
-        for e, t, c, s in zip(rmse_db.tolist(), trend_error_db.tolist(),
-                              cardinality.tolist(), total.tolist())
-    ]
+    rmse_db, trend_error_db = float(rmse_db), float(trend_error_db)
+    total = total_scores(np.array([rmse_db]), np.array([trend_error_db]),
+                         np.array([cardinality]), weights)
+    return ScoreBreakdown(rmse=rmse_db, trend_error=trend_error_db,
+                          cardinality=int(cardinality), total=total.item())

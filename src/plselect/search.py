@@ -12,13 +12,18 @@ candidates. The population is a (P, N) int8 array throughout.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 import numpy as np
 
 from .dataset import Dataset
-from .predictor import Candidate, PredictorConfig, evaluate_masks
-from .scoring import ScoreWeights
+from .predictor import (
+    Candidate,
+    PredictorConfig,
+    prepared_system,
+    score_masks,
+)
+from .scoring import ScoreBreakdown, ScoreWeights, check_weights
 
 P_FLOOR = 0.02
 P_CEIL = 0.98
@@ -63,6 +68,7 @@ class GenerationRecord:
     entropy: float
     diversity: float
     elite_masks: tuple
+    new_evaluations: int  # masks scored, not found in the memo table
 
 
 @dataclass(frozen=True)
@@ -75,6 +81,19 @@ class SearchResult:
 def initial_policy(n_features: int) -> np.ndarray:
     """Maximal-entropy start: every selection probability at 0.5."""
     return np.full(n_features, 0.5)
+
+
+def generation_streams(master_seed: int, t: int) -> tuple:
+    """Generation t's sampling, pairing, crossover and mutation generators.
+
+    Their seeds are the four children of SeedSequence([master_seed, t]),
+    each built directly as SeedSequence([master_seed, t], spawn_key=(i,)):
+    the seeds .spawn(4) gives, without building the parent.
+    """
+    return tuple(
+        np.random.default_rng(np.random.SeedSequence(
+            [int(master_seed), t], spawn_key=(i,)))
+        for i in range(4))
 
 
 def sample_population(
@@ -97,6 +116,40 @@ def crossover(a: np.ndarray, b: np.ndarray, rng: np.random.Generator):
     child_a = np.where(swap, b, a).astype(np.int8)
     child_b = np.where(swap, a, b).astype(np.int8)
     return child_a, child_b
+
+
+def crossover_population(
+    masks: np.ndarray, order: np.ndarray, crossover_prob: float,
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """The (P, N) masks after the pairs (order[0], order[1]), (order[2],
+    order[3]), ... each cross with probability crossover_prob.
+
+    Returns the masks of drawing, pair by pair, one double and, if it is
+    below crossover_prob, calling crossover on the pair, which draws N
+    more. The doubles are read from one block of (P // 2) * (N + 1),
+    enough for every pair to cross, so rng ends past that block rather
+    than after the last double used.
+    """
+    population, n = masks.shape
+    pairs = population // 2
+    draws = rng.random(pairs * (n + 1))
+    crossing, starts = [], []
+    pos = 0
+    for pair in range(pairs):
+        pos += 1
+        if draws[pos - 1] < crossover_prob:
+            crossing.append(pair)
+            starts.append(pos)
+            pos += n
+    if not crossing:
+        return masks
+    a, b = order[0:2 * pairs:2][crossing], order[1:2 * pairs:2][crossing]
+    swap = np.zeros(masks.shape, dtype=bool)
+    swap[a] = swap[b] = draws[np.add.outer(starts, np.arange(n))] < 0.5
+    partner = np.arange(population)
+    partner[a], partner[b] = b, a
+    return np.where(swap, masks[partner], masks)
 
 
 def mutate(
@@ -157,10 +210,10 @@ def update_policy(
 def normalized_entropy(policy: np.ndarray) -> float:
     """Mean binary entropy of the policy in [0, 1], with 0*ln(0) := 0."""
     p = np.asarray(policy, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(p > 0, p * np.log(p), 0.0) + np.where(
-            p < 1, (1 - p) * np.log(1 - p), 0.0
-        )
+    q = 1 - p
+    # Where a factor is 0, the log is taken of 1 instead of 0.
+    terms = (p * np.log(np.where(p > 0, p, 1.0))
+             + q * np.log(np.where(q > 0, q, 1.0)))
     return float(-np.sum(terms) / (p.shape[0] * np.log(2.0)))
 
 
@@ -186,73 +239,103 @@ def run_search(
 ) -> SearchResult:
     """Full policy-guided evolutionary search over feature masks.
 
-    Deterministic per master_seed. Each generation's new masks are scored
-    in one batch; a per-run memo cache skips masks seen before. ``jobs``
-    is accepted and ignored: a thread pool measured slower than serial
-    evaluation, because much of each evaluation holds the interpreter lock.
+    Deterministic per master_seed: generation t draws from
+    generation_streams(master_seed, t). The dataset and weights are
+    checked once. Each generation's masks not seen before in the run are
+    scored by predictor.score_masks in one batch, and a columnar memo
+    table keeps one row per distinct mask: its rmse, trend error,
+    cardinality and total. Elites are the population's rows ranked by
+    (-total, cardinality, mask), as select_elites ranks candidates, and a
+    Candidate is built only for each generation's best and the best
+    overall. ``jobs`` is accepted and ignored; the search runs on the
+    calling thread.
     """
     n = ds.n_features
+    prep = prepared_system(ds, predictor_config)
+    check_weights(n, weights)
+    table = _MemoTable(config.generations * config.population_size, n)
     policy = initial_policy(n)
-    cache: Dict[bytes, Candidate] = {}
     records = []
-    best_overall: Optional[Candidate] = None
+    best = None  # table row of the best candidate so far
 
     for t in range(config.generations):
-        streams = np.random.SeedSequence(
-            [int(config.master_seed), t]
-        ).spawn(4)
-        sample_rng = np.random.default_rng(streams[0])
-        pair_rng = np.random.default_rng(streams[1])
-        cx_rng = np.random.default_rng(streams[2])
-        mut_rng = np.random.default_rng(streams[3])
+        sample_rng, pair_rng, cx_rng, mut_rng = generation_streams(
+            config.master_seed, t)
 
         masks = sample_population(policy, config.population_size, sample_rng)
-
-        order = pair_rng.permutation(config.population_size)
-        for i in range(0, config.population_size - 1, 2):
-            if cx_rng.random() < config.crossover_prob:
-                a, b = order[i], order[i + 1]
-                masks[a], masks[b] = crossover(masks[a], masks[b], cx_rng)
+        masks = crossover_population(
+            masks, pair_rng.permutation(config.population_size),
+            config.crossover_prob, cx_rng)
         masks = mutate(masks, config.mutation_rate, mut_rng)
 
-        candidates = _evaluate_all(masks, ds, weights, predictor_config, cache)
-
-        elites = select_elites(candidates, config.elite_count)
-        gen_best = elites[0]
-        if best_overall is None or _elite_sort_key(gen_best) < _elite_sort_key(
-            best_overall
-        ):
-            best_overall = gen_best
+        rows, new = table.rows(masks)
+        if len(new):
+            table.add(new, *score_masks(table.mask[new], prep, weights,
+                                        predictor_config.ridge_lambda))
+        elites = sorted(rows.tolist(), key=table.keys.__getitem__)[
+            :config.elite_count]
+        if best is None or table.keys[elites[0]] < table.keys[best]:
+            best = elites[0]
+        elite_masks = table.mask[elites]
         records.append(
             GenerationRecord(
                 t=t,
-                policy=policy.copy(),
-                best=gen_best,
-                mean_score=float(np.mean([c.score for c in candidates])),
+                policy=policy,
+                best=table.candidate(elites[0]),
+                mean_score=float(np.mean(table.total[rows])),
                 entropy=normalized_entropy(policy),
                 diversity=population_diversity(masks),
-                elite_masks=tuple(e.mask for e in elites),
+                elite_masks=tuple(map(tuple, elite_masks.tolist())),
+                new_evaluations=len(new),
             )
         )
-        policy = update_policy(
-            policy, elite_mean([np.array(e.mask) for e in elites]), config.eta
-        )
+        policy = update_policy(policy, elite_mean(elite_masks), config.eta)
 
     return SearchResult(
         records=tuple(records),
-        best_overall=best_overall,
+        best_overall=table.candidate(best),
         final_policy=policy,
     )
 
 
-def _evaluate_all(masks, ds, weights, predictor_config, cache):
-    # New masks are evaluated in one batch, in order of first appearance.
-    keys = [m.tobytes() for m in masks]
-    first = {}
-    for i, key in enumerate(keys):
-        if key not in cache:
-            first.setdefault(key, i)
-    new = evaluate_masks(masks[list(first.values())], ds, weights,
-                         predictor_config)
-    cache.update(zip(first, new))
-    return [cache[key] for key in keys]
+class _MemoTable:
+    """One row per distinct mask a search has scored: the mask and its
+    rmse, trend error, cardinality and total, each a column, with the
+    mask's bytes as its key. keys holds each row's _elite_sort_key: the
+    bytes of two 0/1 int8 masks order as their tuples do."""
+
+    def __init__(self, capacity: int, n_features: int):
+        self.mask = np.zeros((capacity, n_features), dtype=np.int8)
+        self.rmse = np.empty(capacity)
+        self.trend = np.empty(capacity)
+        self.cardinality = np.empty(capacity, dtype=np.int64)
+        self.total = np.empty(capacity)
+        self.keys: List[tuple] = []
+        self._index: Dict[bytes, int] = {}
+
+    def rows(self, masks: np.ndarray) -> tuple:
+        """Each mask's row, and the rows of masks new to the table, which
+        follow its old rows in order of first appearance and hold only the
+        mask until add fills them in."""
+        start = len(self._index)
+        rows = np.array([self._index.setdefault(m.tobytes(), len(self._index))
+                         for m in masks], dtype=np.intp)
+        self.mask[rows] = masks
+        return rows, np.arange(start, len(self._index))
+
+    def add(self, rows, rmse, trend, total) -> None:
+        cardinality = np.count_nonzero(self.mask[rows], axis=1)
+        self.rmse[rows] = rmse
+        self.trend[rows] = trend
+        self.cardinality[rows] = cardinality
+        self.total[rows] = total
+        self.keys.extend(zip((-total).tolist(), cardinality.tolist(),
+                             map(np.ndarray.tobytes, self.mask[rows])))
+
+    def candidate(self, row: int) -> Candidate:
+        return Candidate(
+            mask=tuple(self.mask[row].tolist()),
+            breakdown=ScoreBreakdown(
+                rmse=self.rmse[row].item(), trend_error=self.trend[row].item(),
+                cardinality=self.cardinality[row].item(),
+                total=self.total[row].item()))

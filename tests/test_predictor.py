@@ -24,6 +24,8 @@ from plselect.predictor import (
     expand_basis,
     fit,
     predict,
+    prepared_system,
+    score_masks,
 )
 from plselect.scoring import (
     ScoreWeights,
@@ -377,8 +379,43 @@ class TestBatchedOracle:
         with pytest.raises(PredictorError, match="1-D masks"):
             evaluate_masks(ones, planted_ds)
 
+    @pytest.mark.parametrize("value", [2, -1, 1.7])
+    def test_non_binary_entry_refused(self, planted_ds, value):
+        # Each of these once scored as [1, 1, 1, 0, ...], and a Candidate
+        # kept the raw entries.
+        mask = [value] * 3 + [0] * 7
+        with pytest.raises(PredictorError,
+                           match=f"mask 0 entry 0 is {value}; .* 0 or 1"):
+            evaluate_mask(mask, planted_ds)
+        with pytest.raises(PredictorError, match=f"mask 1 entry 0 is {value}"):
+            evaluate_masks([[1] * 10, mask], planted_ds)
+
+    def test_binary_masks_of_any_dtype_score_alike(self, planted_ds):
+        mask = [1, 0, 1] + [0] * 7
+        want = evaluate_mask(mask, planted_ds)
+        for same in (np.array(mask, dtype=bool), np.array(mask, dtype=float),
+                     np.array(mask, dtype=np.int8)):
+            got = evaluate_mask(same, planted_ds)
+            assert got == want
+            assert all(type(b) is int for b in got.mask)
+
     def test_empty_batch(self, planted_ds):
         assert evaluate_masks([], planted_ds) == []
+
+    @pytest.mark.parametrize("basis", ["quadratic", "linear"])
+    def test_score_masks_is_evaluate_masks_as_arrays(self, basis):
+        ds = oracle_dataset(24)
+        config = PredictorConfig(basis=basis)
+        weights = ScoreWeights(n_features=24)
+        rng = np.random.default_rng(7)
+        masks = (rng.random((40, 24)) < rng.random((40, 1))).astype(np.int8)
+        masks[:, 5] = 1
+        err, trend, total = score_masks(masks, prepared_system(ds, config),
+                                        weights, config.ridge_lambda)
+        got = evaluate_masks(masks, ds, weights, config)
+        assert err.tolist() == [c.breakdown.rmse for c in got]
+        assert trend.tolist() == [c.breakdown.trend_error for c in got]
+        assert total.tolist() == [c.score for c in got]
 
 
 # Scores 60 masks of cardinality 13..24 on a planted N=24 dataset, whose

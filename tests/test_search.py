@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_planted_dataset
+from plselect import search
 from plselect.dataset import read_csv, split_dataset, standardize
 from plselect.harness import cmd_generate, default_config
 from plselect.predictor import Candidate, evaluate_mask
@@ -19,7 +20,9 @@ from plselect.search import (
     SearchConfig,
     SearchConfigError,
     crossover,
+    crossover_population,
     elite_mean,
+    generation_streams,
     initial_policy,
     mutate,
     normalized_entropy,
@@ -146,6 +149,55 @@ class TestRngStreams:
         assert got.dtype == np.int8 and got.shape == (size, n)
         assert np.array_equal(got, sample_per_row(policy, size, b))
         self.assert_same_stream(a, b)
+
+
+def crossover_per_pair(masks, order, crossover_prob, rng):
+    """crossover_population as one crossover call per crossing pair."""
+    masks = masks.copy()
+    for i in range(0, len(masks) - 1, 2):
+        if rng.random() < crossover_prob:
+            a, b = order[i], order[i + 1]
+            masks[a], masks[b] = crossover(masks[a], masks[b], rng)
+    return masks
+
+
+class TestGenerationOperators:
+    """run_search's population-wide operators give what the per-pair and
+    spawned-stream code they replace gave."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(population=st.integers(1, 40), n=st.integers(1, 30),
+           prob=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+           seed=st.integers(0, 2**32 - 1))
+    @example(population=25, n=10, prob=0.5, seed=0)
+    @example(population=7, n=24, prob=1.0, seed=1)
+    def test_crossover_population_matches_per_pair(self, population, n,
+                                                   prob, seed):
+        rng = np.random.default_rng(seed)
+        masks = rng.integers(0, 2, (population, n)).astype(np.int8)
+        order = rng.permutation(population)
+        before = masks.copy()
+        got = crossover_population(masks, order, prob,
+                                   np.random.default_rng([seed, 1]))
+        want = crossover_per_pair(masks, order, prob,
+                                  np.random.default_rng([seed, 1]))
+        assert got.dtype == np.int8 and np.array_equal(got, want)
+        assert np.array_equal(masks, before)
+
+    @settings(max_examples=100, deadline=None)
+    @given(master_seed=st.integers(0, 2**64 - 1), t=st.integers(0, 10_000))
+    @example(master_seed=0, t=0)
+    def test_generation_streams_are_the_spawned_children(self, master_seed,
+                                                         t):
+        # A numpy whose spawn(4) derives its children otherwise fails here
+        # rather than changing every search.
+        children = np.random.SeedSequence([master_seed, t]).spawn(4)
+        streams = generation_streams(master_seed, t)
+        assert len(streams) == 4
+        for got, child in zip(streams, children):
+            want = np.random.default_rng(child)
+            assert got.bit_generator.state == want.bit_generator.state
+            assert np.array_equal(got.random(8), want.random(8))
 
 
 class TestCrossover:
@@ -381,6 +433,36 @@ class TestRunSearch:
             assert 0.0 <= rec.diversity <= 1.0
             assert rec.best.score >= rec.mean_score
             assert len(rec.elite_masks) == 3
+
+    def test_new_evaluations_count_masks_first_seen(self, planted_ds,
+                                                    monkeypatch):
+        populations, scored = [], []
+        score_masks = search.score_masks
+
+        def recording_mutate(*args):
+            masks = mutate(*args)
+            populations.append(masks.copy())
+            return masks
+
+        def recording_score_masks(masks, *args):
+            scored.extend(m.tobytes() for m in masks)
+            return score_masks(masks, *args)
+
+        monkeypatch.setattr(search, "mutate", recording_mutate)
+        monkeypatch.setattr(search, "score_masks", recording_score_masks)
+        cfg = SearchConfig(population_size=12, generations=40, master_seed=6,
+                           elite_count=3, mutation_rate=0.05)
+        result = run_search(planted_ds, cfg)
+        seen = set()
+        for rec, masks in zip(result.records, populations):
+            keys = {m.tobytes() for m in masks}
+            assert rec.new_evaluations == len(keys - seen)
+            assert 0 <= rec.new_evaluations <= cfg.population_size
+            seen |= keys
+        total = sum(rec.new_evaluations for rec in result.records)
+        assert total == len(seen) == len(scored) == len(set(scored))
+        # The memo table served the rest: this run repeats masks.
+        assert total < cfg.population_size * cfg.generations
 
     def test_wide_dataset_draws_wide_masks(self):
         ds = make_planted_dataset(n_features=24, n_samples=120)
