@@ -66,17 +66,17 @@ def mutual_information(
     return max(mi, 0.0)
 
 
-def mi_ranking(ds: Dataset, bins: int = DEFAULT_MI_BINS) -> MIRanking:
-    """Per-feature MI against path loss on the training split, computed
-    once per bin count and kept in ds.derived."""
+def mi_ranking(ds: Dataset) -> MIRanking:
+    """Per-feature MI against path loss on the training split, with
+    DEFAULT_MI_BINS bins, computed once and kept in ds.derived."""
     if ds.split is None:
         raise DatasetError("dataset must be split before MI ranking")
-    key = ("mi_ranking", bins)
+    key = ("mi_ranking",)
     if key not in ds.derived:
         X = ds.feature_matrix("train")
         y = ds.targets("train")
         mi = np.array(
-            [mutual_information(X[:, i], y, bins) for i in range(X.shape[1])]
+            [mutual_information(X[:, i], y) for i in range(X.shape[1])]
         )
         mi.flags.writeable = False
         order = sorted(range(len(mi)), key=lambda i: (-mi[i], i))
@@ -85,16 +85,12 @@ def mi_ranking(ds: Dataset, bins: int = DEFAULT_MI_BINS) -> MIRanking:
     return ds.derived[key]
 
 
-def mi_category_subset(
-    ds: Dataset,
-    variant: str,
-    bins: int = DEFAULT_MI_BINS,
-) -> np.ndarray:
+def mi_category_subset(ds: Dataset, variant: str) -> np.ndarray:
     """Top-2 Geometry features plus top-2 of the variant's second category,
     by the categories of ds.catalog."""
     if variant not in MI_VARIANTS:
         raise ValueError(f"variant must be one of {tuple(MI_VARIANTS)}")
-    ranking = mi_ranking(ds, bins)
+    ranking = mi_ranking(ds)
     mask = np.zeros(ds.n_features, dtype=np.int8)
     for category in ("Geometry", MI_VARIANTS[variant]):
         members = set(ds.catalog.indices_for_category(category))

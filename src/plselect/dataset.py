@@ -9,6 +9,7 @@ trend-consistency metric differentiates consecutive route points.
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import InitVar, dataclass, field, replace
 from functools import cached_property
 from typing import Optional, Sequence, Tuple
@@ -288,27 +289,36 @@ def write_csv(ds: Dataset, path) -> None:
 
 def read_csv(path) -> Dataset:
     """Inverse of write_csv. The first row with the wrong number of
-    fields, an unparsable number, a non-finite value or a field the csv
-    module refuses raises DatasetError naming the file and line."""
+    fields, an unparsable number, a non-finite value, a field the csv
+    module refuses or a byte that is not UTF-8 raises DatasetError naming
+    the file and line."""
     width = len(CSV_HEADER)
     values, route_index, ids, lines, failure = [], [], [], [], None
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            if next(reader, None) != CSV_HEADER:
-                raise DatasetError(f"unexpected CSV header in {path}")
-            for row in reader:
-                if len(row) != width:
-                    raise ValueError(
-                        f"expected {width} fields, got {len(row)}")
-                values.append([float(v) for v in row[2:]])
-                route_index.append(int(row[1]))
-                ids.append(row[0])
-                lines.append(reader.line_num)
-        except DatasetError:
-            raise
-        except (csv.Error, ValueError) as exc:
-            failure = (reader.line_num, exc)
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        text = raw.decode()
+    except UnicodeDecodeError as exc:
+        # The lines before the byte's are read, so that a fault in them is
+        # reported instead.
+        text = raw[:raw.rfind(b"\n", 0, exc.start) + 1].decode()
+        failure = (raw.count(b"\n", 0, exc.start) + 1, exc)
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        # A header line that does not decode is reported as such.
+        if next(reader, CSV_HEADER if failure else None) != CSV_HEADER:
+            raise DatasetError(f"unexpected CSV header in {path}")
+        for row in reader:
+            if len(row) != width:
+                raise ValueError(f"expected {width} fields, got {len(row)}")
+            values.append([float(v) for v in row[2:]])
+            route_index.append(int(row[1]))
+            ids.append(row[0])
+            lines.append(reader.line_num)
+    except DatasetError:
+        raise
+    except (csv.Error, ValueError) as exc:
+        failure = (reader.line_num, exc)
     # Finiteness is checked once, over the rows read before any failure.
     values = np.array(values[:len(ids)], dtype=float).reshape(-1, width - 2)
     bad = ~np.isfinite(values).all(axis=1)

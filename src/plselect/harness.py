@@ -222,8 +222,11 @@ def load_config(
     `_apply`; seeds then follow the resulting master_seed."""
     docs = []
     if path is not None:
-        with open(path) as fh:
-            docs.append((json.load(fh), path))
+        with open(path, encoding="utf-8") as fh:
+            try:
+                docs.append((json.load(fh), path))
+            except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+                raise HarnessError(f"config file {path}: {exc}") from None
     environ = os.environ if environ is None else environ
     for name, raw in environ.items():
         if not name.startswith(ENV_PREFIX):
@@ -303,12 +306,13 @@ def _result_row(row) -> List[str]:
 
 def _read_table(path: Path, header, kind: str) -> List[list]:
     """The rows below the header of a CSV that run wrote; a header other
-    than `header`, or a row of another width, raises HarnessError naming
-    the file as a malformed `kind`."""
+    than `header`, a row of another width or a byte that is not UTF-8
+    raises HarnessError naming the file as a malformed `kind`."""
     try:
-        with open(path, newline="") as fh:
+        with open(path, newline="", encoding="utf-8") as fh:
             rows = list(csv.reader(fh))
-    except csv.Error:  # such as a field over csv.field_size_limit()
+    # Such as a field over csv.field_size_limit(), or a byte not UTF-8.
+    except (csv.Error, UnicodeDecodeError):
         rows = []
     if rows[:1] != [header] or any(len(row) != len(header) for row in rows):
         raise HarnessError(f"malformed {kind} {path}")

@@ -8,10 +8,11 @@ Every mask's basis is a column subset of the basis over all features, so
 prepared_system builds that full basis's train normal equations and val
 design once per dataset, and score_masks solves each mask on their
 sub-block, one stacked solve per basis width, returning rmse, trend
-error and total as arrays. The search calls score_masks on masks it has
-made itself; evaluate_masks checks masks from elsewhere and wraps each
-score in a Candidate. fit, predict and scoring.trend_consistency_error
-are the reference both are checked against (tests/test_predictor.py).
+error, cardinality and total as arrays. The search calls score_masks on
+masks it has made itself; evaluate_masks checks masks from elsewhere and
+then calls it. candidates is the one builder of a Candidate from those
+columns, for both. fit, predict and scoring.trend_consistency_error are
+the reference the scores are checked against (tests/test_predictor.py).
 
 The scoring runs its BLAS and LAPACK calls on the calling thread. Its
 solves and products are small, and OpenBLAS's worker threads spin
@@ -322,12 +323,20 @@ def evaluate_masks(
         raise PredictorError(f"mask has {masks.shape[1]} entries but "
                              f"the dataset has {prep.n_features} features")
     check_weights(prep.n_features, weights)
-    err, trend, total = score_masks(masks, prep, weights, config.ridge_lambda)
+    return candidates(masks, *score_masks(masks, prep, weights,
+                                          config.ridge_lambda))
+
+
+def candidates(masks: np.ndarray, rmse: np.ndarray, trend: np.ndarray,
+               cardinality: np.ndarray, total: np.ndarray) -> list:
+    """One Candidate per row of the (k, N) masks, from its entries of
+    score_masks's columns."""
     return [
         Candidate(mask=tuple(m), breakdown=ScoreBreakdown(
-            rmse=e, trend_error=t, cardinality=sum(m), total=s))
-        for m, e, t, s in zip(masks.tolist(), err.tolist(), trend.tolist(),
-                              total.tolist())
+            rmse=e, trend_error=t, cardinality=c, total=s))
+        for m, e, t, c, s in zip(masks.tolist(), rmse.tolist(),
+                                 trend.tolist(), cardinality.tolist(),
+                                 total.tolist())
     ]
 
 
@@ -346,8 +355,8 @@ def prepared_system(ds: Dataset, config: PredictorConfig) -> _Prepared:
 
 def score_masks(masks: np.ndarray, prep: _Prepared, weights: ScoreWeights,
                 ridge_lambda: float) -> tuple:
-    """Val RMSE, trend-consistency error and total score of each row of a
-    (k, N) int8 array of 0s and 1s, as three float arrays.
+    """Val RMSE, trend-consistency error, cardinality and total score of
+    each row of a (k, N) int8 array of 0s and 1s, as four arrays.
 
     The masks are not checked: each row must select at least one of
     prep's N features, and weights must be for N features (check_weights).
@@ -355,16 +364,7 @@ def score_masks(masks: np.ndarray, prep: _Prepared, weights: ScoreWeights,
     of one cardinality share a basis width and are solved as one stack.
     """
     cardinality = np.count_nonzero(masks, axis=1)
-    with _CALLING_THREAD_BLAS:
-        err, trend = _val_errors(masks.view(bool), cardinality, prep,
-                                 ridge_lambda)
-    return err, trend, total_scores(err, trend, cardinality, weights)
-
-
-def _val_errors(sel: np.ndarray, cardinality: np.ndarray,
-                prep: _Prepared, ridge_lambda: float) -> tuple:
-    """Each mask's val RMSE and trend-consistency error; sel is the masks
-    as a bool array."""
+    sel = masks.view(bool)
     # A mask's basis, in expand_basis order, is the full basis's columns
     # whose features are all selected, in column order.
     keep = [np.ones((len(sel), 1), dtype=bool), sel]
@@ -377,27 +377,30 @@ def _val_errors(sel: np.ndarray, cardinality: np.ndarray,
     all_cols = np.nonzero(keep[order])[1]
     y_hat = np.empty((len(sel), len(prep.val_targets)))
     start = offset = 0
-    for k, count in enumerate(np.bincount(cardinality).tolist()):
-        if count == 0:
-            continue
-        width = 1 + k if prep.upper is None else 1 + k + k * (k + 1) // 2
-        step = max(1, SOLVE_BLOCK_ENTRIES // (width * width))
-        for first in range(start, start + count, step):
-            block = order[first:min(first + step, start + count)]
-            cols = all_cols[offset:offset + len(block) * width].reshape(
-                len(block), width)
-            offset += len(block) * width
-            beta = _solve_ridge(prep.gram[cols[:, :, None], cols[:, None, :]],
-                                prep.moment[cols], ridge_lambda)
-            # One matrix-vector product per mask, as for a batch of one,
-            # so that a mask's score does not depend on its batch.
-            y_hat[block] = (prep.val_design[:, cols].transpose(1, 0, 2)
-                            @ beta[:, :, None])[:, :, 0]
-        start += count
+    with _CALLING_THREAD_BLAS:
+        for k, count in enumerate(np.bincount(cardinality).tolist()):
+            if count == 0:
+                continue
+            width = 1 + k if prep.upper is None else 1 + k + k * (k + 1) // 2
+            step = max(1, SOLVE_BLOCK_ENTRIES // (width * width))
+            for first in range(start, start + count, step):
+                block = order[first:min(first + step, start + count)]
+                cols = all_cols[offset:offset + len(block) * width].reshape(
+                    len(block), width)
+                offset += len(block) * width
+                beta = _solve_ridge(
+                    prep.gram[cols[:, :, None], cols[:, None, :]],
+                    prep.moment[cols], ridge_lambda)
+                # One matrix-vector product per mask, as for a batch of
+                # one, so that a mask's score does not depend on its batch.
+                y_hat[block] = (prep.val_design[:, cols].transpose(1, 0, 2)
+                                @ beta[:, :, None])[:, :, 0]
+            start += count
     err = np.sqrt(np.mean((y_hat - prep.val_targets) ** 2, axis=1))
     # np.take keeps each row contiguous, so that its mean sums in the
     # order a batch of one does; fancy indexing would not.
     steps = (np.take(y_hat, prep.step_to, axis=1)
              - np.take(y_hat, prep.step_from, axis=1))
     trend = np.sqrt(np.mean((steps - prep.val_steps) ** 2, axis=1))
-    return err, trend
+    return (err, trend, cardinality,
+            total_scores(err, trend, cardinality, weights))

@@ -12,7 +12,7 @@ candidates. The population is a (P, N) int8 array throughout.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from typing import Dict, Sequence
 
 import numpy as np
 
@@ -20,10 +20,11 @@ from .dataset import Dataset
 from .predictor import (
     Candidate,
     PredictorConfig,
+    candidates,
     prepared_system,
     score_masks,
 )
-from .scoring import ScoreBreakdown, ScoreWeights, check_weights
+from .scoring import ScoreWeights, check_weights
 
 P_FLOOR = 0.02
 P_CEIL = 0.98
@@ -44,6 +45,15 @@ class SearchConfig:
     master_seed: int = 0
 
     def __post_init__(self):
+        for name in ("population_size", "generations", "elite_count",
+                     "master_seed"):
+            value = getattr(self, name)
+            if (isinstance(value, bool)
+                    or not isinstance(value, (int, np.integer))):
+                raise SearchConfigError(
+                    f"{name} must be an integer, got {value!r}")
+        if self.master_seed < 0:
+            raise SearchConfigError("master_seed must be non-negative")
         if self.population_size < 2:
             raise SearchConfigError("population_size must be >= 2")
         if self.generations < 1:
@@ -84,16 +94,10 @@ def initial_policy(n_features: int) -> np.ndarray:
 
 
 def generation_streams(master_seed: int, t: int) -> tuple:
-    """Generation t's sampling, pairing, crossover and mutation generators.
-
-    Their seeds are the four children of SeedSequence([master_seed, t]),
-    each built directly as SeedSequence([master_seed, t], spawn_key=(i,)):
-    the seeds .spawn(4) gives, without building the parent.
-    """
-    return tuple(
-        np.random.default_rng(np.random.SeedSequence(
-            [int(master_seed), t], spawn_key=(i,)))
-        for i in range(4))
+    """Generation t's sampling, pairing, crossover and mutation generators,
+    seeded by the four children of SeedSequence([master_seed, t])."""
+    return tuple(map(np.random.default_rng,
+                     np.random.SeedSequence([master_seed, t]).spawn(4)))
 
 
 def sample_population(
@@ -182,23 +186,6 @@ def mutate(
     return rows.reshape(masks.shape)
 
 
-def _elite_sort_key(cand: Candidate):
-    # Ties break toward sparser, then lexicographically smaller masks.
-    return (-cand.score, cand.cardinality, cand.mask)
-
-
-def select_elites(candidates: Sequence[Candidate], k: int) -> List[Candidate]:
-    if k > len(candidates):
-        raise ValueError("elite count exceeds population")
-    return sorted(candidates, key=_elite_sort_key)[:k]
-
-
-def elite_mean(elite_masks: Sequence[np.ndarray]) -> np.ndarray:
-    if len(elite_masks) == 0:
-        raise ValueError("need at least one elite")
-    return np.mean(np.asarray(elite_masks, dtype=float), axis=0)
-
-
 def update_policy(
     policy: np.ndarray, elite_mean_bits: np.ndarray, eta: float
 ) -> np.ndarray:
@@ -244,11 +231,11 @@ def run_search(
     checked once. Each generation's masks not seen before in the run are
     scored by predictor.score_masks in one batch, and a columnar memo
     table keeps one row per distinct mask: its rmse, trend error,
-    cardinality and total. Elites are the population's rows ranked by
-    (-total, cardinality, mask), as select_elites ranks candidates, and a
-    Candidate is built only for each generation's best and the best
-    overall. ``jobs`` is accepted and ignored; the search runs on the
-    calling thread.
+    cardinality and total. The table's ranked method is the one ranking
+    of candidates: it orders each population's rows for the elites and,
+    at the end, every row for the best overall. A Candidate is built
+    only for each generation's best and the best overall. ``jobs`` is
+    accepted and ignored; the search runs on the calling thread.
     """
     n = ds.n_features
     prep = prepared_system(ds, predictor_config)
@@ -256,7 +243,6 @@ def run_search(
     table = _MemoTable(config.generations * config.population_size, n)
     policy = initial_policy(n)
     records = []
-    best = None  # table row of the best candidate so far
 
     for t in range(config.generations):
         sample_rng, pair_rng, cx_rng, mut_rng = generation_streams(
@@ -272,16 +258,13 @@ def run_search(
         if len(new):
             table.add(new, *score_masks(table.mask[new], prep, weights,
                                         predictor_config.ridge_lambda))
-        elites = sorted(rows.tolist(), key=table.keys.__getitem__)[
-            :config.elite_count]
-        if best is None or table.keys[elites[0]] < table.keys[best]:
-            best = elites[0]
-        elite_masks = table.mask[elites]
+        ranked = table.ranked(rows)
+        elite_masks = table.mask[ranked[:config.elite_count]]
         records.append(
             GenerationRecord(
                 t=t,
                 policy=policy,
-                best=table.candidate(elites[0]),
+                best=table.candidate(ranked[0]),
                 mean_score=float(np.mean(table.total[rows])),
                 entropy=normalized_entropy(policy),
                 diversity=population_diversity(masks),
@@ -289,8 +272,10 @@ def run_search(
                 new_evaluations=len(new),
             )
         )
-        policy = update_policy(policy, elite_mean(elite_masks), config.eta)
+        policy = update_policy(policy, elite_masks.mean(axis=0), config.eta)
 
+    # Each row of the table was in some generation's population.
+    best = table.ranked(np.arange(len(table)))[0]
     return SearchResult(
         records=tuple(records),
         best_overall=table.candidate(best),
@@ -299,10 +284,9 @@ def run_search(
 
 
 class _MemoTable:
-    """One row per distinct mask a search has scored: the mask and its
-    rmse, trend error, cardinality and total, each a column, with the
-    mask's bytes as its key. keys holds each row's _elite_sort_key: the
-    bytes of two 0/1 int8 masks order as their tuples do."""
+    """One row per distinct mask a search has scored: the mask and
+    score_masks's rmse, trend error, cardinality and total, each a column,
+    with the mask's bytes as its key."""
 
     def __init__(self, capacity: int, n_features: int):
         self.mask = np.zeros((capacity, n_features), dtype=np.int8)
@@ -310,8 +294,10 @@ class _MemoTable:
         self.trend = np.empty(capacity)
         self.cardinality = np.empty(capacity, dtype=np.int64)
         self.total = np.empty(capacity)
-        self.keys: List[tuple] = []
         self._index: Dict[bytes, int] = {}
+
+    def __len__(self) -> int:
+        return len(self._index)
 
     def rows(self, masks: np.ndarray) -> tuple:
         """Each mask's row, and the rows of masks new to the table, which
@@ -323,19 +309,17 @@ class _MemoTable:
         self.mask[rows] = masks
         return rows, np.arange(start, len(self._index))
 
-    def add(self, rows, rmse, trend, total) -> None:
-        cardinality = np.count_nonzero(self.mask[rows], axis=1)
-        self.rmse[rows] = rmse
-        self.trend[rows] = trend
-        self.cardinality[rows] = cardinality
-        self.total[rows] = total
-        self.keys.extend(zip((-total).tolist(), cardinality.tolist(),
-                             map(np.ndarray.tobytes, self.mask[rows])))
+    def add(self, rows, rmse, trend, cardinality, total) -> None:
+        self.rmse[rows], self.trend[rows] = rmse, trend
+        self.cardinality[rows], self.total[rows] = cardinality, total
+
+    def ranked(self, rows: np.ndarray) -> np.ndarray:
+        """rows, best first: by total descending, ties broken toward
+        sparser, then lexicographically smaller masks."""
+        return rows[np.lexsort((*self.mask[rows].T[::-1],
+                                self.cardinality[rows], -self.total[rows]))]
 
     def candidate(self, row: int) -> Candidate:
-        return Candidate(
-            mask=tuple(self.mask[row].tolist()),
-            breakdown=ScoreBreakdown(
-                rmse=self.rmse[row].item(), trend_error=self.trend[row].item(),
-                cardinality=self.cardinality[row].item(),
-                total=self.total[row].item()))
+        i = [row]
+        return candidates(self.mask[i], self.rmse[i], self.trend[i],
+                          self.cardinality[i], self.total[i])[0]

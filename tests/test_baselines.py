@@ -138,7 +138,7 @@ class TestCategorySubsets:
 
 
 class TestRankingCache:
-    def test_one_ranking_per_dataset_and_bin_count(self, monkeypatch):
+    def test_one_ranking_per_dataset(self, monkeypatch):
         ds = make_planted_dataset(seed=11)
         calls = []
         real = baselines.mutual_information
@@ -162,5 +162,4 @@ class TestRankingCache:
         assert len(calls) == 2 * ds.n_features
         for variant, mask in zip(("GE_Struct", "GE_EM"), masks):
             assert np.array_equal(mi_category_subset(fresh, variant), mask)
-        mi_ranking(ds, bins=8)
-        assert len(calls) == 3 * ds.n_features
+        assert len(calls) == 2 * ds.n_features

@@ -449,6 +449,26 @@ class TestCsv:
         with pytest.raises(DatasetError, match=f"{path}, line 3: "):
             read_csv(path)
 
+    @pytest.mark.parametrize("line", [1, 2, 401])
+    def test_non_utf8_byte_names_its_line(self, tmp_path, line):
+        path = tmp_path / "data.csv"
+        good = "a,0," + ",".join(["1.5"] * 11)
+        rows = [",".join(CSV_HEADER).encode()] + [good.encode()] * 500
+        rows[line - 1] = rows[line - 1][:5] + b"\xff" + rows[line - 1][5:]
+        path.write_bytes(b"\r\n".join(rows) + b"\r\n")
+        with pytest.raises(DatasetError) as exc:
+            read_csv(path)
+        assert str(exc.value).startswith(
+            f"{path}, line {line}: 'utf-8' codec can't decode byte 0xff")
+
+    def test_fault_before_a_non_utf8_byte_is_named_first(self, tmp_path):
+        path = tmp_path / "data.csv"
+        good = "a,0," + ",".join(["1.5"] * 11)
+        path.write_bytes("\n".join([",".join(CSV_HEADER), good, "a,0,1,2",
+                                    good]).encode() + b"\xff\n")
+        with pytest.raises(DatasetError, match=f"{path}, line 3: expected "):
+            read_csv(path)
+
     @settings(max_examples=100, deadline=None)
     @given(
         header=st.just(CSV_HEADER) | st.lists(st.text(max_size=8)),

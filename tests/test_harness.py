@@ -52,15 +52,18 @@ def read_rows(path):
         return list(csv.DictReader(fh))
 
 
-# A results CSV without most of its columns, one with a short row, and
-# one with a field longer than the csv module reads.
+# A results CSV without most of its columns, one with a short row, one
+# with a field longer than the csv module reads, and one with a byte that
+# is not UTF-8.
 MALFORMED_RESULTS = [
-    "task,method\r\ntask1,agent\r\n",
-    ",".join(RESULTS_HEADER) + "\r\ntask1,agent\r\n",
-    ",".join(RESULTS_HEADER) + "\r\ntask1,agent," + "9" * 200_000
-    + ",1,1\r\n",
+    b"task,method\r\ntask1,agent\r\n",
+    ",".join(RESULTS_HEADER).encode() + b"\r\ntask1,agent\r\n",
+    ",".join(RESULTS_HEADER).encode() + b"\r\ntask1,agent," + b"9" * 200_000
+    + b",1,1\r\n",
+    ",".join(RESULTS_HEADER).encode() + b"\r\ntask1,agent,(1),\xff,1\r\n",
 ]
-MALFORMED_RESULTS_IDS = ["few_columns", "short_row", "oversized_field"]
+MALFORMED_RESULTS_IDS = ["few_columns", "short_row", "oversized_field",
+                         "not_utf8"]
 
 
 def tree_bytes(root):
@@ -384,15 +387,15 @@ class TestReport:
             cmd_report(str(copy))
 
 
-    @pytest.mark.parametrize("text", MALFORMED_RESULTS,
+    @pytest.mark.parametrize("data", MALFORMED_RESULTS,
                              ids=MALFORMED_RESULTS_IDS)
-    def test_malformed_results_table_is_named(self, run_outputs, text):
+    def test_malformed_results_table_is_named(self, run_outputs, data):
         cfg, _ = run_outputs
         copy = Path(cfg.out_dir).parent / "bad_results"
         shutil.copytree(Path(cfg.out_dir) / "results", copy / "results",
                         dirs_exist_ok=True)
         table = copy / "results" / "task1_results.csv"
-        table.write_bytes(text.encode())
+        table.write_bytes(data)
         with pytest.raises(HarnessError, match=re.escape(
             f"malformed results table {table}"
         )):
@@ -857,18 +860,47 @@ class TestCli:
             "clearance from tx/route failed after 1 retries\n")
 
     @pytest.mark.parametrize("command", ["report", "run-baselines"])
-    @pytest.mark.parametrize("text", MALFORMED_RESULTS,
+    @pytest.mark.parametrize("data", MALFORMED_RESULTS,
                              ids=MALFORMED_RESULTS_IDS)
     def test_malformed_results_exit_code(self, run_outputs, tmp_path, capsys,
-                                         command, text):
+                                         command, data):
         cfg, _ = run_outputs
         out = tmp_path / "out"
         shutil.copytree(cfg.out_dir, out)
         table = out / "results" / "task1_results.csv"
-        table.write_bytes(text.encode())
+        table.write_bytes(data)
         assert main([command, "--out", str(out), "--task", "task1"]) == 2
         assert capsys.readouterr().err == (
             f"error: malformed results table {table}\n")
+
+    def test_non_utf8_generations_trace_exit_code(self, run_outputs,
+                                                  tmp_path, capsys):
+        cfg, _ = run_outputs
+        out = tmp_path / "out"
+        shutil.copytree(cfg.out_dir, out)
+        trace = out / "results" / "task1_generations.csv"
+        data = trace.read_bytes()
+        end = data.rindex(b"0")  # in the last row's best_mask
+        trace.write_bytes(data[:end] + b"\xff" + data[end + 1:])
+        assert main(["report", "--out", str(out), "--task", "task1"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: malformed generations trace {trace}\n")
+
+    @pytest.mark.parametrize("data, message", [
+        (b"{bad", "Expecting property name enclosed in double quotes: "
+         "line 1 column 2 (char 1)"),
+        (b'{"search": {}}\xff', "'utf-8' codec can't decode byte 0xff in "
+         "position 14: invalid start byte"),
+    ], ids=["not_json", "not_utf8"])
+    def test_unreadable_config_file_exit_code(self, tmp_path, capsys, data,
+                                              message):
+        path = tmp_path / "bad.json"
+        path.write_bytes(data)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: config file {path}: {message}\n")
+        assert not out.exists()
 
     # No feature, a mean row's field, an index out of range, a repeated
     # index, and more indices than features.

@@ -410,11 +410,13 @@ class TestBatchedOracle:
         rng = np.random.default_rng(7)
         masks = (rng.random((40, 24)) < rng.random((40, 1))).astype(np.int8)
         masks[:, 5] = 1
-        err, trend, total = score_masks(masks, prepared_system(ds, config),
-                                        weights, config.ridge_lambda)
+        err, trend, cardinality, total = score_masks(
+            masks, prepared_system(ds, config), weights, config.ridge_lambda)
         got = evaluate_masks(masks, ds, weights, config)
         assert err.tolist() == [c.breakdown.rmse for c in got]
         assert trend.tolist() == [c.breakdown.trend_error for c in got]
+        assert cardinality.tolist() == masks.sum(axis=1).tolist() == [
+            c.cardinality for c in got]
         assert total.tolist() == [c.score for c in got]
 
 

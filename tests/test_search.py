@@ -12,8 +12,8 @@ from conftest import make_planted_dataset
 from plselect import search
 from plselect.dataset import read_csv, split_dataset, standardize
 from plselect.harness import cmd_generate, default_config
-from plselect.predictor import Candidate, evaluate_mask
-from plselect.scoring import ScoreBreakdown, ScoreWeights
+from plselect.predictor import evaluate_mask
+from plselect.scoring import ScoreWeights
 from plselect.search import (
     P_CEIL,
     P_FLOOR,
@@ -21,7 +21,6 @@ from plselect.search import (
     SearchConfigError,
     crossover,
     crossover_population,
-    elite_mean,
     generation_streams,
     initial_policy,
     mutate,
@@ -29,16 +28,8 @@ from plselect.search import (
     population_diversity,
     run_search,
     sample_population,
-    select_elites,
     update_policy,
 )
-
-
-def make_candidate(mask, total):
-    bd = ScoreBreakdown(
-        rmse=0.0, trend_error=0.0, cardinality=int(np.sum(mask)), total=total
-    )
-    return Candidate(mask=tuple(mask), breakdown=bd)
 
 
 class TestSamplePopulation:
@@ -247,32 +238,62 @@ class TestMutate:
         assert np.mean(flips) == pytest.approx(1.0, abs=0.1)
 
 
+def memo_table(masks, totals):
+    """A search memo table whose row i holds masks[i], each distinct, with
+    total totals[i] and zero rmse and trend error."""
+    masks = np.array(masks, dtype=np.int8)
+    table = search._MemoTable(len(masks), masks.shape[1])
+    _, new = table.rows(masks)
+    zeros = np.zeros(len(masks))
+    table.add(new, zeros, zeros, masks.sum(axis=1),
+              np.array(totals, dtype=float))
+    return table
+
+
+@st.composite
+def ranking_cases(draw):
+    """Distinct masks of up to 6 bits, totals from a few values, and rows
+    to rank, repeats allowed: ties in total and cardinality are common."""
+    n = draw(st.integers(1, 6))
+    masks = draw(st.lists(st.tuples(*[st.integers(0, 1)] * n), min_size=1,
+                          max_size=24, unique=True))
+    totals = draw(st.lists(st.sampled_from([-2.0, -1.0, -0.0, 0.0]),
+                           min_size=len(masks), max_size=len(masks)))
+    rows = draw(st.lists(st.integers(0, len(masks) - 1), min_size=1,
+                         max_size=30))
+    return masks, totals, rows
+
+
 class TestElites:
+    """The memo table's ranked method, the search's one ranking: best
+    total first, ties toward sparser, then lexicographically smaller
+    masks."""
+
     def test_all_returned(self):
-        cands = [make_candidate([1, 0], -1.0), make_candidate([0, 1], -2.0)]
-        assert select_elites(cands, 2) == sorted(
-            cands, key=lambda c: -c.score
-        )
+        table = memo_table([[1, 0], [0, 1]], [-1.0, -2.0])
+        assert table.ranked(np.array([1, 0])).tolist() == [0, 1]
 
     def test_ordering(self):
-        cands = [
-            make_candidate([1, 0, 0], s) for s in (-2.0, -1.0, -3.0)
-        ]
-        top = select_elites(cands, 2)
-        assert [c.score for c in top] == [-1.0, -2.0]
+        table = memo_table([[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+                           [-2.0, -1.0, -3.0])
+        assert table.ranked(np.arange(3))[:2].tolist() == [1, 0]
 
     def test_tie_breaks_to_sparser(self):
-        a = make_candidate([1, 1, 0, 0], -1.0)
-        b = make_candidate([1, 1, 1, 0], -1.0)
-        assert select_elites([b, a], 1) == [a]
+        table = memo_table([[1, 1, 1, 0], [1, 1, 0, 0]], [-1.0, -1.0])
+        assert table.ranked(np.array([0, 1]))[0] == 1
 
-    def test_mean(self):
-        masks = [np.array([1, 1, 0, 0]), np.array([0, 0, 1, 1])]
-        assert np.allclose(elite_mean(masks), [0.5, 0.5, 0.5, 0.5])
+    def test_tie_breaks_to_smaller_mask(self):
+        table = memo_table([[1, 0, 1], [0, 1, 1]], [-1.0, -1.0])
+        assert table.ranked(np.array([0, 1])).tolist() == [1, 0]
 
-    def test_mean_counting(self):
-        masks = [np.array([1, 0])] * 3 + [np.array([0, 1])] * 2
-        assert np.allclose(elite_mean(masks), [0.6, 0.4])
+    @settings(max_examples=300, deadline=None)
+    @given(case=ranking_cases())
+    def test_matches_sorted_key(self, case):
+        masks, totals, rows = case
+        table = memo_table(masks, totals)
+        want = sorted(rows, key=lambda r: (-totals[r], sum(masks[r]),
+                                           masks[r]))
+        assert table.ranked(np.array(rows)).tolist() == want
 
 
 class TestPolicyUpdate:
@@ -486,14 +507,29 @@ class TestRunSearch:
         with pytest.raises(SearchConfigError):
             SearchConfig(mutation_rate=-0.1)
 
+    @pytest.mark.parametrize("field, value", [
+        ("master_seed", 1.5), ("master_seed", -1), ("master_seed", True),
+        ("population_size", 2.5), ("generations", "5"),
+        ("elite_count", False),
+    ])
+    def test_integer_fields_refused(self, field, value):
+        with pytest.raises(SearchConfigError, match=f"^{field} must be"):
+            SearchConfig(**{field: value})
+
+    def test_numpy_integers_accepted(self):
+        cfg = SearchConfig(population_size=np.int64(4),
+                           elite_count=np.int32(2), master_seed=np.uint8(3))
+        assert cfg.population_size == 4 and cfg.master_seed == 3
+
 
 def exhaustive_optimum(ds, weights, predictor_config):
-    """The best of every non-empty mask, ranked as run_search ranks."""
+    """The best of every non-empty mask, ranked as run_search ranks:
+    highest score, then fewest features, then smallest mask."""
     candidates = [
         evaluate_mask(np.array(m), ds, weights, predictor_config)
         for m in itertools.product((0, 1), repeat=ds.n_features) if any(m)
     ]
-    return select_elites(candidates, 1)[0]
+    return min(candidates, key=lambda c: (-c.score, c.cardinality, c.mask))
 
 
 @pytest.mark.parametrize("master_seed", [0, 1, 2])
