@@ -48,8 +48,13 @@ from .scoring import (
 # the full-basis train design never exists at once.
 GRAM_BLOCK_ROWS = 128
 
-# Matrix entries per stacked solve in score_masks, which bounds the
-# stack a large batch of wide masks gathers at once.
+# Matrix entries per stacked solve in score_masks, which bounds what a
+# large batch of wide masks gathers at once. A stack holds
+# g = SOLVE_BLOCK_ENTRIES // w**2 masks of basis width w (at least one),
+# and three copies of their data: the Gram blocks, 8*g*w**2 bytes, so at
+# most 1 MiB (or one mask's block, where that is larger); their int64 flat
+# index into the Gram matrix, as large; and their val rows,
+# 8*g*w*n_val bytes, so at most n_val / w MiB for n_val val samples.
 SOLVE_BLOCK_ENTRIES = 1 << 17
 
 
@@ -226,12 +231,15 @@ class _Prepared:
     Column 0 of the full basis is the intercept, columns 1..N the features,
     and, for the quadratic basis, then the products of features upper[0][c]
     and upper[1][c] for c = 0, 1, ..., in expand_basis order.
+
+    The val design is kept transposed and C-contiguous, so that each basis
+    column's values over the val samples are one contiguous row.
     """
 
     n_features: int
     gram: np.ndarray  # train design.T @ design
     moment: np.ndarray  # train design.T @ y
-    val_design: np.ndarray
+    val_t: np.ndarray  # val design.T: row c is basis column c
     val_targets: np.ndarray
     # The val rows differenced by scoring.trend_consistency_error: step k
     # is row step_to[k] minus row step_from[k].
@@ -269,7 +277,8 @@ def _prepare(ds: Dataset, basis: str) -> _Prepared:
         n_features=n,
         gram=gram,
         moment=moment,
-        val_design=_full_design(ds.feature_matrix("val"), upper),
+        val_t=np.ascontiguousarray(
+            _full_design(ds.feature_matrix("val"), upper).T),
         val_targets=val_targets,
         step_from=order[:-1][same],
         step_to=order[1:][same],
@@ -362,6 +371,9 @@ def score_masks(masks: np.ndarray, prep: _Prepared, weights: ScoreWeights,
     prep's N features, and weights must be for N features (check_weights).
     Each fit solves the mask's sub-block of prep's normal equations; masks
     of one cardinality share a basis width and are solved as one stack.
+    A stack's Gram sub-blocks are gathered by one take from the flattened
+    Gram matrix, and its val columns are copied as whole rows of
+    prep.val_t.
     """
     cardinality = np.count_nonzero(masks, axis=1)
     sel = masks.view(bool)
@@ -376,6 +388,7 @@ def score_masks(masks: np.ndarray, prep: _Prepared, weights: ScoreWeights,
     order = np.argsort(cardinality, kind="stable")
     all_cols = np.nonzero(keep[order])[1]
     y_hat = np.empty((len(sel), len(prep.val_targets)))
+    full_width = len(prep.gram)
     start = offset = 0
     with _CALLING_THREAD_BLAS:
         for k, count in enumerate(np.bincount(cardinality).tolist()):
@@ -389,12 +402,15 @@ def score_masks(masks: np.ndarray, prep: _Prepared, weights: ScoreWeights,
                     len(block), width)
                 offset += len(block) * width
                 beta = _solve_ridge(
-                    prep.gram[cols[:, :, None], cols[:, None, :]],
+                    prep.gram.ravel().take(cols[:, :, None] * full_width
+                                           + cols[:, None, :]),
                     prep.moment[cols], ridge_lambda)
-                # One matrix-vector product per mask, as for a batch of
+                # One vector-matrix product per mask, as for a batch of
                 # one, so that a mask's score does not depend on its batch.
-                y_hat[block] = (prep.val_design[:, cols].transpose(1, 0, 2)
-                                @ beta[:, :, None])[:, :, 0]
+                # The operands' layout decides the last bits: a contiguous
+                # copy of the (g, n_val, w) block changes them.
+                # TestRowMajorLayoutOracle pins them.
+                y_hat[block] = (beta[:, None, :] @ prep.val_t[cols])[:, 0, :]
             start += count
     err = np.sqrt(np.mean((y_hat - prep.val_targets) ** 2, axis=1))
     # np.take keeps each row contiguous, so that its mean sums in the

@@ -31,6 +31,7 @@ from plselect.scoring import (
     ScoreWeights,
     rmse,
     total_score,
+    total_scores,
     trend_consistency_error,
 )
 
@@ -418,6 +419,91 @@ class TestBatchedOracle:
         assert cardinality.tolist() == masks.sum(axis=1).tolist() == [
             c.cardinality for c in got]
         assert total.tolist() == [c.score for c in got]
+
+
+def basis_columns(mask, upper):
+    """The full-basis columns a mask keeps: the intercept, its features,
+    and the products of two selected features, in column order."""
+    n = len(mask)
+    cols = [0, *(1 + np.flatnonzero(mask))]
+    if upper is not None:
+        both = np.asarray(mask)[upper[0]] * np.asarray(mask)[upper[1]]
+        cols += [*(1 + n + np.flatnonzero(both))]
+    return cols
+
+
+def row_major_scores(masks, ds, weights, config):
+    """score_masks's four arrays with the direct gathers: each stack's Gram
+    sub-blocks by 2-D fancy indexing, and its val columns from the
+    row-major val design, built here again, transposed to (g, n_val, w) for
+    one matrix-vector product per mask. A stack is one cardinality."""
+    prep = prepared_system(ds, config)
+    val = predictor._full_design(ds.feature_matrix("val"), prep.upper)
+    cardinality = masks.sum(axis=1)
+    y_hat = np.empty((len(masks), len(val)))
+    # On one BLAS thread, as score_masks: a threaded product or solve can
+    # split its sums differently.
+    with predictor._CALLING_THREAD_BLAS:
+        for k in np.unique(cardinality):
+            rows = np.flatnonzero(cardinality == k)
+            cols = np.array([basis_columns(masks[r], prep.upper)
+                             for r in rows])
+            beta = predictor._solve_ridge(
+                prep.gram[cols[:, :, None], cols[:, None, :]],
+                prep.moment[cols], config.ridge_lambda)
+            y_hat[rows] = (val[:, cols].transpose(1, 0, 2)
+                           @ beta[:, :, None])[:, :, 0]
+    err = np.sqrt(np.mean((y_hat - prep.val_targets) ** 2, axis=1))
+    steps = (np.take(y_hat, prep.step_to, axis=1)
+             - np.take(y_hat, prep.step_from, axis=1))
+    trend = np.sqrt(np.mean((steps - prep.val_steps) ** 2, axis=1))
+    return err, trend, cardinality, total_scores(err, trend, cardinality,
+                                                 weights)
+
+
+def assert_bitwise(got, want):
+    for name, a, b in zip(("rmse", "trend", "cardinality", "total"),
+                          got, want):
+        assert np.array_equal(a, b), name
+
+
+class TestRowMajorLayoutOracle:
+    """score_masks gathers from a flattened Gram matrix and a transposed
+    val design; its scores equal the direct row-major gathers' bit for bit.
+    The last bits depend on the layout the products see: a contiguous copy
+    of the (g, n_val, w) val block changes them."""
+
+    @pytest.mark.parametrize("basis", ["quadratic", "linear"])
+    @pytest.mark.parametrize("n", [10, 24])
+    def test_batch_and_batches_of_one(self, n, basis):
+        ds = oracle_dataset(n)
+        config = PredictorConfig(basis=basis)
+        weights = ScoreWeights(n_features=n)
+        rng = np.random.default_rng(n)
+        masks = (rng.random((60, n)) < rng.random((60, 1))).astype(np.int8)
+        masks[:, n // 2] = 1
+        prep = prepared_system(ds, config)
+        want = row_major_scores(masks, ds, weights, config)
+        assert_bitwise(score_masks(masks, prep, weights, config.ridge_lambda),
+                       want)
+        for i, mask in enumerate(masks):
+            assert_bitwise(
+                score_masks(mask[None], prep, weights, config.ridge_lambda),
+                [column[i:i + 1] for column in want])
+
+    def test_wide_batch_split_over_several_solves(self):
+        ds = oracle_dataset(24)
+        config = PredictorConfig()
+        weights = ScoreWeights(n_features=24)
+        rng = np.random.default_rng(17)
+        masks = np.zeros((20, 24), dtype=np.int8)
+        for m in masks:
+            m[rng.choice(24, 16, replace=False)] = 1
+        prep = prepared_system(ds, config)
+        width = len(basis_columns(masks[0], prep.upper))
+        assert len(masks) > predictor.SOLVE_BLOCK_ENTRIES // width**2 > 1
+        assert_bitwise(score_masks(masks, prep, weights, config.ridge_lambda),
+                       row_major_scores(masks, ds, weights, config))
 
 
 # Scores 60 masks of cardinality 13..24 on a planted N=24 dataset, whose
