@@ -260,31 +260,47 @@ def destandardize_features(ds: Dataset, features: np.ndarray) -> np.ndarray:
 # CSV persistence
 # ---------------------------------------------------------------------------
 
+_NUMBER_FORMAT = "%.9g"
+
+
 def format_number(value: float) -> str:
     """A number as every CSV of plselect writes it: 9 significant
     digits."""
-    return f"{value:.9g}"
+    return _NUMBER_FORMAT % value
 
 
-def write_csv(ds: Dataset, path) -> None:
+def write_csv(ds: Dataset, path) -> list:
     """Rows ordered by scenario then route_index, 9 significant digits.
     CSV_HEADER names the default catalog's features, so a dataset of
-    another width raises DatasetError before anything is written."""
+    another width raises DatasetError before anything is written.
+    Returns the data lines written, for write_csv_lines."""
     width = len(CSV_HEADER) - 3
     if ds.n_features != width:
         raise DatasetError(f"the CSV format holds {width} features, but the "
                            f"dataset has {ds.n_features}")
     order = np.lexsort((ds.route_index, ds.scenario_id))
     values = np.column_stack([ds.X, ds.y])[order]
+    ids = ds.scenario_id[order].tolist()
+    # Each id is quoted once, as csv.writer quotes it in a row of two
+    # fields: alone, an empty field would be quoted.
+    quoted = {}
+    for sid in dict.fromkeys(ids):
+        csv.writer(buf := io.StringIO()).writerow([sid, ""])
+        quoted[sid] = buf.getvalue()[:-len(",\r\n")]
+    row_format = ",".join(["%s,%d"] + [_NUMBER_FORMAT] * (width + 1)) + "\r\n"
+    lines = [row_format % (quoted[sid], route, *row) for sid, route, row
+             in zip(ids, ds.route_index[order].tolist(), values.tolist())]
+    write_csv_lines(path, lines)
+    return lines
+
+
+def write_csv_lines(path, lines) -> None:
+    """The CSV header, then data lines as write_csv returns them. The
+    lines of distinct scenarios, in scenario-id order, make the file that
+    write_csv writes for their pooled rows."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_HEADER)
-        writer.writerows(
-            [sid, route] + [format_number(v) for v in row]
-            for sid, route, row in zip(ds.scenario_id[order].tolist(),
-                                       ds.route_index[order].tolist(),
-                                       values.tolist())
-        )
+        csv.writer(fh).writerow(CSV_HEADER)
+        fh.writelines(lines)
 
 
 def read_csv(path) -> Dataset:

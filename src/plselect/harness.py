@@ -28,13 +28,13 @@ from .dataset import (
     DatasetError,
     build_dataset,
     check_split_fractions,
-    concat_datasets,
     format_number,
     read_csv,
     select_scenarios,
     split_dataset,
     standardize,
     write_csv,
+    write_csv_lines,
 )
 from .predictor import PredictorConfig, evaluate_mask, evaluate_masks
 from .scenario import (DEFAULT_CORRIDOR_RADIUS, DEFAULT_SHADOWING_SIGMA,
@@ -177,7 +177,8 @@ def _apply(current, docs, key: str = "", entry=None):
     and each dataclass is rebuilt once, after all documents, so that its
     checks see the final values. Other values go through `_typed`. A bad
     key or type raises HarnessError naming the key and its source, and a
-    value that a section's checks refuse one naming the section.
+    value that a section's checks refuse one naming the section. A dict
+    key (a scenario or task name) must be a file name in one directory.
     """
     is_dict = isinstance(current, dict)
     if not (is_dict or is_dataclass(current)):
@@ -193,6 +194,10 @@ def _apply(current, docs, key: str = "", entry=None):
         sub = [(value[k], source) for value, source in docs if k in value]
         name = f"{key}.{k}" if key else k
         if is_dict:
+            if k in ("", ".", "..") or any(c in k for c in "/\\\0"):
+                raise HarnessError(
+                    f"config key {name!r} from {sub[0][1]} must be a file "
+                    "name other than '.' and '..', without '/', '\\' or NUL")
             changes[k] = _apply(current.get(k, entry), sub, name)
         elif k not in known:
             raise HarnessError(f"unknown config key {name!r} from {sub[0][1]}")
@@ -249,13 +254,14 @@ def load_config(
 # Atomic file helpers
 # ---------------------------------------------------------------------------
 
-def _atomic_write(path: Path, write) -> Path:
-    """Call write(tmp) on a sibling temp file, then move it onto path."""
+def _atomic_write(path: Path, write):
+    """Call write(tmp) on a sibling temp file, then move it onto path;
+    returns what write returned."""
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_suffix(path.suffix + ".tmp")
-    write(tmp)
+    result = write(tmp)
     os.replace(tmp, path)
-    return path
+    return result
 
 
 def _atomic_write_text(path: Path, text: str) -> None:
@@ -330,10 +336,11 @@ def _trace_columns(gen_rows, header) -> List[list]:
 # ---------------------------------------------------------------------------
 
 def cmd_generate(cfg: ExperimentConfig) -> List[Path]:
-    """Generate scenes, write scene JSON dumps and dataset CSVs."""
+    """Generate scenes, write scene JSON dumps and dataset CSVs. pooled.csv
+    holds each scenario CSV's data lines, in scenario-id order."""
     out = Path(cfg.out_dir)
     written = []
-    single = {}
+    lines = {}
     for name, scene_cfg in cfg.scenarios.items():
         try:
             scene = generate_scene(scene_cfg)
@@ -342,17 +349,14 @@ def cmd_generate(cfg: ExperimentConfig) -> List[Path]:
         scene_path = out / "scenes" / f"{name}.json"
         _atomic_write_text(scene_path, scene.to_json())
         written.append(scene_path)
-        ds = single[name] = build_dataset(
-            [scene],
-            [name],
-            shadowing_sigma=cfg.shadowing_sigma,
-            corridor_radius=cfg.corridor_radius,
-        )
-        written.append(_atomic_write(out / "data" / f"{name}.csv",
-                                     lambda tmp: write_csv(ds, tmp)))
-    pooled = concat_datasets(list(single.values()))
-    written.append(_atomic_write(out / "data" / "pooled.csv",
-                                 lambda tmp: write_csv(pooled, tmp)))
+        ds = build_dataset([scene], [name], cfg.shadowing_sigma,
+                           cfg.corridor_radius)
+        written.append(out / "data" / f"{name}.csv")
+        lines[name] = _atomic_write(written[-1],
+                                    lambda tmp: write_csv(ds, tmp))
+    written.append(out / "data" / "pooled.csv")
+    _atomic_write(written[-1], lambda tmp: write_csv_lines(
+        tmp, [line for name in sorted(lines) for line in lines[name]]))
     return written
 
 

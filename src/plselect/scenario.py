@@ -362,23 +362,19 @@ def ground_truth_path_loss(
     if d == 0.0:
         raise ValueError("receiver coincides with transmitter")
 
-    return _diffraction_and_shadowing(
-        free_space_path_loss_db(d, scene.carrier_frequency),
-        d,
-        _blocker_edges(scene, rx_index),
-        tx[2],
-        rx[2],
+    pl = _knife_edge_cascade(
+        free_space_path_loss_db(d, scene.carrier_frequency), d,
+        _blocker_edges(scene, rx_index), tx[2], rx[2],
         SPEED_OF_LIGHT / scene.carrier_frequency,
-        scene.seed,
-        rx_index,
-        shadowing_sigma,
     )
+    if shadowing_sigma > 0:
+        pl += _shadowing(scene.seed, rx_index, shadowing_sigma)
+    return float(pl)
 
 
-def _diffraction_and_shadowing(pl, d, edges, tx_z, rx_z, wavelength, seed,
-                               rx_index, shadowing_sigma) -> float:
-    """Add the knife-edge cascade over edges and the seeded shadowing draw
-    to the free-space loss pl of one route point.
+def _knife_edge_cascade(pl, d, edges, tx_z, rx_z, wavelength):
+    """The free-space loss pl of one route point plus the knife-edge loss
+    of each of its edges, added in turn.
 
     edges are (t_along, edge_height) pairs sorted along the Tx-Rx segment
     of 3D length d, as _blocker_edges returns them.
@@ -397,13 +393,14 @@ def _diffraction_and_shadowing(pl, d, edges, tx_z, rx_z, wavelength, seed,
         z_los = z_prev + frac * (z_next - z_prev)
         nu = fresnel_parameter(edge_height - z_los, d1, d2, wavelength)
         pl += knife_edge_loss_db(nu)
+    return pl
 
-    if shadowing_sigma > 0:
-        rng = np.random.default_rng(
-            np.random.SeedSequence([int(seed), int(rx_index)])
-        )
-        pl += float(rng.normal(0.0, shadowing_sigma))
-    return float(pl)
+
+def _shadowing(seed, rx_index, shadowing_sigma) -> float:
+    """The shadowing draw of route point rx_index: one zero-mean Gaussian
+    from a generator seeded with (seed, rx_index)."""
+    seq = np.random.SeedSequence([int(seed), int(rx_index)])
+    return float(np.random.default_rng(seq).normal(0.0, shadowing_sigma))
 
 
 # ---------------------------------------------------------------------------
@@ -492,8 +489,9 @@ def scene_features_and_path_loss(
 
     For each block of route points, one slab-test table (Kay & Kajiya,
     1986) and one corridor-distance table over (points x boxes) feed both
-    the extractor and the oracle. Only the Epstein-Peterson cascade over a
-    point's blockers and its shadowing draw run per point.
+    the extractor and the oracle. Per point there remain the shadowing
+    draw, added last as in ground_truth_path_loss, and, where the ray
+    hits a box, the Epstein-Peterson cascade over its blockers.
 
     The tables repeat the scalar arithmetic operation for operation. The
     scalar 1-D dot products and norms go through BLAS ddot, whose rounding
@@ -533,12 +531,11 @@ def scene_features_and_path_loss(
         f = features[start:start + len(rx)]
         f[:, 0] = d
         f[:, 1] = tx[2] - rx[:, 2]
-        f[:, 2] = _masked_mean(tx[2] - heights, effective)
-        f[:, 3] = _masked_mean(tx_to_center, effective)
-        f[:, 4] = _masked_mean(
-            np.linalg.norm(centers - rx[:, None, :2], axis=-1), effective
-        )
-        f[:, 5] = _masked_mean(volumes, effective)
+        f[:, 2:6] = _masked_means(
+            [tx[2] - heights, tx_to_center,
+             np.linalg.norm(centers - rx[:, None, :2], axis=-1), volumes],
+            effective,
+        ).T
         f[:, 6] = np.where(
             effective.any(axis=1),
             np.min(np.where(effective, line_dist, np.inf), axis=1,
@@ -567,16 +564,19 @@ def scene_features_and_path_loss(
         )
 
         fspl = free_space_path_loss_db(d, scene.carrier_frequency)
-        for i in range(len(rx)):
+        path_loss[start:start + len(rx)] = fspl
+        for i in np.flatnonzero(hit.any(axis=1)).tolist():
             # Sorted along the ray as _blocker_edges sorts them: stably.
             edges = sorted(
                 zip(t_mid[i, hit[i]].tolist(), heights[hit[i]].tolist()),
                 key=lambda e: e[0],
             )
-            path_loss[start + i] = _diffraction_and_shadowing(
-                fspl[i], d[i], edges, tx[2], rx[i, 2], wavelength,
-                scene.seed, start + i, shadowing_sigma,
+            path_loss[start + i] = _knife_edge_cascade(
+                fspl[i], d[i], edges, tx[2], rx[i, 2], wavelength
             )
+    if shadowing_sigma > 0:
+        path_loss += [_shadowing(scene.seed, i, shadowing_sigma)
+                      for i in range(n_points)]
     return features, path_loss
 
 
@@ -636,18 +636,23 @@ def _corridor_tables(a, ab, points):
     return seg_dist, line_dist
 
 
-def _masked_mean(values, mask):
-    """Mean of values over each row's True mask entries, 0 for none.
+def _masked_means(tables, mask):
+    """(tables x rows) means of each table, broadcast to mask's shape,
+    over each row's True mask entries, 0 for none.
 
     Rows are grouped by count so that each mean sums a compacted row in
-    the same pairwise order as np.mean over the scalar 1-D array.
+    the same pairwise order as np.mean over the scalar 1-D array; take
+    keeps each compacted row contiguous, as fancy indexing would not.
     """
-    values = np.broadcast_to(values, mask.shape)
+    flat = np.stack(np.broadcast_arrays(*tables, mask)[:-1]).reshape(
+        len(tables), mask.size)
     counts = mask.sum(axis=1)
-    out = np.zeros(len(mask))
+    out = np.zeros((len(tables), len(mask)))
     for k in set(counts[counts > 0].tolist()):
         rows = np.flatnonzero(counts == k)
-        out[rows] = values[rows][mask[rows]].reshape(-1, k).mean(axis=1)
+        cols = np.nonzero(mask[rows])[1].reshape(-1, k)
+        out[:, rows] = flat.take(rows[:, None] * mask.shape[1] + cols,
+                                 axis=1).mean(axis=-1)
     return out
 
 

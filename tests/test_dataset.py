@@ -1,3 +1,4 @@
+import csv
 import itertools
 from dataclasses import replace
 
@@ -18,6 +19,7 @@ from plselect.dataset import (
     build_dataset,
     concat_datasets,
     destandardize_features,
+    format_number,
     read_csv,
     split_dataset,
     standardize,
@@ -365,7 +367,57 @@ class TestStandardize:
             standardize(ds)
 
 
+# Numbers whose 9-digit form is easy to get wrong: signed zeros,
+# subnormals, ties at the ninth digit (exact 10-digit decimals ending in
+# 5) and magnitudes near the ends of the float range.
+CSV_NUMBERS = st.one_of(
+    st.floats(),
+    st.sampled_from([0.0, -0.0, 5e-324, -2.5e-320, 2.2250738585072e-308,
+                     1e300, -1e300, 1.7976931348623157e308]),
+    st.integers(10 ** 8, 10 ** 9 - 1).map(lambda n: float(10 * n + 5)),
+    st.integers(10 ** 8, 2 * 10 ** 8 - 1).map(lambda n: -(10 * n + 5) / 2),
+)
+# NUL is left out: numpy string columns drop trailing NULs.
+CSV_IDS = st.text(st.sampled_from(',"\r\n a\xe9\u5b57\U0001f600')
+                  | st.characters(blacklist_categories=("Cs",),
+                                  blacklist_characters="\x00"),
+                  max_size=5)
+
+
+@st.composite
+def csv_datasets(draw):
+    ids = draw(st.lists(CSV_IDS, min_size=1, max_size=3, unique=True))
+    rows = draw(st.lists(st.tuples(
+        st.sampled_from(ids), st.integers(-2 ** 63, 2 ** 63 - 1),
+        st.lists(CSV_NUMBERS, min_size=11, max_size=11)), max_size=8))
+    values = np.array([row[2] for row in rows], dtype=float).reshape(-1, 11)
+    return Dataset(X=values[:, :10], y=values[:, 10],
+                   scenario_id=np.array([row[0] for row in rows], dtype=str),
+                   route_index=[row[1] for row in rows])
+
+
 class TestCsv:
+    @settings(max_examples=100, deadline=None)
+    @given(ds=csv_datasets())
+    def test_bytes_match_csv_writer(self, tmp_path_factory, ds):
+        """write_csv writes what csv.writer writes for each row's fields,
+        its numbers formatted by format_number, in (id, route) order."""
+        path = tmp_path_factory.getbasetemp() / "written.csv"
+        ref = tmp_path_factory.getbasetemp() / "reference.csv"
+        write_csv(ds, path)
+        ids = ds.scenario_id.tolist()
+        routes = ds.route_index.tolist()
+        values = np.column_stack([ds.X, ds.y]).tolist()
+        with open(ref, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(CSV_HEADER)
+            for i in sorted(range(len(ds)), key=lambda i: (ids[i], routes[i])):
+                writer.writerow([ids[i], routes[i]]
+                                + [format_number(v) for v in values[i]])
+        assert path.read_bytes() == ref.read_bytes()
+        assert all(format_number(v) == f"{v:.9g}" for row in values
+                   for v in row)
+
     def test_round_trip(self, two_scenes, tmp_path):
         ds = build_dataset(two_scenes, ["a", "b"])
         path = tmp_path / "data.csv"

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from plselect import baselines, harness
 from plselect.cli import main
+from plselect.dataset import CSV_HEADER
 from plselect.harness import (
     ExperimentConfig,
     RESULTS_HEADER,
@@ -99,6 +100,27 @@ class TestGenerate:
         first = tree_bytes(cfg.out_dir)
         cmd_generate(cfg)
         assert tree_bytes(cfg.out_dir) == first
+
+    def test_pooled_is_scenario_lines_in_id_order(self, tmp_path):
+        cfg = small_config(tmp_path)
+        cfg = replace(cfg, scenarios={'b,x': cfg.scenarios["intersection"],
+                                      'a"q': cfg.scenarios["square"]},
+                      task_scenarios={"both": ("b,x", 'a"q')})
+        assert list(cfg.scenarios) != sorted(cfg.scenarios)
+        cmd_generate(cfg)
+        data = Path(cfg.out_dir) / "data"
+        header, a_q = (data / 'a"q.csv').read_bytes().split(b"\r\n", 1)
+        assert header.decode() == ",".join(CSV_HEADER)
+        assert a_q.startswith(b'"a""q",0,')
+        b_x = (data / "b,x.csv").read_bytes().split(b"\r\n", 1)[1]
+        assert b_x.startswith(b'"b,x",0,')
+        pooled = (data / "pooled.csv").read_bytes()
+        assert pooled == header + b"\r\n" + a_q + b_x
+        [result] = cmd_run(cfg)
+        assert result["dataset"].scenario_ids() == ['a"q', "b,x"]
+        assert len(result["dataset"]) == 120
+        assert [row[0] for row in result["rows"][-2:]] == [
+            "both--b,x", 'both--a"q']
 
 
 @pytest.fixture(scope="module")
@@ -402,6 +424,15 @@ class TestReport:
             cmd_report(str(copy))
 
 
+# Scenario and task names become file names under --out.
+NOT_FILE_NAMES = ["", ".", "..", "../../escaped", "a/b", "a\\b", "a\x00b"]
+
+
+def files_outside(root, out):
+    return sorted(str(p.relative_to(root)) for p in Path(root).rglob("*")
+                  if p.is_file() and Path(out) not in p.parents)
+
+
 class TestConfigLoading:
     def test_json_and_env_overrides(self, tmp_path, monkeypatch):
         doc = {
@@ -561,6 +592,19 @@ class TestConfigLoading:
             replace(default_config(), **{key: value})
         with pytest.raises(HarnessError, match=key):
             load_config(environ={f"PLSELECT_{key.upper()}": json.dumps(value)})
+
+    @pytest.mark.parametrize("section, entry", [
+        ("scenarios", {"layout": "square", "route_points": 20}),
+        ("task_scenarios", ["square"]),
+    ])
+    @pytest.mark.parametrize("name", NOT_FILE_NAMES)
+    def test_name_must_be_a_file_name(self, section, entry, name):
+        variable = f"PLSELECT_{section.upper()}"
+        with pytest.raises(HarnessError) as exc:
+            load_config(environ={variable: json.dumps({name: entry})})
+        assert str(exc.value).startswith(
+            f"config key {section + '.' + name!r} from environment variable "
+            f"{variable} must be a file name")
 
     @pytest.mark.parametrize("names, shown", [
         ([], "got []"), (["nowhere"], "got ['nowhere']"),
@@ -839,6 +883,35 @@ class TestCli:
         assert main(["run-baselines"] + args) == 2
         assert capsys.readouterr().err.startswith(
             "error: task 'task1' must name one or more of the scenarios")
+
+    @pytest.mark.parametrize("name", NOT_FILE_NAMES)
+    def test_scenario_name_outside_out_refused(self, tmp_path, capsys, name):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"scenarios": {
+            name: {"layout": "square", "route_points": 20}}}))
+        out = tmp_path / "a" / "b" / "out"
+        assert main(["generate", "--config", str(path), "--out",
+                     str(out)]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: config key {'scenarios.' + name!r} from {path} must be "
+            "a file name")
+        assert files_outside(tmp_path, out) == ["cfg.json"]
+        assert not out.exists()
+
+    def test_task_name_outside_out_refused(self, tmp_path, capsys):
+        out = tmp_path / "a" / "b" / "out"
+        assert main(["generate", "--out", str(out)]) == 0
+        written = tree_bytes(out)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(
+            {"task_scenarios": {"../../tesc": ["square"]}}))
+        assert main(["run", "--config", str(path), "--out", str(out),
+                     "--task", "../../tesc"]) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: config key 'task_scenarios.../../tesc' from "
+            f"{path} must be a file name")
+        assert files_outside(tmp_path, out) == ["cfg.json"]
+        assert tree_bytes(out) == written
 
     def test_bad_layout_refused_by_run(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("PLSELECT_SCENARIOS__SQUARE__LAYOUT", "hexagon")

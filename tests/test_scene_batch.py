@@ -11,8 +11,10 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from plselect.scenario import (
+    _POINT_BLOCK,
     Scene,
     SceneConfig,
+    _blocker_edges,
     extract_features,
     generate_scene,
     ground_truth_path_loss,
@@ -92,6 +94,22 @@ LEVEL_RAYS = make_scene(
 )
 # With corridor radius 1 no box center lies in any point's corridor.
 BLOCKED = make_scene(LINE, boxes=(WALL, LOW_WALL, FAR_BOX))
+# No ray hits a box: every point takes only the free-space loss and its
+# shadowing draw.
+UNBLOCKED = make_scene(LINE, boxes=(FAR_BOX,))
+# Boxes of one footprint and different heights, all cut over the same
+# span of each ray from a low Tx, so their edges share t_mid and only a
+# stable sort orders them as the scalar path does. With three edges the
+# order changes the cascade: heights 20, 5, 12 cost 40 dB more than
+# 20, 12, 5.
+TWINS = make_scene(LINE, tx=(50.0, 50.0, 3.0),
+                   boxes=[WALL[:4] + (height,) for height in (20.0, 5.0)])
+TRIPLETS = make_scene(LINE, tx=(50.0, 50.0, 3.0), boxes=[
+    WALL[:4] + (height,) for height in (20.0, 5.0, 12.0)])
+# A route of two point blocks whose rays hit the one box only in the
+# second block.
+LATE_BLOCKERS = make_scene([(10.0 + 2.0 * k, 20.0, 1.5) for k in range(40)],
+                           boxes=((70.0, 30.0, 6.0, 4.0, 20.0),))
 
 
 def test_zero_scatterers_give_empty_tables():
@@ -115,6 +133,18 @@ def test_without_shadowing():
     _, plain = assert_batch_matches_scalar(BLOCKED, shadowing_sigma=0.0)
     _, shadowed = assert_batch_matches_scalar(BLOCKED, shadowing_sigma=3.0)
     assert not np.array_equal(plain, shadowed)
+
+
+def test_oracle_examples_reach_their_cases():
+    def edges(scene):
+        return [_blocker_edges(scene, i) for i in range(scene.n_route_points)]
+
+    assert not any(edges(UNBLOCKED))
+    for scene, count in ((TWINS, 2), (TRIPLETS, 3)):
+        assert all(len(e) == count and len({t for t, _ in e}) == 1
+                   for e in edges(scene))
+    blocked = [i for i, e in enumerate(edges(LATE_BLOCKERS)) if e]
+    assert blocked and min(blocked) >= _POINT_BLOCK
 
 
 def test_receiver_on_transmitter_rejected():
@@ -169,5 +199,9 @@ def random_scenes(draw):
 @example(scene=LEVEL_RAYS, corridor_radius=50.0, shadowing_sigma=3.0)
 @example(scene=BLOCKED, corridor_radius=1.0, shadowing_sigma=3.0)
 @example(scene=BLOCKED, corridor_radius=50.0, shadowing_sigma=0.0)
+@example(scene=UNBLOCKED, corridor_radius=50.0, shadowing_sigma=3.0)
+@example(scene=TWINS, corridor_radius=50.0, shadowing_sigma=3.0)
+@example(scene=TRIPLETS, corridor_radius=50.0, shadowing_sigma=0.0)
+@example(scene=LATE_BLOCKERS, corridor_radius=50.0, shadowing_sigma=3.0)
 def test_random_scenes_bitwise(scene, corridor_radius, shadowing_sigma):
     assert_batch_matches_scalar(scene, shadowing_sigma, corridor_radius)
