@@ -142,31 +142,20 @@ def build_dataset(
     shadowing_sigma: float = DEFAULT_SHADOWING_SIGMA,
     corridor_radius: float = DEFAULT_CORRIDOR_RADIUS,
 ) -> Dataset:
-    """One row per route point per scene, in route order."""
+    """One row per route point per scene, in route order, the scenes
+    pooled in turn under distinct scenario ids (no split carried)."""
     if len(scenes) != len(scenario_ids):
         raise DatasetError("one scenario id per scene required")
-    parts = []
-    for scene, sid in zip(scenes, scenario_ids):
-        X, y = scene_features_and_path_loss(
-            scene,
-            shadowing_sigma=shadowing_sigma,
-            corridor_radius=corridor_radius,
-        )
-        parts.append(Dataset(X=X, y=y, scenario_id=np.full(len(y), sid),
-                             route_index=np.arange(len(y))))
-    return concat_datasets(parts)
-
-
-def concat_datasets(datasets: Sequence[Dataset]) -> Dataset:
-    """Pool several datasets of distinct scenarios into one (no split
-    carried)."""
-    all_ids = [sid for ds in datasets for sid in ds.scenario_ids()]
-    if len(set(all_ids)) != len(all_ids):
-        raise DatasetError("duplicate scenario_id across pooled datasets")
+    if len(set(scenario_ids)) != len(scenario_ids):
+        raise DatasetError("duplicate scenario_id across pooled scenes")
+    Xs, ys = zip(*(scene_features_and_path_loss(
+        scene, shadowing_sigma=shadowing_sigma,
+        corridor_radius=corridor_radius) for scene in scenes))
     return Dataset(
-        **{name: np.concatenate([getattr(ds, name) for ds in datasets])
-           for name in COLUMNS},
-        catalog=datasets[0].catalog,
+        X=np.concatenate(Xs),
+        y=np.concatenate(ys),
+        scenario_id=np.repeat(scenario_ids, [len(y) for y in ys]),
+        route_index=np.concatenate([np.arange(len(y)) for y in ys]),
     )
 
 

@@ -167,6 +167,14 @@ def _typed(default, value, key: str, source: str):
     return value
 
 
+def _check_file_name(name: str, what: str) -> None:
+    """Raise HarnessError, naming `what`, unless name can be a file name
+    in one directory."""
+    if name in ("", ".", "..") or any(c in name for c in "/\\\0"):
+        raise HarnessError(f"{what} must be a file name other than '.' and "
+                           "'..', without '/', '\\' or NUL")
+
+
 def _apply(current, docs, key: str = "", entry=None):
     """current with the config documents in docs applied in turn.
 
@@ -178,7 +186,7 @@ def _apply(current, docs, key: str = "", entry=None):
     checks see the final values. Other values go through `_typed`. A bad
     key or type raises HarnessError naming the key and its source, and a
     value that a section's checks refuse one naming the section. A dict
-    key (a scenario or task name) must be a file name in one directory.
+    key (a scenario or task name) must pass `_check_file_name`.
     """
     is_dict = isinstance(current, dict)
     if not (is_dict or is_dataclass(current)):
@@ -194,10 +202,7 @@ def _apply(current, docs, key: str = "", entry=None):
         sub = [(value[k], source) for value, source in docs if k in value]
         name = f"{key}.{k}" if key else k
         if is_dict:
-            if k in ("", ".", "..") or any(c in k for c in "/\\\0"):
-                raise HarnessError(
-                    f"config key {name!r} from {sub[0][1]} must be a file "
-                    "name other than '.' and '..', without '/', '\\' or NUL")
+            _check_file_name(k, f"config key {name!r} from {sub[0][1]}")
             changes[k] = _apply(current.get(k, entry), sub, name)
         elif k not in known:
             raise HarnessError(f"unknown config key {name!r} from {sub[0][1]}")
@@ -509,8 +514,11 @@ def cmd_report(out_dir: str, tasks: Optional[Sequence[str]] = None) -> str:
     tables cut from its generations trace. Reads nothing else.
 
     Raises HarnessError listing the missing artifacts if run outputs are
-    absent.
+    absent, and, before anything is read or written, for a task that
+    cannot be a file name (`_check_file_name`).
     """
+    for task in tasks or ():
+        _check_file_name(task, f"task {task!r}")
     out = Path(out_dir)
     results_dir = out / "results"
     if tasks is None:

@@ -11,8 +11,9 @@ sub-block, one stacked solve per basis width, returning rmse, trend
 error, cardinality and total as arrays. The search calls score_masks on
 masks it has made itself; evaluate_masks checks masks from elsewhere and
 then calls it. candidates is the one builder of a Candidate from those
-columns, for both. fit, predict and scoring.trend_consistency_error are
-the reference the scores are checked against (tests/test_predictor.py).
+columns, for both. tests/test_predictor.py checks the scores against a
+least-squares solve of each mask's own ridge-augmented design, sharing
+no code with score_masks, and scoring.trend_consistency_error.
 
 The scoring runs its BLAS and LAPACK calls on the calling thread. Its
 solves and products are small, and OpenBLAS's worker threads spin
@@ -132,53 +133,6 @@ class PredictorConfig:
                                  "non-negative")
 
 
-@dataclass(frozen=True)
-class PredictorModel:
-    weights: np.ndarray  # coefficients over the expanded basis
-    intercept: float
-    basis: str
-
-
-def expand_basis(X: np.ndarray, basis: str) -> np.ndarray:
-    """Monomials of the selected features: degree 1, plus degree 2 terms
-    (x_i * x_j, i <= j) for the quadratic basis. No constant column; the
-    intercept is handled separately."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    if basis == "linear":
-        return X
-    cols = [X]
-    k = X.shape[1]
-    for i in range(k):
-        for j in range(i, k):
-            cols.append((X[:, i] * X[:, j])[:, None])
-    return np.hstack(cols)
-
-
-def fit(
-    X: np.ndarray,
-    y: np.ndarray,
-    config: PredictorConfig = PredictorConfig(),
-) -> PredictorModel:
-    """Closed-form ridge solution of the normal equations.
-
-    X holds only the selected (masked) feature columns, already
-    standardized. The intercept is not penalized.
-    """
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    y = np.asarray(y, dtype=float)
-    if X.shape[0] < 2:
-        raise PredictorError("need at least 2 training samples")
-    if X.shape[1] == 0:
-        raise PredictorError("mask selects no features")
-    phi = expand_basis(X, config.basis)
-    design = np.hstack([np.ones((phi.shape[0], 1)), phi])
-    gram = design.T @ design
-    beta = _solve_ridge(gram[None], (design.T @ y)[None],
-                        config.ridge_lambda)[0]
-    return PredictorModel(
-        weights=beta[1:], intercept=float(beta[0]), basis=config.basis)
-
-
 def _solve_ridge(gram: np.ndarray, moment: np.ndarray,
                  ridge_lambda: float) -> np.ndarray:
     """beta of (gram + ridge_lambda * I) beta = moment for each system of a
@@ -197,17 +151,6 @@ def _solve_ridge(gram: np.ndarray, moment: np.ndarray,
     if not np.isfinite(beta).all():
         raise SingularSystemError(singular)
     return beta
-
-
-def predict(model: PredictorModel, X: np.ndarray) -> np.ndarray:
-    """Predicted path loss for masked standardized feature rows."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    phi = expand_basis(X, model.basis)
-    if phi.shape[1] != model.weights.shape[0]:
-        raise PredictorError(
-            f"feature dimension {X.shape[1]} does not match the model"
-        )
-    return phi @ model.weights + model.intercept
 
 
 @dataclass(frozen=True)
@@ -230,7 +173,7 @@ class _Prepared:
 
     Column 0 of the full basis is the intercept, columns 1..N the features,
     and, for the quadratic basis, then the products of features upper[0][c]
-    and upper[1][c] for c = 0, 1, ..., in expand_basis order.
+    and upper[1][c] for c = 0, 1, ..., in np.triu_indices order.
 
     The val design is kept transposed and C-contiguous, so that each basis
     column's values over the val samples are one contiguous row.
@@ -377,8 +320,8 @@ def score_masks(masks: np.ndarray, prep: _Prepared, weights: ScoreWeights,
     """
     cardinality = np.count_nonzero(masks, axis=1)
     sel = masks.view(bool)
-    # A mask's basis, in expand_basis order, is the full basis's columns
-    # whose features are all selected, in column order.
+    # A mask's basis is the full basis's columns whose features are all
+    # selected, in column order.
     keep = [np.ones((len(sel), 1), dtype=bool), sel]
     if prep.upper is not None:
         keep.append(sel[:, prep.upper[0]] & sel[:, prep.upper[1]])

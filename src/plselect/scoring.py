@@ -39,16 +39,6 @@ class ScoreBreakdown:
     total: float  # higher is better
 
 
-def rmse(pred: Sequence[float], truth: Sequence[float]) -> float:
-    pred = np.asarray(pred, dtype=float)
-    truth = np.asarray(truth, dtype=float)
-    if pred.shape != truth.shape:
-        raise ScoringError("pred and truth must have equal length")
-    if pred.size == 0:
-        raise ScoringError("empty input")
-    return float(np.sqrt(np.mean((pred - truth) ** 2)))
-
-
 def route_order(scenario_ids: Sequence[str],
                 route_indices: Sequence[int]):
     """Sample positions in route order, and which consecutive pairs of that
@@ -86,7 +76,8 @@ def trend_consistency_error(
     if not (len(pred) == len(truth) == len(scenario_ids) == len(route_indices)):
         raise ScoringError("all inputs must have equal length")
     order, same = route_order(scenario_ids, route_indices)
-    return rmse(np.diff(pred[order])[same], np.diff(truth[order])[same])
+    residual = np.diff(pred[order])[same] - np.diff(truth[order])[same]
+    return float(np.sqrt(np.mean(residual ** 2)))
 
 
 def check_weights(n_features: int, weights: ScoreWeights) -> None:

@@ -17,7 +17,6 @@ from plselect.dataset import (
     Sample,
     _stratified_counts,
     build_dataset,
-    concat_datasets,
     destandardize_features,
     format_number,
     read_csv,
@@ -62,13 +61,15 @@ class TestBuild:
             build_dataset(two_scenes, ["a", "a"])
 
     def test_pooled_carries_both_ids(self, two_scenes):
-        parts = [
-            build_dataset([sc], [sid])
-            for sc, sid in zip(two_scenes, ["a", "b"])
-        ]
-        pooled = concat_datasets(parts)
+        # The pooled rows are each scene's own rows, in turn.
+        pooled = build_dataset(two_scenes, ["a", "b"])
         assert pooled.scenario_ids() == ["a", "b"]
-        assert len(pooled) == 100
+        parts = [build_dataset([sc], [sid])
+                 for sc, sid in zip(two_scenes, ["a", "b"])]
+        for name in COLUMNS:
+            assert np.array_equal(
+                getattr(pooled, name),
+                np.concatenate([getattr(p, name) for p in parts])), name
 
 
 class TestSplit:

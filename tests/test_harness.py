@@ -1024,6 +1024,25 @@ class TestCli:
     def test_report_missing_dir_exit_code(self, tmp_path):
         assert main(["report", "--out", str(tmp_path / "nope")]) == 2
 
+    @pytest.mark.parametrize("name", ["../../../../x", *NOT_FILE_NAMES])
+    def test_report_task_outside_out_refused(self, run_outputs, tmp_path,
+                                             capsys, name):
+        # Results for a task x in a/: report --out a/b/c/out --task
+        # ../../../../x once read them, wrote a/b/c/x.csv and made
+        # report/fig_*_.. directories.
+        results = Path(run_outputs[0].out_dir) / "results"
+        out = tmp_path / "a" / "b" / "c" / "out"
+        shutil.copytree(results, out / "results")
+        for kind in ("results", "generations"):
+            shutil.copy(results / f"task1_{kind}.csv",
+                        tmp_path / "a" / f"x_{kind}.csv")
+        before = sorted(tmp_path.rglob("*")), tree_bytes(tmp_path)
+        assert main(["report", "--out", str(out), "--task", "task1",
+                     "--task", name]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: task {name!r} must be a file name")
+        assert (sorted(tmp_path.rglob("*")), tree_bytes(tmp_path)) == before
+
     def test_end_to_end(self, tmp_path, capsys):
         out = str(tmp_path / "out")
         cfg_doc = {

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_planted_dataset, unsplit
+from conftest import make_manual_dataset, make_planted_dataset, unsplit
 from plselect import predictor
 from plselect.dataset import DatasetError, split_dataset, standardize
 from plselect.predictor import (
@@ -21,26 +21,21 @@ from plselect.predictor import (
     SingularSystemError,
     evaluate_mask,
     evaluate_masks,
-    expand_basis,
-    fit,
-    predict,
     prepared_system,
     score_masks,
 )
 from plselect.scoring import (
     ScoreWeights,
-    rmse,
     total_score,
     total_scores,
     trend_consistency_error,
 )
 
-LINEAR = PredictorConfig(basis="linear", ridge_lambda=1e-9)
-
 
 def brute_force_ridge(X, y, ridge_lambda):
     """Independent normal-equation solve via least squares on the
-    ridge-augmented system (intercept unpenalized)."""
+    ridge-augmented system (intercept unpenalized): the oracle of
+    score_masks, sharing no code with it."""
     design = np.hstack([np.ones((X.shape[0], 1)), X])
     k = design.shape[1]
     aug = np.sqrt(ridge_lambda) * np.eye(k)
@@ -49,79 +44,6 @@ def brute_force_ridge(X, y, ridge_lambda):
     target = np.concatenate([y, np.zeros(k)])
     beta, *_ = np.linalg.lstsq(stacked, target, rcond=None)
     return beta
-
-
-class TestFit:
-    def test_exact_linear_target(self):
-        x = np.linspace(-2, 2, 20)[:, None]
-        model = fit(x, 2.0 * x[:, 0], LINEAR)
-        assert model.weights[0] == pytest.approx(2.0, abs=1e-6)
-        assert model.intercept == pytest.approx(0.0, abs=1e-6)
-
-    def test_constant_target(self):
-        x = np.linspace(-1, 1, 10)[:, None]
-        model = fit(x, np.full(10, 42.0), LINEAR)
-        assert model.intercept == pytest.approx(42.0, abs=1e-6)
-        assert abs(model.weights[0]) < 1e-6
-
-    def test_matches_brute_force_normal_equations(self):
-        rng = np.random.default_rng(5)
-        X = rng.normal(size=(50, 5))
-        y = rng.normal(size=50)
-        lam = 0.37
-        model = fit(X, y, PredictorConfig(basis="linear", ridge_lambda=lam))
-        beta = brute_force_ridge(X, y, lam)
-        assert model.intercept == pytest.approx(beta[0], abs=1e-8)
-        assert np.allclose(model.weights, beta[1:], atol=1e-8)
-
-    def test_quadratic_basis_shape(self):
-        X = np.ones((4, 3))
-        phi = expand_basis(X, "quadratic")
-        assert phi.shape == (4, 3 + 6)
-
-    def test_singular_without_ridge(self):
-        X = np.ones((10, 2))  # duplicate constant columns
-        X[:, 1] = X[:, 0]
-        with pytest.raises(SingularSystemError, match="ridge_lambda"):
-            fit(X, np.arange(10.0),
-                PredictorConfig(basis="linear", ridge_lambda=0.0))
-
-    def test_too_few_samples(self):
-        with pytest.raises(PredictorError):
-            fit(np.ones((1, 2)), np.ones(1), LINEAR)
-
-    def test_scale_consistency(self):
-        rng = np.random.default_rng(8)
-        X = rng.normal(size=(40, 3))
-        y = X @ np.array([1.0, -2.0, 0.5]) + 3.0
-        a = fit(X, y, LINEAR)
-        b = fit(X, 2.0 * y, LINEAR)
-        assert np.allclose(b.weights, 2.0 * a.weights, atol=1e-6)
-        assert b.intercept == pytest.approx(2.0 * a.intercept, abs=1e-6)
-
-
-class TestPredict:
-    def test_intercept_only(self):
-        x = np.linspace(-1, 1, 10)[:, None]
-        model = fit(x, np.full(10, 100.0), LINEAR)
-        assert predict(model, [[0.37]])[0] == pytest.approx(100.0, abs=1e-6)
-
-    def test_linear_arithmetic(self):
-        x = np.array([[0.0], [1.0], [2.0]])
-        model = fit(x, 2.0 * x[:, 0] + 1.0, LINEAR)
-        assert predict(model, [[3.0]])[0] == pytest.approx(7.0, abs=1e-6)
-
-    def test_training_residuals(self):
-        x = np.linspace(-2, 2, 20)[:, None]
-        y = 2.0 * x[:, 0]
-        model = fit(x, y, LINEAR)
-        assert np.all(np.abs(predict(model, x) - y) < 1e-6)
-
-    def test_dimension_mismatch(self):
-        x = np.ones((5, 2))
-        model = fit(x, np.arange(5.0), PredictorConfig(basis="linear"))
-        with pytest.raises(PredictorError):
-            predict(model, np.ones((3, 4)))
 
 
 @pytest.mark.parametrize("value", [-1.0, float("nan"), float("inf")])
@@ -156,8 +78,6 @@ class TestEvaluateMask:
         )
 
     def test_requires_prepared_dataset(self):
-        from conftest import make_manual_dataset
-
         ds = make_manual_dataset(
             np.ones((4, 10)), np.zeros(4), ["train"] * 4
         )
@@ -167,6 +87,14 @@ class TestEvaluateMask:
     def test_empty_mask_rejected(self, planted_ds):
         with pytest.raises(PredictorError):
             evaluate_mask(np.zeros(10, dtype=int), planted_ds)
+
+    def test_one_train_row_refused(self):
+        X = np.random.default_rng(1).normal(size=(4, 10))
+        ds = standardize(make_manual_dataset(
+            X, np.arange(4.0), ("train", "val", "val", "test")))
+        with pytest.raises(PredictorError,
+                           match="need at least 2 training samples"):
+            evaluate_masks([np.ones(10, dtype=int)], ds)
 
     def test_noise_feature_not_worth_penalty(self):
         # one-sided paired comparison over 20 seeds at 95% confidence
@@ -189,19 +117,31 @@ class TestEvaluateMask:
         assert diffs.mean() + t_95 * sem < 0.0
 
 
+def mask_basis(X, basis):
+    """X's columns, then for the quadratic basis the products X[:, i] *
+    X[:, j] for i <= j, in np.triu_indices order."""
+    if basis == "linear":
+        return X
+    i, j = np.triu_indices(X.shape[1])
+    return np.hstack([X, X[:, i] * X[:, j]])
+
+
 def reference_breakdown(mask, ds, weights, config):
-    """evaluate_mask's score composed from the reference functions, on
-    rows picked from the columns by the split labels directly."""
+    """evaluate_mask's score from brute_force_ridge on the mask's own
+    basis and trend_consistency_error, on rows picked from the columns by
+    the split labels directly."""
     sel = np.asarray(mask, dtype=bool)
     train, val = ([i for i, lab in enumerate(ds.split) if lab == label]
                   for label in ("train", "val"))
-    model = fit(ds.X[train][:, sel], ds.y[train], config)
-    y_hat = predict(model, ds.X[val][:, sel])
+    beta = brute_force_ridge(mask_basis(ds.X[train][:, sel], config.basis),
+                             ds.y[train], config.ridge_lambda)
+    y_hat = beta[0] + mask_basis(ds.X[val][:, sel], config.basis) @ beta[1:]
     y_val = ds.y[val]
     trend = trend_consistency_error(y_hat, y_val,
                                     ds.scenario_id[val].tolist(),
                                     ds.route_index[val].tolist())
-    return total_score(rmse(y_hat, y_val), trend, mask, weights)
+    return total_score(np.sqrt(np.mean((y_hat - y_val) ** 2)), trend, mask,
+                       weights)
 
 
 def assert_matches_reference(masks, ds, weights, config, tol=1e-9,
@@ -228,7 +168,8 @@ def all_masks(n):
 
 class TestFastPathOracle:
     """evaluate_mask solves sub-blocks of normal equations prepared once
-    per dataset; fit, predict and trend_consistency_error are its oracle."""
+    per dataset; brute_force_ridge on each mask's own basis and
+    trend_consistency_error are its oracle."""
 
     @pytest.mark.parametrize("basis", ["quadratic", "linear"])
     def test_every_mask_matches_reference(self, basis):
@@ -266,10 +207,8 @@ class TestFastPathOracle:
         ds = constant_column_dataset()
         config = PredictorConfig(basis="linear", ridge_lambda=0.0)
         with_constant = np.array([1, 0, 1, 0, 0, 0, 0, 0, 0, 0])
-        with pytest.raises(SingularSystemError):
+        with pytest.raises(SingularSystemError, match="ridge_lambda > 0"):
             evaluate_mask(with_constant, ds, ScoreWeights(), config)
-        with pytest.raises(SingularSystemError):
-            reference_breakdown(with_constant, ds, ScoreWeights(), config)
         # The same system serves a mask without that column.
         assert_matches_reference([np.array([1, 1, 0, 1, 0, 0, 0, 0, 0, 0])],
                                  ds, ScoreWeights(), config)
@@ -317,7 +256,7 @@ def constant_column_dataset():
 
 class TestBatchedOracle:
     """evaluate_masks scores a batch with one stacked solve per basis
-    width; per-mask fit, predict and trend_consistency_error are its
+    width; per-mask brute_force_ridge and trend_consistency_error are its
     oracle."""
 
     @settings(max_examples=40, deadline=None)
@@ -364,8 +303,6 @@ class TestBatchedOracle:
         good = [[1, 1, 0, 0, 0, 0, 0, 0, 0, 0], [1, 1, 0, 1, 0, 0, 0, 0, 0, 0]]
         with pytest.raises(SingularSystemError):
             evaluate_masks(good + [with_constant], ds, ScoreWeights(), config)
-        with pytest.raises(SingularSystemError):
-            reference_breakdown(with_constant, ds, ScoreWeights(), config)
         assert_matches_reference(np.array(good), ds, ScoreWeights(), config,
                                  batch=True)
 

@@ -6,35 +6,12 @@ from hypothesis import strategies as st
 from plselect.scoring import (
     ScoreWeights,
     ScoringError,
-    rmse,
     route_order,
     total_score,
     trend_consistency_error,
 )
 
 W = ScoreWeights(lambda_c=0.3, lambda_n=0.3, n_features=10)
-
-
-class TestRmse:
-    def test_zero_for_identical(self):
-        assert rmse([1.0, 2.0, 3.0], [1.0, 2.0, 3.0]) == 0.0
-
-    def test_constant_magnitude(self):
-        assert rmse([3.0, -3.0], [0.0, 0.0]) == pytest.approx(3.0)
-
-    def test_hand_computed(self):
-        # residuals {1, 2, 2} -> sqrt(9/3)
-        assert rmse([1.0, 2.0, 2.0], [0.0, 0.0, 0.0]) == pytest.approx(
-            np.sqrt(3.0), abs=1e-12
-        )
-
-    def test_empty_raises(self):
-        with pytest.raises(ScoringError):
-            rmse([], [])
-
-    def test_length_mismatch(self):
-        with pytest.raises(ScoringError):
-            rmse([1.0], [1.0, 2.0])
 
 
 class TestTrendError:
@@ -174,7 +151,7 @@ class TestTotalScore:
 
         def score(pred, truth):
             return total_score(
-                rmse(pred, truth),
+                np.sqrt(np.mean((pred - truth) ** 2)),
                 trend_consistency_error(pred, truth, ids, idx),
                 [1] * 4 + [0] * 6,
                 W,
