@@ -117,6 +117,30 @@ class TestEvaluateMask:
         assert diffs.mean() + t_95 * sem < 0.0
 
 
+class TestFit:
+    def test_matches_brute_force_normal_equations(self):
+        # The full linear mask's val RMSE from score_masks' sub-block
+        # solve equals that of the ridge normal equations solved directly.
+        rng = np.random.default_rng(5)
+        n_train, n_val, lam = 50, 20, 0.37
+        X = rng.normal(size=(n_train + n_val, 5))
+        y = X @ rng.normal(size=5) + rng.normal(size=n_train + n_val)
+        ds = standardize(make_manual_dataset(
+            X, y, ("train",) * n_train + ("val",) * n_val))
+        config = PredictorConfig(basis="linear", ridge_lambda=lam)
+        cand = evaluate_mask(np.ones(5, dtype=int), ds,
+                             ScoreWeights(n_features=5), config)
+
+        design = np.hstack([np.ones((n_train + n_val, 1)), ds.X])
+        train, val = design[:n_train], design[n_train:]
+        penalty = lam * np.eye(6)
+        penalty[0, 0] = 0.0  # intercept unpenalized
+        beta = np.linalg.solve(train.T @ train + penalty,
+                               train.T @ ds.y[:n_train])
+        rmse = np.sqrt(np.mean((val @ beta - ds.y[n_train:]) ** 2))
+        assert cand.breakdown.rmse == pytest.approx(rmse, abs=1e-9)
+
+
 def mask_basis(X, basis):
     """X's columns, then for the quadratic basis the products X[:, i] *
     X[:, j] for i <= j, in np.triu_indices order."""
