@@ -1,6 +1,6 @@
 """Command-line interface for the experiment harness.
 
-Subcommands: generate, run, run-baselines, report, sweep. Exit codes:
+Subcommands: generate, run, report, sweep. Exit codes:
 0 success, 1 usage error, 2 runtime failure.
 """
 
@@ -14,7 +14,6 @@ from .harness import (
     cmd_generate,
     cmd_report,
     cmd_run,
-    cmd_run_baselines,
     cmd_sweep,
     load_config,
 )
@@ -35,7 +34,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="plselect", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name in ("generate", "run", "run-baselines", "sweep"):
+    for name in ("generate", "run", "sweep"):
         p = sub.add_parser(name)
         p.add_argument("--config", help="JSON experiment config")
         p.add_argument("--seed", type=int, help="master seed override")
@@ -73,8 +72,6 @@ def main(argv=None) -> int:
         elif args.command == "run":
             cmd_run(cfg, tasks=args.task)
             print(cmd_report(cfg.out_dir, tasks=None), end="")
-        elif args.command == "run-baselines":
-            cmd_run_baselines(cfg, tasks=args.task)
         elif args.command == "sweep":
             print(cmd_sweep(cfg, args.seeds, tasks=args.task))
         return EXIT_OK

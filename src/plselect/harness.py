@@ -294,18 +294,6 @@ def _feature_string(mask) -> str:
     ) + ")"
 
 
-def _feature_count(features: str, n_features: int, path: Path) -> int:
-    """The number of features that a features field names, as
-    _feature_string writes it for a mask of n_features with at least one
-    feature set; any other field raises HarnessError naming the results
-    table at path as malformed."""
-    indices = features[1:-1].split(",")
-    mask = [str(i) in indices for i in range(1, n_features + 1)]
-    if not any(mask) or _feature_string(mask) != features:
-        raise HarnessError(f"malformed results table {path}")
-    return sum(mask)
-
-
 def _result_row(row) -> List[str]:
     """A (task, method, mask, rmse, score) row as RESULTS_HEADER fields;
     a mask of None marks a mean over several masks."""
@@ -471,9 +459,9 @@ def cmd_run(
     tasks: Optional[Sequence[str]] = None,
     jobs: int = 1,
 ) -> List[dict]:
-    """Run and write each task. ``jobs`` is accepted and ignored:
-    evaluation is serial."""
-    tasks = list(tasks) if tasks else list(cfg.task_scenarios)
+    """Run and write each task, each once in order of first naming.
+    ``jobs`` is accepted and ignored: evaluation is serial."""
+    tasks = list(dict.fromkeys(tasks or cfg.task_scenarios))
     results = []
     for task in tasks:
         task_result = run_task(cfg, task)
@@ -482,36 +470,10 @@ def cmd_run(
     return results
 
 
-def cmd_run_baselines(
-    cfg: ExperimentConfig,
-    tasks: Optional[Sequence[str]] = None,
-    cardinality: int = 4,
-) -> List[dict]:
-    """Baselines only, without the agent search (random uses a fixed
-    cardinality unless an agent results row already exists)."""
-    tasks = list(tasks) if tasks else list(cfg.task_scenarios)
-    out = Path(cfg.out_dir) / "results"
-    results = []
-    for task in tasks:
-        ds = _prepare(_load_task_dataset(cfg, task), cfg)
-        k = cardinality
-        existing = out / f"{task}_results.csv"
-        if existing.exists():
-            for _, method, features, _, _ in _read_table(
-                    existing, RESULTS_HEADER, "results table"):
-                if method == "agent":
-                    k = _feature_count(features, ds.n_features, existing)
-                    break
-        rows = _baseline_rows(cfg, task, ds, k)
-        _atomic_write_rows(out / f"{task}_baselines.csv", RESULTS_HEADER,
-                           [_result_row(row) for row in rows])
-        results.append({"task": task, "rows": rows})
-    return results
-
-
 def cmd_report(out_dir: str, tasks: Optional[Sequence[str]] = None) -> str:
     """Aligned summary table of each task's results CSV, plus the figure
-    tables cut from its generations trace. Reads nothing else.
+    tables cut from its generations trace; a task named twice counts
+    once. Reads nothing else.
 
     Raises HarnessError listing the missing artifacts if run outputs are
     absent, and, before anything is read or written, for a task that
@@ -524,6 +486,7 @@ def cmd_report(out_dir: str, tasks: Optional[Sequence[str]] = None) -> str:
     if tasks is None:
         found = sorted(results_dir.glob("*_results.csv"))
         tasks = [p.name[: -len("_results.csv")] for p in found]
+    tasks = dict.fromkeys(tasks)
     missing = []
     table_rows = []
     for task in tasks:

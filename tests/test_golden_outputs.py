@@ -2,8 +2,8 @@
 
 tests/golden_outputs.json holds three tables of sha256 digests:
 
-- "outputs": every file that `generate`, `run`, `run-baselines` and
-  `report` write for master seed 0 with the default config;
+- "outputs": every file that `generate`, `run` and `report` write for
+  master seed 0 with the default config;
 - "sweep": every file that `sweep` writes for 2 seeds from master seed 0
   with the default config, sweep_summary.csv included;
 - "scenes": for each layout and seeds 0-4 of the default SceneConfig, the
@@ -21,8 +21,8 @@ import sys
 import tempfile
 from pathlib import Path
 
-from plselect.harness import (cmd_generate, cmd_report, cmd_run,
-                              cmd_run_baselines, cmd_sweep, default_config)
+from plselect.harness import (cmd_generate, cmd_report, cmd_run, cmd_sweep,
+                              default_config)
 from plselect.scenario import (SceneConfig, generate_scene,
                                scene_features_and_path_loss)
 
@@ -44,12 +44,11 @@ def tree_digests(root) -> dict:
 
 
 def output_digests(out_dir) -> dict:
-    """Digests of every file that generate, run, run-baselines and report
-    write under out_dir."""
+    """Digests of every file that generate, run and report write under
+    out_dir."""
     cfg = default_config(master_seed=0, out_dir=str(out_dir))
     cmd_generate(cfg)
     cmd_run(cfg)
-    cmd_run_baselines(cfg)
     cmd_report(cfg.out_dir)
     return tree_digests(out_dir)
 

@@ -25,7 +25,6 @@ from plselect.harness import (
     cmd_generate,
     cmd_report,
     cmd_run,
-    cmd_run_baselines,
     default_config,
     load_config,
 )
@@ -140,6 +139,7 @@ class TestRun:
         methods = {r["method"] for r in rows}
         assert {"agent", "full", "random", "mi_ge_struct",
                 "mi_ge_em"} <= methods
+        assert sum(m.startswith("random_seed") for m in methods) == 3
 
     def test_task3_sub_scenario_rows(self, run_outputs):
         cfg, _ = run_outputs
@@ -190,13 +190,24 @@ class TestRun:
     def test_unknown_task(self, tmp_path):
         cfg = small_config(tmp_path)
         cmd_generate(cfg)
-        with pytest.raises(HarnessError):
+        with pytest.raises(HarnessError, match="task9"):
             cmd_run(cfg, tasks=["task9"])
 
     def test_missing_dataset_names_task(self, tmp_path):
         cfg = small_config(tmp_path)
         with pytest.raises(HarnessError, match="task1"):
             cmd_run(cfg, tasks=["task1"])
+
+    def test_zero_random_seeds_writes_no_random_rows(self, tmp_path):
+        cfg = small_config(tmp_path)
+        cfg.random_baseline_seeds = 0
+        cmd_generate(cfg)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cmd_run(cfg, tasks=["task1"])
+        rows = read_rows(Path(cfg.out_dir) / "results" / "task1_results.csv")
+        assert [r["method"] for r in rows] == [
+            "agent", "full", "mi_ge_struct", "mi_ge_em"]
 
 
 class TestTaskScenarios:
@@ -252,11 +263,6 @@ class TestTaskScenarios:
         rows = read_rows(Path(cfg.out_dir) / "results" / "task4_results.csv")
         assert {"task4--intersection", "task4--uniform"} <= {
             r["task"] for r in rows}
-        prepared.clear()
-        cmd_run_baselines(cfg, tasks=["task3", "task4"])
-        assert prepared == [["intersection", "square"],
-                            ["intersection", "uniform"]]
-
 
     def test_task_scenario_missing_from_data_is_named(self, tmp_path):
         cfg = small_config(tmp_path)
@@ -274,8 +280,6 @@ class TestTaskScenarios:
             "names; run generate with this config first")
         with pytest.raises(HarnessError, match=message):
             cmd_run(cfg, tasks=["task4"])
-        with pytest.raises(HarnessError, match=message):
-            cmd_run_baselines(cfg, tasks=["task4"])
 
     def test_mi_ranking_once_per_baseline_dataset(self, tmp_path,
                                                   monkeypatch):
@@ -292,51 +296,6 @@ class TestTaskScenarios:
         cmd_run(cfg)
         # task1, task2 and task3 each rank the 10 features of one dataset.
         assert len(calls) == 3 * 10
-
-
-class TestBaselinesCommand:
-    def test_writes_baseline_rows(self, tmp_path):
-        cfg = small_config(tmp_path)
-        cmd_generate(cfg)
-        cmd_run_baselines(cfg, tasks=["task1"])
-        rows = read_rows(
-            Path(cfg.out_dir) / "results" / "task1_baselines.csv"
-        )
-        methods = {r["method"] for r in rows}
-        assert {"full", "mi_ge_struct", "mi_ge_em"} <= methods
-        assert sum(m.startswith("random_seed") for m in methods) == 3
-
-    def test_matches_baseline_rows_of_run(self, tmp_path):
-        cfg = small_config(tmp_path)
-        cmd_generate(cfg)
-        cmd_run(cfg, tasks=["task1"])
-        cmd_run_baselines(cfg, tasks=["task1"])
-        results_dir = Path(cfg.out_dir) / "results"
-        baselines = read_rows(results_dir / "task1_baselines.csv")
-        results = read_rows(results_dir / "task1_results.csv")
-        assert results[0]["method"] == "agent"
-        assert baselines == results[1:]
-        assert {"full", "random", "mi_ge_struct", "mi_ge_em",
-                "random_seed0"} <= {r["method"] for r in baselines}
-
-    def test_unknown_task(self, tmp_path):
-        cfg = small_config(tmp_path)
-        cmd_generate(cfg)
-        with pytest.raises(HarnessError, match="task9"):
-            cmd_run_baselines(cfg, tasks=["task9"])
-
-    def test_zero_random_seeds_writes_no_random_rows(self, tmp_path):
-        cfg = small_config(tmp_path)
-        cfg.random_baseline_seeds = 0
-        cmd_generate(cfg)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            cmd_run_baselines(cfg, tasks=["task1"])
-        rows = read_rows(
-            Path(cfg.out_dir) / "results" / "task1_baselines.csv"
-        )
-        assert [r["method"] for r in rows] == [
-            "full", "mi_ge_struct", "mi_ge_em"]
 
 
 class TestReport:
@@ -880,7 +839,7 @@ class TestCli:
                                           monkeypatch, value):
         monkeypatch.setenv("PLSELECT_TASK_SCENARIOS__TASK1", value)
         args = ["--out", str(tmp_path / "out"), "--task", "task1"]
-        assert main(["run-baselines"] + args) == 2
+        assert main(["run"] + args) == 2
         assert capsys.readouterr().err.startswith(
             "error: task 'task1' must name one or more of the scenarios")
 
@@ -932,7 +891,7 @@ class TestCli:
             "error: scenario 'square': could not place scatterer 0: "
             "clearance from tx/route failed after 1 retries\n")
 
-    @pytest.mark.parametrize("command", ["report", "run-baselines"])
+    @pytest.mark.parametrize("command", ["report"])
     @pytest.mark.parametrize("data", MALFORMED_RESULTS,
                              ids=MALFORMED_RESULTS_IDS)
     def test_malformed_results_exit_code(self, run_outputs, tmp_path, capsys,
@@ -975,31 +934,6 @@ class TestCli:
             f"error: config file {path}: {message}\n")
         assert not out.exists()
 
-    # No feature, a mean row's field, an index out of range, a repeated
-    # index, and more indices than features.
-    @pytest.mark.parametrize("features", [
-        "()", "mean", "(0)", "(2,2,2)",
-        "(" + ",".join(str(i) for i in range(1, 12)) + ")",
-    ])
-    def test_malformed_agent_features_exit_code(self, run_outputs, tmp_path,
-                                                capsys, features):
-        cfg, _ = run_outputs
-        out = tmp_path / "out"
-        shutil.copytree(cfg.out_dir, out)
-        table = out / "results" / "task1_results.csv"
-        rows = read_rows(table)
-        for row in rows:
-            if row["method"] == "agent":
-                row["features"] = features
-        with open(table, "w", newline="") as fh:
-            writer = csv.DictWriter(fh, RESULTS_HEADER)
-            writer.writeheader()
-            writer.writerows(rows)
-        args = ["--out", str(out), "--task", "task1"]
-        assert main(["run-baselines"] + args) == 2
-        assert capsys.readouterr().err == (
-            f"error: malformed results table {table}\n")
-
     def test_negative_seed_exit_code(self, tmp_path, capsys):
         assert main(["generate", "--seed", "-1",
                      "--out", str(tmp_path / "out")]) == 2
@@ -1011,7 +945,6 @@ class TestCli:
         ["generate", "--task", "nonsense"],
         ["sweep", "--seeds", "0"],
         ["sweep", "--seeds", "-2"],
-        ["run-baselines", "--jobs", "1"],
         ["sweep", "--jobs", "1"],
     ])
     def test_options_that_do_nothing_are_usage_errors(self, tmp_path,
@@ -1042,6 +975,39 @@ class TestCli:
         assert capsys.readouterr().err.startswith(
             f"error: task {name!r} must be a file name")
         assert (sorted(tmp_path.rglob("*")), tree_bytes(tmp_path)) == before
+
+    def test_report_repeated_task_counts_once(self, run_outputs, tmp_path,
+                                              capsys):
+        out = tmp_path / "out"
+        shutil.copytree(run_outputs[0].out_dir, out)
+        args = ["report", "--out", str(out), "--task", "task1"]
+        assert main(args) == 0
+        once = capsys.readouterr().out, tree_bytes(out)
+        assert main(args + ["--task", "task1"]) == 0
+        assert (capsys.readouterr().out, tree_bytes(out)) == once
+
+    def test_sweep_repeated_task_runs_once(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({
+            "search": {"population_size": 8, "generations": 4,
+                       "elite_count": 2},
+            "scenarios": {"intersection": {"route_points": 40}},
+            "random_baseline_seeds": 2,
+        }))
+        out = tmp_path / "out"
+        assert main(["sweep", "--seeds", "1", "--config", str(cfg_path),
+                     "--out", str(out), "--task", "task1",
+                     "--task", "task1"]) == 0
+        with open(out / "sweep_summary.csv", newline="") as fh:
+            swept = list(csv.reader(fh))
+        with open(out / "seed0" / "results" / "task1_results.csv",
+                  newline="") as fh:
+            results = list(csv.reader(fh))
+        assert swept == [["seed"] + row for row in results[:1]] + [
+            ["0"] + row for row in results[1:]]
+        assert sorted(p.name for p in (out / "seed0" / "results").iterdir()
+                      ) == [f"task1_{kind}.csv" for kind in (
+                          "diagnostics", "generations", "policy", "results")]
 
     def test_end_to_end(self, tmp_path, capsys):
         out = str(tmp_path / "out")
