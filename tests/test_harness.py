@@ -945,6 +945,7 @@ class TestCli:
         ["generate", "--task", "nonsense"],
         ["sweep", "--seeds", "0"],
         ["sweep", "--seeds", "-2"],
+        ["report", "--jobs", "1"],
         ["sweep", "--jobs", "1"],
     ])
     def test_options_that_do_nothing_are_usage_errors(self, tmp_path,
