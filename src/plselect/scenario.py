@@ -29,6 +29,8 @@ from typing import Optional
 
 import numpy as np
 
+from . import streams
+
 SPEED_OF_LIGHT = 299_792_458.0
 
 # Free-space path loss constant: 20*log10(4*pi/c) for d in meters, f in Hz.
@@ -159,18 +161,42 @@ class Scene:
         return (w * d) * h
 
     def to_json(self) -> str:
-        doc = {
-            "tx_position": self.tx_position.tolist(),
-            "scatterers": [
-                {"center": [x, y], "width": w, "depth": d, "height": h}
-                for x, y, w, d, h in self.boxes.tolist()
-            ],
-            "rx_route": self.rx_route.tolist(),
-            "carrier_frequency": self.carrier_frequency,
-            "area_bounds": list(self.area_bounds),
-            "seed": self.seed,
-        }
-        return json.dumps(doc, indent=2, sort_keys=True)
+        """The scene's fields as json.dumps(indent=2, sort_keys=True)
+        writes them, byte for byte, each box as {"center": [x, y],
+        "depth", "height", "width"}. json's indented encoder is pure
+        Python, so the route points and boxes go through one %-template
+        each; the scalar fields go through json.dumps itself.
+        """
+        boxes = _json_floats(_JSON_BOX, self.boxes[:, [0, 1, 3, 4, 2]])
+        return _JSON_SCENE % (
+            *map(json.dumps, self.area_bounds),
+            json.dumps(self.carrier_frequency),
+            _json_floats(_JSON_POINT, self.rx_route),
+            boxes + "\n  " if boxes else "",
+            json.dumps(self.seed),
+            _json_floats(_JSON_TX, self.tx_position[None]),
+        )
+
+
+# Scene.to_json's layout, as json.dumps(indent=2, sort_keys=True) writes it.
+_JSON_SCENE = (
+    '{\n  "area_bounds": [\n    %s,\n    %s,\n    %s,\n    %s\n  ],\n'
+    '  "carrier_frequency": %s,\n  "rx_route": [%s\n  ],\n'
+    '  "scatterers": [%s],\n  "seed": %s,\n  "tx_position": [%s\n  ]\n}'
+)
+_JSON_TX = "\n    %r,\n    %r,\n    %r"
+_JSON_POINT = "\n    [\n      %r,\n      %r,\n      %r\n    ]"
+_JSON_BOX = ('\n    {\n      "center": [\n        %r,\n        %r\n      ],'
+             '\n      "depth": %r,\n      "height": %r,\n      "width": %r'
+             '\n    }')
+
+
+def _json_floats(template, rows) -> str:
+    """Each row of a float array through template, joined by commas. The
+    rows' Python floats print by float.__repr__, as json prints them, and
+    json's Infinity and NaN replace repr's inf and nan."""
+    text = ",".join([template % tuple(row) for row in rows.tolist()])
+    return text.replace("inf", "Infinity").replace("nan", "NaN")
 
 
 @dataclass
@@ -398,7 +424,8 @@ def _knife_edge_cascade(pl, d, edges, tx_z, rx_z, wavelength):
 
 def _shadowing(seed, rx_index, shadowing_sigma) -> float:
     """The shadowing draw of route point rx_index: one zero-mean Gaussian
-    from a generator seeded with (seed, rx_index)."""
+    from a generator seeded with (seed, rx_index). The batch path takes the
+    same draws from streams.seed_states."""
     seq = np.random.SeedSequence([int(seed), int(rx_index)])
     return float(np.random.default_rng(seq).normal(0.0, shadowing_sigma))
 
@@ -490,8 +517,9 @@ def scene_features_and_path_loss(
     For each block of route points, one slab-test table (Kay & Kajiya,
     1986) and one corridor-distance table over (points x boxes) feed both
     the extractor and the oracle. Per point there remain the shadowing
-    draw, added last as in ground_truth_path_loss, and, where the ray
-    hits a box, the Epstein-Peterson cascade over its blockers.
+    draw, from a generator state hashed for all points at once and added
+    last as in ground_truth_path_loss, and, where the ray hits a box, the
+    Epstein-Peterson cascade over its blockers.
 
     The tables repeat the scalar arithmetic operation for operation. The
     scalar 1-D dot products and norms go through BLAS ddot, whose rounding
@@ -575,8 +603,10 @@ def scene_features_and_path_loss(
                 fspl[i], d[i], edges, tx[2], rx[i, 2], wavelength
             )
     if shadowing_sigma > 0:
-        path_loss += [_shadowing(scene.seed, i, shadowing_sigma)
-                      for i in range(n_points)]
+        # _shadowing's draws, from one generator set to each point's state.
+        path_loss += [rng.normal(0.0, shadowing_sigma) for rng in
+                      streams.generators(streams.seed_states(
+                          scene.seed, np.arange(n_points)))]
     return features, path_loss
 
 

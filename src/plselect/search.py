@@ -25,6 +25,7 @@ from .predictor import (
     score_masks,
 )
 from .scoring import ScoreWeights, check_weights
+from .streams import generators, seed_states
 
 P_FLOOR = 0.02
 P_CEIL = 0.98
@@ -91,13 +92,6 @@ class SearchResult:
 def initial_policy(n_features: int) -> np.ndarray:
     """Maximal-entropy start: every selection probability at 0.5."""
     return np.full(n_features, 0.5)
-
-
-def generation_streams(master_seed: int, t: int) -> tuple:
-    """Generation t's sampling, pairing, crossover and mutation generators,
-    seeded by the four children of SeedSequence([master_seed, t])."""
-    return tuple(map(np.random.default_rng,
-                     np.random.SeedSequence([master_seed, t]).spawn(4)))
 
 
 def sample_population(
@@ -226,12 +220,14 @@ def run_search(
 ) -> SearchResult:
     """Full policy-guided evolutionary search over feature masks.
 
-    Deterministic per master_seed: generation t draws from
-    generation_streams(master_seed, t). The dataset and weights are
-    checked once. Each generation's masks not seen before in the run are
-    scored by predictor.score_masks in one batch, and a columnar memo
-    table keeps one row per distinct mask: its rmse, trend error,
-    cardinality and total. The table's ranked method is the one ranking
+    Deterministic per master_seed: generation t samples, pairs, crosses
+    and mutates with the four children of SeedSequence([master_seed, t]),
+    in that order; streams.seed_states hashes their states for every
+    generation at once. The dataset and weights are checked once. Each
+    generation's masks not seen before in the run are scored by
+    predictor.score_masks in one batch, and a columnar memo table keeps
+    one row per distinct mask: its rmse, trend error, cardinality and
+    total. The table's ranked method is the one ranking
     of candidates: it orders each population's rows for the elites and,
     at the end, every row for the best overall. A Candidate is built
     only for each generation's best and the best overall. ``jobs`` is
@@ -244,15 +240,16 @@ def run_search(
     policy = initial_policy(n)
     records = []
 
-    for t in range(config.generations):
-        sample_rng, pair_rng, cx_rng, mut_rng = generation_streams(
-            config.master_seed, t)
+    # One reused generator: each stream is drawn from before the next.
+    rngs = generators(seed_states(config.master_seed,
+                                  np.arange(config.generations), 4))
 
-        masks = sample_population(policy, config.population_size, sample_rng)
-        masks = crossover_population(
-            masks, pair_rng.permutation(config.population_size),
-            config.crossover_prob, cx_rng)
-        masks = mutate(masks, config.mutation_rate, mut_rng)
+    for t in range(config.generations):
+        masks = sample_population(policy, config.population_size, next(rngs))
+        order = next(rngs).permutation(config.population_size)
+        masks = crossover_population(masks, order, config.crossover_prob,
+                                     next(rngs))
+        masks = mutate(masks, config.mutation_rate, next(rngs))
 
         rows, new = table.rows(masks)
         if len(new):

@@ -941,6 +941,14 @@ class TestCli:
             "error: master_seed must be non-negative\n")
         assert not (tmp_path / "out").exists()
 
+    # Scene seeds are seed * 1000 + i + 1: at 4294968 they pass 2**32, and
+    # at 2**64 the search seed splits into three 32-bit words.
+    @pytest.mark.parametrize("seed", ["4294968", "18446744073709551616"])
+    def test_multi_word_seeds_exit_zero(self, tmp_path, seed):
+        args = ["--seed", seed, "--out", str(tmp_path / "out")]
+        assert main(["generate"] + args) == 0
+        assert main(["run"] + args) == 0
+
     @pytest.mark.parametrize("args", [
         ["generate", "--task", "nonsense"],
         ["sweep", "--seeds", "0"],

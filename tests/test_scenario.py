@@ -1,6 +1,8 @@
+import json
+
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from plselect import scenario
@@ -76,6 +78,65 @@ class TestGenerateScene:
         )
         with pytest.raises(SceneGenerationError):
             generate_scene(cfg)
+
+
+def json_dumps_scene(scene):
+    """The scene document as json.dumps writes it."""
+    doc = {
+        "tx_position": scene.tx_position.tolist(),
+        "scatterers": [
+            {"center": [x, y], "width": w, "depth": d, "height": h}
+            for x, y, w, d, h in scene.boxes.tolist()
+        ],
+        "rx_route": scene.rx_route.tolist(),
+        "carrier_frequency": scene.carrier_frequency,
+        "area_bounds": list(scene.area_bounds),
+        "seed": scene.seed,
+    }
+    return json.dumps(doc, indent=2, sort_keys=True)
+
+
+# Non-finite coordinates, which json spells Infinity and NaN, and numbers
+# of every size and sign.
+any_float = st.floats(allow_nan=True, allow_infinity=True)
+
+
+@st.composite
+def json_scenes(draw):
+    size = st.floats(1e-3, 40.0)
+    boxes = st.tuples(st.floats(-50.0, 50.0), st.floats(-50.0, 50.0),
+                      size, size, size)
+    bound = st.one_of(st.integers(100, 10**6), st.floats(100.0, 1e300))
+    try:
+        return Scene(
+            tx_position=draw(st.tuples(any_float, any_float, any_float)),
+            rx_route=draw(st.lists(st.tuples(any_float, any_float,
+                                             any_float), min_size=2,
+                                   max_size=6)),
+            boxes=draw(st.lists(boxes, max_size=4)),
+            carrier_frequency=draw(st.one_of(
+                st.floats(1e6, 1e12), st.floats(1e6, 1e12).map(np.float64),
+                st.integers(1, 10**12))),
+            area_bounds=(-draw(bound), -draw(bound), draw(bound), draw(bound)),
+            seed=draw(st.integers(0, 2**80)),
+        )
+    except ValueError:
+        assume(False)
+
+
+class TestSceneJson:
+    @settings(max_examples=200, deadline=None)
+    @given(scene=json_scenes())
+    @example(scene=generate_scene(SceneConfig(layout="intersection", seed=1)))
+    @example(scene=generate_scene(SceneConfig(layout="square", seed=2)))
+    # No boxes: json writes "scatterers": [] on one line.
+    @example(scene=generate_scene(SceneConfig(scatterer_count=(0, 0))))
+    @example(scene=make_scene(
+        tx=(np.inf, np.nan, 10.0), route=[(-np.inf, 0.0, 1.5), (np.nan, 1, 2)],
+        frequency=np.float64(3.5e9), bounds=(-100, -100, 100, 100),
+        seed=2**70))
+    def test_to_json_is_json_dumps(self, scene):
+        assert scene.to_json() == json_dumps_scene(scene)
 
 
 class TestSceneColumns:

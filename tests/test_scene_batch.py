@@ -56,7 +56,8 @@ def assert_batch_matches_scalar(scene, shadowing_sigma=3.0,
 
 
 @pytest.mark.parametrize("layout", ["intersection", "square", "uniform"])
-@pytest.mark.parametrize("seed", range(5))
+# 2**32 + 5: SeedSequence splits the scene seed into two 32-bit words.
+@pytest.mark.parametrize("seed", [*range(5), 2**32 + 5])
 def test_generated_scenes_bitwise(layout, seed):
     scene = generate_scene(SceneConfig(layout=layout, seed=seed))
     assert_batch_matches_scalar(scene)

@@ -21,7 +21,6 @@ from plselect.search import (
     SearchConfigError,
     crossover,
     crossover_population,
-    generation_streams,
     initial_policy,
     mutate,
     normalized_entropy,
@@ -30,6 +29,7 @@ from plselect.search import (
     sample_population,
     update_policy,
 )
+from plselect.streams import generators, seed_states
 
 
 class TestSamplePopulation:
@@ -178,14 +178,16 @@ class TestGenerationOperators:
     @settings(max_examples=100, deadline=None)
     @given(master_seed=st.integers(0, 2**64 - 1), t=st.integers(0, 10_000))
     @example(master_seed=0, t=0)
+    @example(master_seed=2**64, t=3)  # three entropy words
     def test_generation_streams_are_the_spawned_children(self, master_seed,
                                                          t):
-        # A numpy whose spawn(4) derives its children otherwise fails here
-        # rather than changing every search.
+        # run_search seeds generation t's four streams as here. A numpy
+        # whose spawn(4) derives its children otherwise fails here rather
+        # than changing every search.
         children = np.random.SeedSequence([master_seed, t]).spawn(4)
-        streams = generation_streams(master_seed, t)
-        assert len(streams) == 4
-        for got, child in zip(streams, children):
+        states = seed_states(master_seed, [t], 4)
+        assert len(states) == 4
+        for got, child in zip(generators(states), children):
             want = np.random.default_rng(child)
             assert got.bit_generator.state == want.bit_generator.state
             assert np.array_equal(got.random(8), want.random(8))
