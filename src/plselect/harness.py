@@ -180,13 +180,14 @@ def _apply(current, docs, key: str = "", entry=None):
 
     docs holds (document, source) pairs for the config key `key`. A
     dataclass takes a JSON object of its field names, except that below
-    the top level no seed can be set (see `seeded`); a dict takes a JSON
-    object whose new keys start from `entry`. Both are merged key by key,
-    and each dataclass is rebuilt once, after all documents, so that its
-    checks see the final values. Other values go through `_typed`. A bad
-    key or type raises HarnessError naming the key and its source, and a
-    value that a section's checks refuse one naming the section. A dict
-    key (a scenario or task name) must pass `_check_file_name`.
+    the top level no seed (see `seeded`) and no feature count (the
+    catalog's) can be set; a dict takes a JSON object whose new keys
+    start from `entry`. Both are merged key by key, and each dataclass is
+    rebuilt once, after all documents, so that its checks see the final
+    values. Other values go through `_typed`. A bad key or type raises
+    HarnessError naming the key and its source, and a value that a
+    section's checks refuse one naming the section. A dict key (a
+    scenario or task name) must pass `_check_file_name`.
     """
     is_dict = isinstance(current, dict)
     if not (is_dict or is_dataclass(current)):
@@ -206,9 +207,11 @@ def _apply(current, docs, key: str = "", entry=None):
             changes[k] = _apply(current.get(k, entry), sub, name)
         elif k not in known:
             raise HarnessError(f"unknown config key {name!r} from {sub[0][1]}")
-        elif key and k in ("seed", "master_seed"):
+        elif key and k in ("seed", "master_seed", "n_features"):
+            follows = ("the feature catalog" if k == "n_features"
+                       else "master_seed")
             raise HarnessError(f"config key {name!r} from {sub[0][1]} cannot "
-                               "be set: it follows master_seed")
+                               f"be set: it follows {follows}")
         else:
             changes[k] = _apply(getattr(current, k), sub, name,
                                 known[k].metadata.get("entry"))
@@ -353,29 +356,41 @@ def cmd_generate(cfg: ExperimentConfig) -> List[Path]:
     return written
 
 
-def _load_task_dataset(cfg: ExperimentConfig, task: str) -> Dataset:
-    """The rows of the task's scenarios, from pooled.csv for a
-    multi-scenario task and from the scenario's own CSV otherwise."""
-    if task not in cfg.task_scenarios:
-        raise HarnessError(f"unknown task {task!r}")
-    names = cfg.task_scenarios[task]
-    data_dir = Path(cfg.out_dir) / "data"
-    path = data_dir / ("pooled.csv" if len(names) > 1 else f"{names[0]}.csv")
+def _task_list(cfg: ExperimentConfig, tasks: Optional[Sequence[str]]):
+    """tasks, each once in order of first naming, or all of cfg's for
+    none; a task that cfg does not name raises HarnessError."""
+    for task in tasks or ():
+        if task not in cfg.task_scenarios:
+            raise HarnessError(f"unknown task {task!r}")
+    return list(dict.fromkeys(tasks or cfg.task_scenarios))
+
+
+def _read_pooled(cfg: ExperimentConfig, tasks: List[str]) -> Dataset:
+    """pooled.csv, the one dataset file that run reads; raises
+    HarnessError if it lacks the rows of a scenario that a task names."""
+    path = Path(cfg.out_dir) / "data" / "pooled.csv"
     if not path.exists():
-        raise HarnessError(f"missing dataset for {task}: {path}")
-    ds = read_csv(path)
-    present = ds.scenario_ids()
-    absent = [name for name in names if name not in present]
-    if absent:
-        raise HarnessError(f"{path} has no rows of the scenarios {absent} "
-                           f"that {task} names; run generate with this "
-                           "config first")
-    return select_scenarios(ds, names)
+        raise HarnessError(f"missing dataset for {', '.join(tasks)}: {path}")
+    pooled = read_csv(path)
+    present = pooled.scenario_ids()
+    for task in tasks:
+        absent = [n for n in cfg.task_scenarios[task] if n not in present]
+        if absent:
+            raise HarnessError(f"{path} has no rows of the scenarios "
+                               f"{absent} that {task} names; run generate "
+                               "with this config first")
+    return pooled
 
 
-def _prepare(ds: Dataset, cfg: ExperimentConfig) -> Dataset:
-    ds = split_dataset(ds, cfg.split_fractions, seed=cfg.master_seed)
-    return standardize(ds)
+def _prepared(cfg: ExperimentConfig, pooled: Dataset, names) -> Dataset:
+    """The named scenarios' rows of pooled, split and standardized once
+    per set of names and kept in pooled.derived, so that tasks sharing
+    them share one Dataset and its normal equations."""
+    key = ("prepared", frozenset(names), cfg.split_fractions, cfg.master_seed)
+    if key not in pooled.derived:
+        pooled.derived[key] = standardize(split_dataset(select_scenarios(
+            pooled, names), cfg.split_fractions, seed=cfg.master_seed))
+    return pooled.derived[key]
 
 
 def _baseline_rows(
@@ -405,10 +420,14 @@ def _baseline_rows(
     return rows
 
 
-def run_task(cfg: ExperimentConfig, task: str) -> Dict[str, object]:
-    """Agent search plus all baselines for one task on a shared dataset."""
-    raw = _load_task_dataset(cfg, task)
-    ds = _prepare(raw, cfg)
+def run_task(cfg: ExperimentConfig, task: str,
+             pooled: Optional[Dataset] = None) -> Dict[str, object]:
+    """Agent search plus all baselines for one task on a shared dataset.
+    pooled is _read_pooled's dataset, read here if not given."""
+    if pooled is None:
+        pooled = _read_pooled(cfg, _task_list(cfg, [task]))
+    names = cfg.task_scenarios[task]
+    ds = _prepared(cfg, pooled, names)
     result = run_search(ds, cfg.search, cfg.weights, cfg.predictor)
     agent = result.best_overall
 
@@ -417,12 +436,11 @@ def run_task(cfg: ExperimentConfig, task: str) -> Dict[str, object]:
 
     # Multi-scenario task: re-evaluate the pooled-selected mask on each
     # sub-scenario's own split.
-    if len(cfg.task_scenarios[task]) > 1:
-        for name in cfg.task_scenarios[task]:
-            sub = _prepare(select_scenarios(raw, [name]), cfg)
-            cand = evaluate_mask(agent.mask, sub, cfg.weights, cfg.predictor)
-            rows.append((f"{task}--{name}", "agent", agent.mask,
-                         cand.breakdown.rmse, cand.score))
+    for name in names if len(names) > 1 else ():
+        sub = _prepared(cfg, pooled, [name])
+        cand = evaluate_mask(agent.mask, sub, cfg.weights, cfg.predictor)
+        rows.append((f"{task}--{name}", "agent", agent.mask,
+                     cand.breakdown.rmse, cand.score))
 
     return {"task": task, "dataset": ds, "search": result, "rows": rows}
 
@@ -459,12 +477,13 @@ def cmd_run(
     tasks: Optional[Sequence[str]] = None,
     jobs: int = 1,
 ) -> List[dict]:
-    """Run and write each task, each once in order of first naming.
-    ``jobs`` is accepted and ignored: evaluation is serial."""
-    tasks = list(dict.fromkeys(tasks or cfg.task_scenarios))
+    """Run and write each task, each once in order of first naming, on
+    one read of pooled.csv. ``jobs`` is accepted and ignored."""
+    tasks = _task_list(cfg, tasks)
+    pooled = _read_pooled(cfg, tasks)
     results = []
     for task in tasks:
-        task_result = run_task(cfg, task)
+        task_result = run_task(cfg, task, pooled)
         _write_task_outputs(cfg, task_result)
         results.append(task_result)
     return results
@@ -530,6 +549,7 @@ def cmd_sweep(
     tasks: Optional[Sequence[str]] = None,
 ) -> Path:
     """Repeat generate+run over consecutive master seeds and aggregate."""
+    tasks = _task_list(cfg, tasks)
     base_out = Path(cfg.out_dir)
     agg_rows = []
     for k in range(n_seeds):

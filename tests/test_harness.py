@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from plselect import baselines, harness
+from plselect import baselines, harness, predictor
 from plselect.cli import main
 from plselect.dataset import CSV_HEADER
 from plselect.harness import (
@@ -213,32 +213,39 @@ class TestRun:
 class TestTaskScenarios:
     @pytest.fixture
     def spies(self, monkeypatch):
-        """The scenario ids of each dataset prepared and the name of each
-        CSV read by the harness, in call order."""
-        prepared, reads = [], []
-        real_prepare, real_read = harness._prepare, harness.read_csv
+        """The scenario ids of each dataset split and of each dataset whose
+        normal equations are built, and the name of each CSV read by the
+        harness, in call order."""
+        prepared, grams, reads = [], [], []
+        real_split, real_read = harness.split_dataset, harness.read_csv
+        real_gram = predictor._prepare
 
-        def prepare(ds, cfg):
+        def split(ds, *args, **kwargs):
             prepared.append(ds.scenario_ids())
-            return real_prepare(ds, cfg)
+            return real_split(ds, *args, **kwargs)
+
+        def gram(ds, basis):
+            grams.append(ds.scenario_ids())
+            return real_gram(ds, basis)
 
         def read(path):
             reads.append(Path(path).name)
             return real_read(path)
 
-        monkeypatch.setattr(harness, "_prepare", prepare)
+        monkeypatch.setattr(harness, "split_dataset", split)
+        monkeypatch.setattr(predictor, "_prepare", gram)
         monkeypatch.setattr(harness, "read_csv", read)
-        return prepared, reads
+        return prepared, grams, reads
 
     def test_default_run_reads_each_csv_once(self, tmp_path, spies):
         cfg = small_config(tmp_path)
         cmd_generate(cfg)
         cmd_run(cfg)
-        prepared, reads = spies
-        assert reads == ["intersection.csv", "square.csv", "pooled.csv"]
-        assert prepared == [["intersection"], ["square"],
-                            ["intersection", "square"], ["intersection"],
-                            ["square"]]
+        prepared, grams, reads = spies
+        assert reads == ["pooled.csv"]
+        # task3's sub rows are scored on task1's and task2's datasets.
+        assert prepared == grams == [["intersection"], ["square"],
+                                     ["intersection", "square"]]
 
     def test_multi_scenario_task_gets_only_its_scenarios(self, tmp_path,
                                                          spies):
@@ -251,15 +258,16 @@ class TestTaskScenarios:
                             "task4": ("intersection", "uniform")},
         ), 0)
         cmd_generate(cfg)
-        prepared, reads = spies
+        prepared, grams, reads = spies
         results = cmd_run(cfg, tasks=["task3", "task4"])
         assert [r["dataset"].scenario_ids() for r in results] == [
             ["intersection", "square"], ["intersection", "uniform"]]
-        assert prepared == [["intersection", "square"], ["intersection"],
-                            ["square"], ["intersection", "uniform"],
-                            ["intersection"], ["uniform"]]
+        # The intersection rows are prepared once for both tasks.
+        assert prepared == grams == [
+            ["intersection", "square"], ["intersection"], ["square"],
+            ["intersection", "uniform"], ["uniform"]]
         assert [len(r["dataset"]) for r in results] == [120, 120]
-        assert reads == ["pooled.csv"] * 2
+        assert reads == ["pooled.csv"]
         rows = read_rows(Path(cfg.out_dir) / "results" / "task4_results.csv")
         assert {"task4--intersection", "task4--uniform"} <= {
             r["task"] for r in rows}
@@ -450,6 +458,25 @@ class TestConfigLoading:
             "variable PLSELECT_SEARCH__MASTER_SEED",
         ):
             load_config(environ=environ)
+
+    @pytest.mark.parametrize("form", ["config", "env"])
+    def test_feature_count_is_not_settable(self, tmp_path, capsys,
+                                           monkeypatch, form):
+        out = tmp_path / "out"
+        args = ["generate", "--out", str(out)]
+        if form == "config":
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps({"weights": {"n_features": 24}}))
+            args += ["--config", str(path)]
+            source = str(path)
+        else:
+            monkeypatch.setenv("PLSELECT_WEIGHTS__N_FEATURES", "24")
+            source = "environment variable PLSELECT_WEIGHTS__N_FEATURES"
+        assert main(args) == 2
+        assert capsys.readouterr().err == (
+            f"error: config key 'weights.n_features' from {source} cannot "
+            "be set: it follows the feature catalog\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "doc, message",
@@ -1018,6 +1045,54 @@ class TestCli:
                       ) == [f"task1_{kind}.csv" for kind in (
                           "diagnostics", "generations", "policy", "results")]
 
+    def test_run_refuses_unknown_task_before_running(self, tmp_path,
+                                                     capsys):
+        out = tmp_path / "out"
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({
+            "search": {"population_size": 8, "generations": 4,
+                       "elite_count": 2},
+            "scenarios": {"intersection": {"route_points": 40}},
+        }))
+        args = ["--config", str(cfg_path), "--out", str(out)]
+        assert main(["generate"] + args) == 0
+        capsys.readouterr()
+        assert main(["run"] + args + ["--task", "task1", "--task",
+                                      "task9"]) == 2
+        assert capsys.readouterr().err == "error: unknown task 'task9'\n"
+        assert sorted(p.name for p in out.iterdir()) == ["data", "scenes"]
+
+    def test_sweep_refuses_unknown_task_before_generating(self, tmp_path,
+                                                          capsys):
+        out = tmp_path / "out"
+        assert main(["sweep", "--seeds", "2", "--out", str(out), "--task",
+                     "task9"]) == 2
+        assert capsys.readouterr().err == "error: unknown task 'task9'\n"
+        assert not out.exists()
+
+    def test_run_reads_no_scenario_csv(self, tmp_path):
+        out = tmp_path / "out"
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({
+            "search": {"population_size": 8, "generations": 4,
+                       "elite_count": 2},
+            "scenarios": {"intersection": {"route_points": 40},
+                          "square": {"route_points": 40}},
+            "random_baseline_seeds": 2,
+        }))
+        args = ["--config", str(cfg_path), "--out", str(out)]
+        assert main(["generate"] + args) == 0
+        assert main(["run"] + args) == 0
+        written = tree_bytes(out)
+        shutil.rmtree(out / "results")
+        shutil.rmtree(out / "report")
+        for name in ("intersection", "square"):
+            (out / "data" / f"{name}.csv").unlink()
+        assert main(["run"] + args) == 0
+        assert tree_bytes(out) == {
+            k: v for k, v in written.items()
+            if k not in ("data/intersection.csv", "data/square.csv")}
+
     def test_end_to_end(self, tmp_path, capsys):
         out = str(tmp_path / "out")
         cfg_doc = {
@@ -1041,7 +1116,7 @@ class TestCli:
     def test_malformed_dataset_exit_code(self, tmp_path, capsys):
         cfg = small_config(tmp_path, route_points=20)
         cmd_generate(cfg)
-        data = Path(cfg.out_dir) / "data" / "intersection.csv"
+        data = Path(cfg.out_dir) / "data" / "pooled.csv"
         lines = data.read_text().splitlines()
         lines[5] = lines[5].rsplit(",", 1)[0]
         data.write_text("\n".join(lines) + "\n")

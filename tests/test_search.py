@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 from conftest import make_planted_dataset
 from plselect import search
-from plselect.dataset import read_csv, split_dataset, standardize
+from plselect.dataset import (read_csv, select_scenarios, split_dataset,
+                              standardize)
 from plselect.harness import cmd_generate, default_config
 from plselect.predictor import evaluate_mask
 from plselect.scoring import ScoreWeights
@@ -536,12 +537,13 @@ def exhaustive_optimum(ds, weights, predictor_config):
 
 @pytest.mark.parametrize("master_seed", [0, 1, 2])
 def test_search_finds_exhaustive_optimum_on_task1(tmp_path, master_seed):
-    # task1's dataset as run_task prepares it: the intersection CSV,
-    # split and standardized with the master seed.
+    # task1's dataset as run_task prepares it: the intersection rows of
+    # pooled.csv, split and standardized with the master seed.
     cfg = default_config(master_seed=master_seed, out_dir=str(tmp_path))
     cmd_generate(cfg)
+    pooled = read_csv(tmp_path / "data" / "pooled.csv")
     ds = standardize(split_dataset(
-        read_csv(tmp_path / "data" / "intersection.csv"),
+        select_scenarios(pooled, ["intersection"]),
         cfg.split_fractions, seed=master_seed))
     best = run_search(ds, cfg.search, cfg.weights, cfg.predictor).best_overall
     optimum = exhaustive_optimum(ds, cfg.weights, cfg.predictor)
