@@ -261,8 +261,10 @@ def format_number(value: float) -> str:
 def write_csv(ds: Dataset, path) -> list:
     """Rows ordered by scenario then route_index, 9 significant digits.
     CSV_HEADER names the default catalog's features, so a dataset of
-    another width raises DatasetError before anything is written.
-    Returns the data lines written, for write_csv_lines."""
+    another width raises DatasetError before anything is written, as
+    does a non-finite value, naming the first such row in file order:
+    the row read_csv would refuse. Returns the data lines written, for
+    write_csv_lines."""
     width = len(CSV_HEADER) - 3
     if ds.n_features != width:
         raise DatasetError(f"the CSV format holds {width} features, but the "
@@ -270,6 +272,12 @@ def write_csv(ds: Dataset, path) -> list:
     order = np.lexsort((ds.route_index, ds.scenario_id))
     values = np.column_stack([ds.X, ds.y])[order]
     ids = ds.scenario_id[order].tolist()
+    routes = ds.route_index[order].tolist()
+    bad = ~np.isfinite(values).all(axis=1)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise DatasetError(f"scenario {ids[i]!r}, route index {routes[i]}: "
+                           "non-finite feature or path loss")
     # Each id is quoted once, as csv.writer quotes it in a row of two
     # fields: alone, an empty field would be quoted.
     quoted = {}
@@ -278,7 +286,7 @@ def write_csv(ds: Dataset, path) -> list:
         quoted[sid] = buf.getvalue()[:-len(",\r\n")]
     row_format = ",".join(["%s,%d"] + [_NUMBER_FORMAT] * (width + 1)) + "\r\n"
     lines = [row_format % (quoted[sid], route, *row) for sid, route, row
-             in zip(ids, ds.route_index[order].tolist(), values.tolist())]
+             in zip(ids, routes, values.tolist())]
     write_csv_lines(path, lines)
     return lines
 

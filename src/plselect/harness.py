@@ -26,6 +26,7 @@ from .dataset import (
     DEFAULT_SPLIT_FRACTIONS,
     Dataset,
     DatasetError,
+    _stratified_counts,
     build_dataset,
     check_split_fractions,
     format_number,
@@ -106,6 +107,18 @@ class ExperimentConfig:
                 raise HarnessError(
                     f"task {task!r} must name one or more of the scenarios "
                     f"{list(self.scenarios)}, each once, got {list(names)}")
+            # Each scenario is also scored alone; MI bins the train rows.
+            c = np.array([_stratified_counts(
+                self.scenarios[n].route_points, self.split_fractions)
+                for n in names])
+            if (c < (2, 2, 1)).any() or c[:, 0].sum() < bl.DEFAULT_MI_BINS:
+                raise HarnessError(
+                    f"task {task!r} needs at least 2 train, 2 val and 1 test "
+                    f"rows per scenario and {bl.DEFAULT_MI_BINS} train rows; "
+                    + "; ".join(f"scenarios.{n}.route_points = "
+                                f"{self.scenarios[n].route_points} gives "
+                                "{} train, {} val and {} test rows".format(*k)
+                                for n, k in zip(names, c)))
 
 
 def seeded(cfg: ExperimentConfig, master_seed: int) -> ExperimentConfig:
@@ -399,7 +412,7 @@ def _baseline_rows(
     """Rows for the full, random and MI-category baselines, scored as one
     batch. The random masks select `cardinality` features; their mean row
     precedes them, and with no random seeds there are neither."""
-    named = [("full", bl.full_feature_mask(ds.n_features))]
+    named = [("full", np.ones(ds.n_features, dtype=np.int8))]
     for k in range(cfg.random_baseline_seeds):
         rng = np.random.default_rng(
             np.random.SeedSequence([cfg.master_seed, 9001, k])

@@ -91,10 +91,6 @@ class FeatureCatalog:
     def n_features(self) -> int:
         return len(self.symbols)
 
-    def indices_for_category(self, category: str) -> list:
-        """1-based feature indices belonging to a category."""
-        return [i + 1 for i, c in enumerate(self.categories) if c == category]
-
 
 # The shape of each float column of a Scene; None is any number of rows.
 SCENE_COLUMNS = {"tx_position": (3,), "rx_route": (None, 3), "boxes": (None, 5)}
@@ -130,9 +126,12 @@ class Scene:
             object.__setattr__(self, name, column)
         if len(self.rx_route) < 2:
             raise ValueError("rx_route needs at least 2 points")
-        # np.allclose of each consecutive pair, in one array step.
+        # np.allclose of each consecutive pair, in one array step. A
+        # difference of finite points may overflow to inf: not close.
         r = self.rx_route
-        if np.isclose(r[:-1], r[1:]).all(axis=1).any():
+        with np.errstate(over="ignore"):
+            repeat = np.isclose(r[:-1], r[1:]).all(axis=1).any()
+        if repeat:
             raise ValueError("consecutive route points must be distinct")
         if self.tx_position[2] <= 0:
             raise ValueError("tx height must be positive")

@@ -1,26 +1,22 @@
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import make_manual_dataset, make_planted_dataset, unsplit
 from plselect import baselines
 from plselect.baselines import (
-    full_feature_mask,
+    MI_VARIANTS,
+    feature_mi,
     mi_category_subset,
-    mi_ranking,
     mutual_information,
     random_subset_mask,
 )
-from plselect.dataset import split_dataset, standardize
+from plselect.dataset import Dataset, split_dataset, standardize
 from plselect.scenario import FeatureCatalog
-
-
-class TestFullFeature:
-    def test_all_ones(self):
-        mask = full_feature_mask(10)
-        assert mask.sum() == 10
-        assert np.array_equal(mask, np.ones(10))
 
 
 class TestRandomSubset:
@@ -58,7 +54,7 @@ class TestMutualInformation:
     def test_identity_matches_marginal_entropy(self):
         rng = np.random.default_rng(4)
         x = rng.uniform(0, 1, 10_000)
-        mi = mutual_information(x, x, bins=16)
+        mi = mutual_information(x, x)
         hist, _ = np.histogram(x, bins=16)
         p = hist / hist.sum()
         entropy = -np.sum(p[p > 0] * np.log2(p[p > 0]))
@@ -80,20 +76,17 @@ class TestMutualInformation:
 
     def test_too_few_samples(self):
         with pytest.raises(ValueError):
-            mutual_information(np.ones(8), np.ones(8), bins=16)
+            mutual_information(np.ones(15), np.ones(15))
 
 
 class TestCategorySubsets:
     def test_shapes_and_categories(self, planted_ds):
-        cat = FeatureCatalog()
-        geometry = set(cat.indices_for_category("Geometry"))
-        for variant, second in (("GE_Struct", "Structure"),
-                                ("GE_EM", "Knowledge")):
+        categories = np.array(FeatureCatalog().categories)
+        for variant, second in MI_VARIANTS.items():
             mask = mi_category_subset(planted_ds, variant)
-            selected = {i + 1 for i, b in enumerate(mask) if b}
-            assert len(selected) == 4
-            assert len(selected & geometry) == 2
-            assert len(selected & set(cat.indices_for_category(second))) == 2
+            chosen = categories[mask == 1]
+            assert mask.sum() == 4
+            assert sorted(chosen) == ["Geometry"] * 2 + [second] * 2
 
     def test_ge_em_includes_both_knowledge_features(self, planted_ds):
         mask = mi_category_subset(planted_ds, "GE_EM")
@@ -128,13 +121,39 @@ class TestCategorySubsets:
         y = 3.0 * X[:, 0] + rng.normal(0, 0.3, size=n)
         ds = make_manual_dataset(X, y, ["train"] * n)
         ds = standardize(split_dataset(unsplit(ds), seed=0))
-        ranking = mi_ranking(ds)
-        assert ranking.ranking.index(1) < ranking.ranking.index(4)
+        mi = feature_mi(ds)
+        assert mi[0] > mi[3]
 
-    def test_ranking_is_permutation(self, planted_ds):
-        ranking = mi_ranking(planted_ds)
-        assert sorted(ranking.ranking) == list(range(1, 11))
-        assert np.all(ranking.mi_bits >= 0)
+    def test_mi_is_a_read_only_nonnegative_column(self, planted_ds):
+        mi = feature_mi(planted_ds)
+        assert mi.shape == (10,)
+        assert np.all(mi >= 0)
+        assert not mi.flags.writeable
+
+    @given(st.data())
+    def test_ties_go_to_the_lower_index(self, data):
+        # MI from a few distinct values, so that ties are common.
+        n = data.draw(st.integers(1, 12), label="n")
+        mi = np.array(data.draw(st.lists(
+            st.sampled_from([0.0, 0.5, 1.0]), min_size=n, max_size=n)))
+        categories = data.draw(st.lists(
+            st.sampled_from(["Geometry", "Structure", "Knowledge"]),
+            min_size=n, max_size=n))
+        ds = Dataset(X=np.zeros((1, n)), y=np.zeros(1), scenario_id=["s"],
+                     route_index=[0], catalog=FeatureCatalog(
+                         symbols=tuple(map(str, range(n))),
+                         categories=tuple(categories)))
+        order = sorted(range(n), key=lambda i: (-mi[i], i))
+        for variant, second in MI_VARIANTS.items():
+            expected = np.zeros(n, dtype=np.int8)
+            for category in ("Geometry", second):
+                expected[[i for i in order
+                          if categories[i] == category][:2]] = 1
+            with mock.patch.object(baselines, "feature_mi",
+                                   return_value=mi):
+                mask = mi_category_subset(ds, variant)
+            assert mask.dtype == np.int8
+            assert np.array_equal(mask, expected)
 
 
 class TestRankingCache:
@@ -150,15 +169,14 @@ class TestRankingCache:
         monkeypatch.setattr(baselines, "mutual_information", spy)
         masks = [mi_category_subset(ds, v) for v in ("GE_Struct", "GE_EM")]
         assert len(calls) == ds.n_features
-        ranking = mi_ranking(ds)
+        mi = feature_mi(ds)
         assert len(calls) == ds.n_features
-        assert not ranking.mi_bits.flags.writeable
+        assert not mi.flags.writeable
         X, y = ds.feature_matrix("train"), ds.targets("train")
-        assert ranking.mi_bits.tolist() == [
-            real(X[:, i], y) for i in range(ds.n_features)]
-        # A fresh copy of the dataset computes the same ranking and masks.
+        assert mi.tolist() == [real(X[:, i], y) for i in range(ds.n_features)]
+        # A fresh copy of the dataset computes the same column and masks.
         fresh = replace(ds)
-        assert mi_ranking(fresh).ranking == ranking.ranking
+        assert np.array_equal(feature_mi(fresh), mi)
         assert len(calls) == 2 * ds.n_features
         for variant, mask in zip(("GE_Struct", "GE_EM"), masks):
             assert np.array_equal(mi_category_subset(fresh, variant), mask)

@@ -402,17 +402,27 @@ class TestCsv:
     @given(ds=csv_datasets())
     def test_bytes_match_csv_writer(self, tmp_path_factory, ds):
         """write_csv writes what csv.writer writes for each row's fields,
-        its numbers formatted by format_number, in (id, route) order."""
+        its numbers formatted by format_number, in (id, route) order, or
+        refuses the first row in that order with a non-finite number."""
         path = tmp_path_factory.getbasetemp() / "written.csv"
         ref = tmp_path_factory.getbasetemp() / "reference.csv"
-        write_csv(ds, path)
         ids = ds.scenario_id.tolist()
         routes = ds.route_index.tolist()
         values = np.column_stack([ds.X, ds.y]).tolist()
+        order = sorted(range(len(ds)), key=lambda i: (ids[i], routes[i]))
+        bad = [i for i in order if not np.isfinite(values[i]).all()]
+        if bad:
+            with pytest.raises(DatasetError) as exc:
+                write_csv(ds, path)
+            assert str(exc.value) == (
+                f"scenario {ids[bad[0]]!r}, route index {routes[bad[0]]}: "
+                "non-finite feature or path loss")
+            return
+        write_csv(ds, path)
         with open(ref, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(CSV_HEADER)
-            for i in sorted(range(len(ds)), key=lambda i: (ids[i], routes[i])):
+            for i in order:
                 writer.writerow([ids[i], routes[i]]
                                 + [format_number(v) for v in values[i]])
         assert path.read_bytes() == ref.read_bytes()

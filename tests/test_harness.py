@@ -870,6 +870,42 @@ class TestCli:
         assert capsys.readouterr().err.startswith(
             "error: task 'task1' must name one or more of the scenarios")
 
+    @pytest.mark.parametrize("points, counts", [
+        (20, "14 train, 3 val and 3 test"), (5, "3 train, 1 val and 1 test"),
+    ], ids=["20", "5"])
+    def test_generate_refuses_too_few_route_points(
+            self, tmp_path, capsys, monkeypatch, points, counts):
+        monkeypatch.setenv("PLSELECT_SCENARIOS__INTERSECTION__ROUTE_POINTS",
+                           str(points))
+        out = tmp_path / "out"
+        assert main(["generate", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: task 'task1' needs at least 2 train, 2 val and 1 test "
+            "rows per scenario and 16 train rows; scenarios.intersection."
+            f"route_points = {points} gives {counts} rows\n")
+        assert not out.exists()
+
+    def test_generate_takes_enough_route_points(self, tmp_path,
+                                                monkeypatch):
+        # 22 points give 16 train, 3 val and 3 test rows.
+        monkeypatch.setenv("PLSELECT_SCENARIOS__INTERSECTION__ROUTE_POINTS",
+                           "22")
+        assert main(["generate", "--out", str(tmp_path / "out")]) == 0
+
+    # The scene's geometry overflows numpy on the way to inf and nan.
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_generate_refuses_non_finite_rows(self, tmp_path, capsys,
+                                              monkeypatch):
+        monkeypatch.setenv("PLSELECT_SCENARIOS__INTERSECTION__RX_HEIGHT",
+                           "1e300")
+        out = tmp_path / "out"
+        assert main(["generate", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: scenario 'intersection', route index 0: non-finite "
+            "feature or path loss\n")
+        assert not (out / "data" / "intersection.csv").exists()
+        assert not (out / "data" / "pooled.csv").exists()
+
     @pytest.mark.parametrize("name", NOT_FILE_NAMES)
     def test_scenario_name_outside_out_refused(self, tmp_path, capsys, name):
         path = tmp_path / "cfg.json"

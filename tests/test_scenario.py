@@ -41,9 +41,8 @@ class TestCatalog:
         assert cat.n_features == 10
         assert cat.symbols[0] == "D_txrx"
         assert cat.symbols[-1] == "Dif_WEK"
-        assert cat.indices_for_category("Geometry") == [1, 2, 3, 4, 5]
-        assert cat.indices_for_category("Structure") == [6, 7, 8]
-        assert cat.indices_for_category("Knowledge") == [9, 10]
+        assert cat.categories == (("Geometry",) * 5 + ("Structure",) * 3
+                                  + ("Knowledge",) * 2)
 
 
 class TestGenerateScene:
@@ -135,6 +134,8 @@ class TestSceneJson:
         tx=(np.inf, np.nan, 10.0), route=[(-np.inf, 0.0, 1.5), (np.nan, 1, 2)],
         frequency=np.float64(3.5e9), bounds=(-100, -100, 100, 100),
         seed=2**70))
+    # Finite route points whose difference overflows.
+    @example(scene=make_scene(route=[(1e308, 0.0, 1.0), (-1e308, 0.0, 1.0)]))
     def test_to_json_is_json_dumps(self, scene):
         assert scene.to_json() == json_dumps_scene(scene)
 
@@ -279,7 +280,9 @@ class TestRouteDistinctness:
     @staticmethod
     def has_repeat(route):
         # The per-pair check the array step must agree with.
-        return any(np.allclose(a, b) for a, b in zip(route[:-1], route[1:]))
+        with np.errstate(over="ignore"):
+            return any(np.allclose(a, b)
+                       for a, b in zip(route[:-1], route[1:]))
 
     @settings(max_examples=300, deadline=None)
     @given(route=routes_with_near_repeats())
@@ -288,6 +291,8 @@ class TestRouteDistinctness:
     @example(route=((0.0, 0.0, 1.5), (ATOL * (1 + 1e-9), 0.0, 1.5)))
     @example(route=((100.0, 0.0, 1.5), (200.0, 0.0, 1.5),
                     (200.0, 0.0, 1.5 + RTOL * 1.5 * (1 - 1e-9))))
+    # Finite points whose difference overflows.
+    @example(route=((1e308, 0.0, 1.0), (-1e308, 0.0, 1.0)))
     def test_matches_per_pair_allclose(self, route):
         if self.has_repeat(route):
             with pytest.raises(ValueError, match="^consecutive route points"
