@@ -258,26 +258,32 @@ def format_number(value: float) -> str:
     return _NUMBER_FORMAT % value
 
 
+def check_finite(ds: Dataset) -> None:
+    """Raise DatasetError naming the first row, in write_csv's file order,
+    with a non-finite feature or path loss."""
+    bad = ~np.isfinite(np.column_stack([ds.X, ds.y])).all(axis=1)
+    if bad.any():
+        i = np.lexsort((ds.route_index, ds.scenario_id, ~bad))[0]
+        raise DatasetError(f"scenario {str(ds.scenario_id[i])!r}, route index "
+                           f"{ds.route_index[i]}: non-finite feature or path "
+                           "loss")
+
+
 def write_csv(ds: Dataset, path) -> list:
     """Rows ordered by scenario then route_index, 9 significant digits.
     CSV_HEADER names the default catalog's features, so a dataset of
     another width raises DatasetError before anything is written, as
-    does a non-finite value, naming the first such row in file order:
-    the row read_csv would refuse. Returns the data lines written, for
-    write_csv_lines."""
+    does a non-finite value (check_finite). Returns the data lines
+    written, for write_csv_lines."""
     width = len(CSV_HEADER) - 3
     if ds.n_features != width:
         raise DatasetError(f"the CSV format holds {width} features, but the "
                            f"dataset has {ds.n_features}")
+    check_finite(ds)
     order = np.lexsort((ds.route_index, ds.scenario_id))
     values = np.column_stack([ds.X, ds.y])[order]
     ids = ds.scenario_id[order].tolist()
     routes = ds.route_index[order].tolist()
-    bad = ~np.isfinite(values).all(axis=1)
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise DatasetError(f"scenario {ids[i]!r}, route index {routes[i]}: "
-                           "non-finite feature or path loss")
     # Each id is quoted once, as csv.writer quotes it in a row of two
     # fields: alone, an empty field would be quoted.
     quoted = {}

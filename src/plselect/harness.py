@@ -28,6 +28,7 @@ from .dataset import (
     DatasetError,
     _stratified_counts,
     build_dataset,
+    check_finite,
     check_split_fractions,
     format_number,
     read_csv,
@@ -346,23 +347,27 @@ def _trace_columns(gen_rows, header) -> List[list]:
 
 def cmd_generate(cfg: ExperimentConfig) -> List[Path]:
     """Generate scenes, write scene JSON dumps and dataset CSVs. pooled.csv
-    holds each scenario CSV's data lines, in scenario-id order."""
+    holds each scenario CSV's data lines, in scenario-id order. Every
+    scene and its rows are built and checked before any file is written."""
     out = Path(cfg.out_dir)
-    written = []
-    lines = {}
+    built = {}
     for name, scene_cfg in cfg.scenarios.items():
         try:
             scene = generate_scene(scene_cfg)
         except SceneGenerationError as exc:
             raise HarnessError(f"scenario {name!r}: {exc}") from None
-        scene_path = out / "scenes" / f"{name}.json"
-        _atomic_write_text(scene_path, scene.to_json())
-        written.append(scene_path)
-        ds = build_dataset([scene], [name], cfg.shadowing_sigma,
-                           cfg.corridor_radius)
-        written.append(out / "data" / f"{name}.csv")
-        lines[name] = _atomic_write(written[-1],
-                                    lambda tmp: write_csv(ds, tmp))
+        # A huge finite scene value overflows to a row check_finite names.
+        with np.errstate(over="ignore", invalid="ignore"):
+            ds = build_dataset([scene], [name], cfg.shadowing_sigma,
+                               cfg.corridor_radius)
+        check_finite(ds)
+        built[name] = scene, ds
+    written, lines = [], {}
+    for name, (scene, ds) in built.items():
+        written += [out / "scenes" / f"{name}.json",
+                    out / "data" / f"{name}.csv"]
+        _atomic_write_text(written[-2], scene.to_json())
+        lines[name] = _atomic_write(written[-1], lambda t: write_csv(ds, t))
     written.append(out / "data" / "pooled.csv")
     _atomic_write(written[-1], lambda tmp: write_csv_lines(
         tmp, [line for name in sorted(lines) for line in lines[name]]))

@@ -6,7 +6,9 @@ Each generation samples a population of binary masks from the per-feature
 selection probabilities, refines them with uniform crossover and bit-flip
 mutation, scores every new mask through the downstream predictor in one
 batch, and nudges the policy toward the mean bit pattern of the top-K
-candidates. The population is a (P, N) int8 array throughout.
+candidates. The population is a (P, N) int8 array throughout. The loop
+computes only what the next generation reads; every generation's trace
+is built after the last one.
 """
 
 from __future__ import annotations
@@ -188,27 +190,27 @@ def update_policy(
     return np.clip(updated, P_FLOOR, P_CEIL)
 
 
-def normalized_entropy(policy: np.ndarray) -> float:
-    """Mean binary entropy of the policy in [0, 1], with 0*ln(0) := 0."""
+def normalized_entropy(policy: np.ndarray):
+    """Mean binary entropy of the policy in [0, 1], with 0*ln(0) := 0; of
+    each policy, along the last axis, of a stack of them."""
     p = np.asarray(policy, dtype=float)
     q = 1 - p
     # Where a factor is 0, the log is taken of 1 instead of 0.
     terms = (p * np.log(np.where(p > 0, p, 1.0))
              + q * np.log(np.where(q > 0, q, 1.0)))
-    return float(-np.sum(terms) / (p.shape[0] * np.log(2.0)))
+    return -np.sum(terms, axis=-1) / (p.shape[-1] * np.log(2.0))
 
 
-def population_diversity(masks: Sequence[np.ndarray]) -> float:
-    """Mean pairwise Hamming distance between masks, normalized by N."""
-    if len(masks) < 2:
+def population_diversity(masks: Sequence[np.ndarray]):
+    """Mean pairwise Hamming distance between masks, normalized by N; of
+    each (P, N) population of a stack of them."""
+    m = np.asarray(masks)
+    if m.ndim < 2 or m.shape[-2] < 2:
         raise ValueError("diversity needs at least 2 masks")
-    m = np.asarray(masks, dtype=np.int64)
-    population, n = m.shape
-    ones = m.sum(axis=0)
-    disagreements = int(np.sum(ones * (population - ones)))
-    return float(
-        2.0 * disagreements / (population * (population - 1) * n)
-    )
+    population, n = m.shape[-2:]
+    ones = m.sum(axis=-2, dtype=np.int64)
+    disagreements = np.sum(ones * (population - ones), axis=-1)
+    return 2.0 * disagreements / (population * (population - 1) * n)
 
 
 def run_search(
@@ -229,24 +231,28 @@ def run_search(
     one row per distinct mask: its rmse, trend error, cardinality and
     total. The table's ranked method is the one ranking
     of candidates: it orders each population's rows for the elites and,
-    at the end, every row for the best overall. A Candidate is built
-    only for each generation's best and the best overall. ``jobs`` is
-    accepted and ignored; the search runs on the calling thread.
+    at the end, every row for the best overall. The loop keeps only table
+    rows, new-mask counts and the policies, rows of one read-only array;
+    the records are built from them after it. ``jobs`` is accepted and
+    ignored; the search runs on the calling thread.
     """
-    n = ds.n_features
+    n, size, gens = ds.n_features, config.population_size, config.generations
     prep = prepared_system(ds, predictor_config)
     check_weights(n, weights)
-    table = _MemoTable(config.generations * config.population_size, n)
-    policy = initial_policy(n)
-    records = []
+    table = _MemoTable(gens * size, n)
+    # Row t of each: generation t's policy, population rows and elite rows.
+    policies = np.empty((gens + 1, n))
+    policies[0] = initial_policy(n)
+    pop_rows = np.empty((gens, size), dtype=np.intp)
+    elite_rows = np.empty((gens, config.elite_count), dtype=np.intp)
+    new_evaluations = []
 
     # One reused generator: each stream is drawn from before the next.
-    rngs = generators(seed_states(config.master_seed,
-                                  np.arange(config.generations), 4))
+    rngs = generators(seed_states(config.master_seed, np.arange(gens), 4))
 
-    for t in range(config.generations):
-        masks = sample_population(policy, config.population_size, next(rngs))
-        order = next(rngs).permutation(config.population_size)
+    for t in range(gens):
+        masks = sample_population(policies[t], size, next(rngs))
+        order = next(rngs).permutation(size)
         masks = crossover_population(masks, order, config.crossover_prob,
                                      next(rngs))
         masks = mutate(masks, config.mutation_rate, next(rngs))
@@ -255,29 +261,27 @@ def run_search(
         if len(new):
             table.add(new, *score_masks(table.mask[new], prep, weights,
                                         predictor_config.ridge_lambda))
-        ranked = table.ranked(rows)
-        elite_masks = table.mask[ranked[:config.elite_count]]
-        records.append(
-            GenerationRecord(
-                t=t,
-                policy=policy,
-                best=table.candidate(ranked[0]),
-                mean_score=float(np.mean(table.total[rows])),
-                entropy=normalized_entropy(policy),
-                diversity=population_diversity(masks),
-                elite_masks=tuple(map(tuple, elite_masks.tolist())),
-                new_evaluations=len(new),
-            )
-        )
-        policy = update_policy(policy, elite_masks.mean(axis=0), config.eta)
+        pop_rows[t] = rows
+        elite_rows[t] = table.ranked(rows)[:config.elite_count]
+        new_evaluations.append(len(new))
+        policies[t + 1] = update_policy(
+            policies[t], table.mask[elite_rows[t]].mean(axis=0), config.eta)
+    policies.flags.writeable = False
 
-    # Each row of the table was in some generation's population.
-    best = table.ranked(np.arange(len(table)))[0]
-    return SearchResult(
-        records=tuple(records),
-        best_overall=table.candidate(best),
-        final_policy=policy,
-    )
+    # Each table row was in some generation's population.
+    i = np.append(elite_rows[:, 0], table.ranked(np.arange(len(table)))[0])
+    *best, best_overall = candidates(table.mask[i], table.rmse[i],
+                                     table.trend[i], table.cardinality[i],
+                                     table.total[i])
+    records = map(
+        GenerationRecord, range(gens), policies, best,
+        table.total[pop_rows].mean(axis=1).tolist(),
+        normalized_entropy(policies[:-1]).tolist(),
+        population_diversity(table.mask[pop_rows]).tolist(),
+        [tuple(map(tuple, e)) for e in table.mask[elite_rows].tolist()],
+        new_evaluations)
+    return SearchResult(records=tuple(records), best_overall=best_overall,
+                        final_policy=policies[-1])
 
 
 class _MemoTable:
@@ -315,8 +319,3 @@ class _MemoTable:
         sparser, then lexicographically smaller masks."""
         return rows[np.lexsort((*self.mask[rows].T[::-1],
                                 self.cardinality[rows], -self.total[rows]))]
-
-    def candidate(self, row: int) -> Candidate:
-        i = [row]
-        return candidates(self.mask[i], self.rmse[i], self.trend[i],
-                          self.cardinality[i], self.total[i])[0]

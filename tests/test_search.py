@@ -2,6 +2,8 @@ import itertools
 import json
 import math
 from pathlib import Path
+from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -352,6 +354,8 @@ class TestDiagnostics:
     def test_diversity_needs_two(self):
         with pytest.raises(ValueError):
             population_diversity([np.array([1, 0])])
+        with pytest.raises(ValueError):  # a stack of one-mask populations
+            population_diversity(np.ones((3, 1, 4), dtype=np.int8))
 
     def brute_entropy(self, policy):
         acc = 0.0
@@ -381,6 +385,27 @@ class TestDiagnostics:
             assert population_diversity(list(masks)) == pytest.approx(
                 self.brute_diversity(list(masks)), abs=1e-12
             )
+
+    def test_stacks_match_brute_force_per_row(self):
+        # A stack along the last axis gives, bit for bit, the value of
+        # each of its rows alone.
+        rng = np.random.default_rng(12)
+        for _ in range(50):
+            k, population = (int(x) for x in rng.integers(1, 6, 2))
+            policies = rng.uniform(0, 1, (k, 10))
+            entropy = normalized_entropy(policies)
+            assert entropy.shape == (k,)
+            for e, policy in zip(entropy.tolist(), policies):
+                assert e == normalized_entropy(policy)
+                assert e == pytest.approx(self.brute_entropy(policy),
+                                          abs=1e-12)
+            stack = rng.integers(0, 2, size=(k, population + 1, 10))
+            diversity = population_diversity(stack)
+            assert diversity.shape == (k,)
+            for d, masks in zip(diversity.tolist(), stack):
+                assert d == population_diversity(masks)
+                assert d == pytest.approx(self.brute_diversity(list(masks)),
+                                          abs=1e-12)
 
 
 class TestRunSearch:
@@ -488,6 +513,18 @@ class TestRunSearch:
         # The memo table served the rest: this run repeats masks.
         assert total < cfg.population_size * cfg.generations
 
+    def test_policies_are_read_only(self, planted_ds):
+        # The records' policies and the final policy are rows of one
+        # array: a write through one would rewrite what the others hold.
+        result = run_search(planted_ds, SearchConfig(
+            population_size=6, generations=3, elite_count=2))
+        for policy in [rec.policy for rec in result.records] + [
+                result.final_policy]:
+            with pytest.raises(ValueError):
+                policy[0] = 0.5
+            with pytest.raises(ValueError):
+                policy.flags.writeable = True
+
     def test_wide_dataset_draws_wide_masks(self):
         ds = make_planted_dataset(n_features=24, n_samples=120)
         result = run_search(
@@ -523,6 +560,80 @@ class TestRunSearch:
         cfg = SearchConfig(population_size=np.int64(4),
                            elite_count=np.int32(2), master_seed=np.uint8(3))
         assert cfg.population_size == 4 and cfg.master_seed == 3
+
+
+class TestTrace:
+    """The records built after the last generation hold, bit for bit,
+    what each generation's population gives alone."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(size=st.integers(2, 300), n=st.integers(1, 30),
+           generations=st.integers(1, 4), elites=st.integers(1, 300),
+           master_seed=st.integers(0, 2**32 - 1),
+           score_seed=st.integers(0, 2**32 - 1))
+    # Rows longer than numpy's pairwise-summation block of 128.
+    @example(size=300, n=30, generations=3, elites=5, master_seed=0,
+             score_seed=0)
+    @example(size=129, n=1, generations=2, elites=129, master_seed=1,
+             score_seed=1)
+    def test_records_match_replayed_populations(
+            self, size, n, generations, elites, master_seed, score_seed):
+        elite_count = min(elites, size)
+        cfg = SearchConfig(population_size=size, generations=generations,
+                           elite_count=elite_count, master_seed=master_seed)
+        # Scores spread over seven decades, one draw per new mask, stand
+        # in for the learner: the trace, not the fit, is under test.
+        rng = np.random.default_rng(score_seed)
+        scored = {}
+
+        def score_masks(masks, *args):
+            k = len(masks)
+            rmse, trend = rng.random((2, k))
+            total = rng.standard_normal(k) * 10.0 ** rng.integers(-3, 4, k)
+            cardinality = np.count_nonzero(masks, axis=1)
+            for m, *fields in zip(masks, rmse, trend, cardinality, total):
+                scored[m.tobytes()] = fields
+            return rmse, trend, cardinality, total
+
+        with mock.patch.object(search, "prepared_system"), \
+                mock.patch.object(search, "score_masks", score_masks):
+            result = run_search(SimpleNamespace(n_features=n), cfg,
+                                ScoreWeights(n_features=n))
+
+        assert len(result.records) == generations
+        seen = set()
+        for t, rec in enumerate(result.records):
+            streams = generators(seed_states(master_seed, [t], 4))
+            masks = sample_population(rec.policy, size, next(streams))
+            order = next(streams).permutation(size)
+            masks = crossover_population(masks, order, cfg.crossover_prob,
+                                         next(streams))
+            masks = mutate(masks, cfg.mutation_rate, next(streams))
+            keys = [m.tobytes() for m in masks]
+            scores = [scored[key][3] for key in keys]
+            ranked = sorted(range(size), key=lambda i: (
+                -scores[i], int(masks[i].sum()), masks[i].tolist()))
+            best = scored[keys[ranked[0]]]
+
+            assert rec.t == t
+            assert rec.entropy == normalized_entropy(rec.policy)
+            assert rec.diversity == population_diversity(masks)
+            assert rec.mean_score == float(np.mean(scores))
+            assert rec.best.mask == tuple(masks[ranked[0]].tolist())
+            assert [rec.best.breakdown.rmse, rec.best.breakdown.trend_error,
+                    rec.best.cardinality, rec.best.score] == best
+            assert rec.elite_masks == tuple(
+                tuple(masks[i].tolist()) for i in ranked[:elite_count])
+            assert rec.new_evaluations == len(set(keys) - seen)
+            seen |= set(keys)
+            following = (result.records[t + 1].policy if t + 1 < generations
+                         else result.final_policy)
+            assert np.array_equal(following, update_policy(
+                rec.policy, np.mean(masks[ranked[:elite_count]], axis=0),
+                cfg.eta))
+        assert result.best_overall == max(
+            (rec.best for rec in result.records),
+            key=lambda c: (c.score, -c.cardinality, [-b for b in c.mask]))
 
 
 def exhaustive_optimum(ds, weights, predictor_config):
