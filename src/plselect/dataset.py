@@ -258,15 +258,16 @@ def format_number(value: float) -> str:
     return _NUMBER_FORMAT % value
 
 
-def check_finite(ds: Dataset) -> None:
+def check_finite(ds: Dataset, source: Optional[str] = None) -> None:
     """Raise DatasetError naming the first row, in write_csv's file order,
-    with a non-finite feature or path loss."""
+    with a non-finite feature or path loss: by its route index and its
+    source, by default its scenario id."""
     bad = ~np.isfinite(np.column_stack([ds.X, ds.y])).all(axis=1)
     if bad.any():
         i = np.lexsort((ds.route_index, ds.scenario_id, ~bad))[0]
-        raise DatasetError(f"scenario {str(ds.scenario_id[i])!r}, route index "
-                           f"{ds.route_index[i]}: non-finite feature or path "
-                           "loss")
+        source = source or f"scenario {str(ds.scenario_id[i])!r}"
+        raise DatasetError(f"{source}, route index {ds.route_index[i]}: "
+                           "non-finite feature or path loss")
 
 
 def write_csv(ds: Dataset, path) -> list:
@@ -308,9 +309,9 @@ def write_csv_lines(path, lines) -> None:
 
 def read_csv(path) -> Dataset:
     """Inverse of write_csv. The first row with the wrong number of
-    fields, an unparsable number, a non-finite value, a field the csv
-    module refuses or a byte that is not UTF-8 raises DatasetError naming
-    the file and line."""
+    fields, an unparsable number, a non-finite value, the (scenario id,
+    route index) of an earlier row, a field the csv module refuses or a
+    byte that is not UTF-8 raises DatasetError naming the file and line."""
     width = len(CSV_HEADER)
     values, route_index, ids, lines, failure = [], [], [], [], None
     with open(path, "rb") as fh:
@@ -338,11 +339,19 @@ def read_csv(path) -> Dataset:
         raise
     except (csv.Error, ValueError) as exc:
         failure = (reader.line_num, exc)
-    # Finiteness is checked once, over the rows read before any failure.
+    # Finiteness and repeats are checked once, over the rows read before
+    # any failure: row first[k] is the first with row k's route point.
     values = np.array(values[:len(ids)], dtype=float).reshape(-1, width - 2)
-    bad = ~np.isfinite(values).all(axis=1)
+    seen = {}
+    first = [seen.setdefault(point, k)
+             for k, point in enumerate(zip(ids, route_index))]
+    finite = np.isfinite(values).all(axis=1)
+    bad = ~finite | (np.array(first, dtype=np.intp) != np.arange(len(ids)))
     if bad.any():
-        failure = (lines[np.argmax(bad)], "non-finite feature or path loss")
+        k = np.argmax(bad)
+        failure = (lines[k], "non-finite feature or path loss" if not finite[k]
+                   else f"scenario {ids[k]!r}, route index {route_index[k]} "
+                   f"repeats line {lines[first[k]]}")
     if failure is not None:
         raise DatasetError(f"{path}, line {failure[0]}: {failure[1]}")
     return Dataset(X=values[:, :-1], y=values[:, -1], scenario_id=ids,

@@ -194,14 +194,13 @@ def _apply(current, docs, key: str = "", entry=None):
 
     docs holds (document, source) pairs for the config key `key`. A
     dataclass takes a JSON object of its field names, except that below
-    the top level no seed (see `seeded`) and no feature count (the
-    catalog's) can be set; a dict takes a JSON object whose new keys
-    start from `entry`. Both are merged key by key, and each dataclass is
-    rebuilt once, after all documents, so that its checks see the final
-    values. Other values go through `_typed`. A bad key or type raises
-    HarnessError naming the key and its source, and a value that a
-    section's checks refuse one naming the section. A dict key (a
-    scenario or task name) must pass `_check_file_name`.
+    the top level no seed (see `seeded`) can be set; a dict takes a JSON
+    object whose new keys start from `entry`. Both are merged key by key,
+    and each dataclass is rebuilt once, after all documents, so that its
+    checks see the final values. Other values go through `_typed`. A bad
+    key or type raises HarnessError naming the key and its source, and a
+    value that a section's checks refuse one naming the section. A dict
+    key (a scenario or task name) must pass `_check_file_name`.
     """
     is_dict = isinstance(current, dict)
     if not (is_dict or is_dataclass(current)):
@@ -221,11 +220,9 @@ def _apply(current, docs, key: str = "", entry=None):
             changes[k] = _apply(current.get(k, entry), sub, name)
         elif k not in known:
             raise HarnessError(f"unknown config key {name!r} from {sub[0][1]}")
-        elif key and k in ("seed", "master_seed", "n_features"):
-            follows = ("the feature catalog" if k == "n_features"
-                       else "master_seed")
+        elif key and k in ("seed", "master_seed"):
             raise HarnessError(f"config key {name!r} from {sub[0][1]} cannot "
-                               f"be set: it follows {follows}")
+                               "be set: it follows master_seed")
         else:
             changes[k] = _apply(getattr(current, k), sub, name,
                                 known[k].metadata.get("entry"))
@@ -360,7 +357,7 @@ def cmd_generate(cfg: ExperimentConfig) -> List[Path]:
         with np.errstate(over="ignore", invalid="ignore"):
             ds = build_dataset([scene], [name], cfg.shadowing_sigma,
                                cfg.corridor_radius)
-        check_finite(ds)
+        check_finite(ds, f"config scenarios.{name}")
         built[name] = scene, ds
     written, lines = [], {}
     for name, (scene, ds) in built.items():

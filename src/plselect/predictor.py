@@ -40,7 +40,6 @@ from .dataset import Dataset, DatasetError
 from .scoring import (
     ScoreBreakdown,
     ScoreWeights,
-    check_weights,
     route_order,
     total_scores,
 )
@@ -274,7 +273,6 @@ def evaluate_masks(
     if masks.shape[1] != prep.n_features:
         raise PredictorError(f"mask has {masks.shape[1]} entries but "
                              f"the dataset has {prep.n_features} features")
-    check_weights(prep.n_features, weights)
     return candidates(masks, *score_masks(masks, prep, weights,
                                           config.ridge_lambda))
 
@@ -311,9 +309,9 @@ def score_masks(masks: np.ndarray, prep: _Prepared, weights: ScoreWeights,
     each row of a (k, N) int8 array of 0s and 1s, as four arrays.
 
     The masks are not checked: each row must select at least one of
-    prep's N features, and weights must be for N features (check_weights).
-    Each fit solves the mask's sub-block of prep's normal equations; masks
-    of one cardinality share a basis width and are solved as one stack.
+    prep's N features. The cardinality penalty divides by N. Each fit
+    solves the mask's sub-block of prep's normal equations; masks of one
+    cardinality share a basis width and are solved as one stack.
     A stack's Gram sub-blocks are gathered by one take from the flattened
     Gram matrix, and its val columns are copied as whole rows of
     prep.val_t.
@@ -362,4 +360,4 @@ def score_masks(masks: np.ndarray, prep: _Prepared, weights: ScoreWeights,
              - np.take(y_hat, prep.step_from, axis=1))
     trend = np.sqrt(np.mean((steps - prep.val_steps) ** 2, axis=1))
     return (err, trend, cardinality,
-            total_scores(err, trend, cardinality, weights))
+            total_scores(err, trend, cardinality, masks.shape[1], weights))

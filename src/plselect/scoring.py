@@ -8,8 +8,8 @@ invariant to constant offsets and penalizes missed local dips.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from dataclasses import InitVar, dataclass
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -22,9 +22,10 @@ class ScoringError(ValueError):
 class ScoreWeights:
     lambda_c: float = 0.3
     lambda_n: float = 0.3
-    n_features: int = 10
+    # Accepted and ignored: the cardinality penalty's N is the mask width.
+    n_features: InitVar[Optional[int]] = None
 
-    def __post_init__(self):
+    def __post_init__(self, n_features):
         if not np.isfinite(self.lambda_c) or self.lambda_c < 0:
             raise ScoringError("lambda_c must be finite and non-negative")
         if not np.isfinite(self.lambda_n) or self.lambda_n < 0:
@@ -80,22 +81,15 @@ def trend_consistency_error(
     return float(np.sqrt(np.mean(residual ** 2)))
 
 
-def check_weights(n_features: int, weights: ScoreWeights) -> None:
-    """Raise ScoringError unless weights are for masks of n_features."""
-    if n_features != weights.n_features:
-        raise ScoringError(f"mask has {n_features} features but "
-                           f"weights.n_features is {weights.n_features}")
-
-
 def total_scores(rmse_db: np.ndarray, trend_error_db: np.ndarray,
-                 cardinality: np.ndarray,
+                 cardinality: np.ndarray, n_features: int,
                  weights: ScoreWeights) -> np.ndarray:
-    """Negated weighted sum of error, trend error, and normalized
-    cardinality, as one array expression over a batch."""
+    """Negated weighted sum of error, trend error, and cardinality over
+    the masks' width n_features, as one array expression over a batch."""
     return -(
         rmse_db
         + weights.lambda_c * trend_error_db
-        + weights.lambda_n * cardinality / weights.n_features
+        + weights.lambda_n * cardinality / n_features
     )
 
 
@@ -105,17 +99,14 @@ def total_score(
     mask: Sequence[int],
     weights: ScoreWeights,
 ) -> ScoreBreakdown:
-    """total_scores of one (rmse, trend error, mask); the mask's length
-    must equal ``weights.n_features``."""
+    """total_scores of one (rmse, trend error, mask); N is len(mask)."""
     if rmse_db < 0 or trend_error_db < 0:
         raise ScoringError("rmse and trend error must be non-negative")
-    mask = np.asarray(mask)
-    check_weights(mask.shape[0], weights)
     cardinality = np.count_nonzero(mask)
     if cardinality == 0:
         raise ScoringError("mask must select at least one feature")
     rmse_db, trend_error_db = float(rmse_db), float(trend_error_db)
     total = total_scores(np.array([rmse_db]), np.array([trend_error_db]),
-                         np.array([cardinality]), weights)
+                         np.array([cardinality]), len(mask), weights)
     return ScoreBreakdown(rmse=rmse_db, trend_error=trend_error_db,
                           cardinality=int(cardinality), total=total.item())

@@ -26,7 +26,7 @@ from .predictor import (
     prepared_system,
     score_masks,
 )
-from .scoring import ScoreWeights, check_weights
+from .scoring import ScoreWeights
 from .streams import generators, seed_states
 
 P_FLOOR = 0.02
@@ -225,7 +225,7 @@ def run_search(
     Deterministic per master_seed: generation t samples, pairs, crosses
     and mutates with the four children of SeedSequence([master_seed, t]),
     in that order; streams.seed_states hashes their states for every
-    generation at once. The dataset and weights are checked once. Each
+    generation at once. The dataset is checked once. Each
     generation's masks not seen before in the run are scored by
     predictor.score_masks in one batch, and a columnar memo table keeps
     one row per distinct mask: its rmse, trend error, cardinality and
@@ -238,7 +238,6 @@ def run_search(
     """
     n, size, gens = ds.n_features, config.population_size, config.generations
     prep = prepared_system(ds, predictor_config)
-    check_weights(n, weights)
     table = _MemoTable(gens * size, n)
     # Row t of each: generation t's policy, population rows and elite rows.
     policies = np.empty((gens + 1, n))

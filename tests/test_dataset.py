@@ -482,9 +482,12 @@ class TestCsv:
             ("a,0,1,2,3,4,5,6,7,8,9,10,loud", "could not convert"),
             ("a,0," + "1" * 200_000, "field larger than field limit"),
             ("a,x,1,2,nan,4,5,6,7,8,9,10,11", "invalid literal for int()"),
+            ("a,0,1,2,3,4,5,6,7,8,9,10,11",
+             "scenario 'a', route index 0 repeats line 2"),
         ],
         ids=["truncated", "overlong", "nan_feature", "inf_path_loss",
-             "not_a_number", "oversized_field", "bad_route_index"],
+             "not_a_number", "oversized_field", "bad_route_index",
+             "repeated_route_point"],
     )
     def test_malformed_row_names_file_and_line(self, tmp_path, row, message):
         path = tmp_path / "data.csv"
@@ -515,8 +518,8 @@ class TestCsv:
     @pytest.mark.parametrize("line", [1, 2, 401])
     def test_non_utf8_byte_names_its_line(self, tmp_path, line):
         path = tmp_path / "data.csv"
-        good = "a,0," + ",".join(["1.5"] * 11)
-        rows = [",".join(CSV_HEADER).encode()] + [good.encode()] * 500
+        rows = [",".join(CSV_HEADER).encode()] + [
+            f"a,{i},".encode() + b",".join([b"1.5"] * 11) for i in range(500)]
         rows[line - 1] = rows[line - 1][:5] + b"\xff" + rows[line - 1][5:]
         path.write_bytes(b"\r\n".join(rows) + b"\r\n")
         with pytest.raises(DatasetError) as exc:

@@ -474,8 +474,7 @@ class TestConfigLoading:
             source = "environment variable PLSELECT_WEIGHTS__N_FEATURES"
         assert main(args) == 2
         assert capsys.readouterr().err == (
-            f"error: config key 'weights.n_features' from {source} cannot "
-            "be set: it follows the feature catalog\n")
+            f"error: unknown config key 'weights.n_features' from {source}\n")
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -899,7 +898,7 @@ class TestCli:
         out = tmp_path / "out"
         assert main(["generate", "--out", str(out)]) == 2
         assert capsys.readouterr().err == (
-            "error: scenario 'intersection', route index 0: non-finite "
+            "error: config scenarios.intersection, route index 0: non-finite "
             "feature or path loss\n")
         assert [p for p in out.rglob("*") if p.is_file()] == []
 
@@ -1157,6 +1156,19 @@ class TestCli:
         assert main(["run"] + args) == 2
         err = capsys.readouterr().err
         assert f"{data}, line 6: expected 13 fields, got 12" in err
+
+    def test_repeated_route_point_exit_code(self, tmp_path, capsys):
+        cfg = small_config(tmp_path, route_points=20)
+        cmd_generate(cfg)
+        data = Path(cfg.out_dir) / "data" / "pooled.csv"
+        lines = data.read_text().splitlines()
+        data.write_text("\n".join(lines[:2] + lines[1:]) + "\n")
+        args = ["--seed", "0", "--out", cfg.out_dir, "--task", "task1"]
+        assert main(["run"] + args) == 2
+        assert capsys.readouterr().err == (
+            f"error: {data}, line 3: scenario 'intersection', route index 0 "
+            "repeats line 2\n")
+        assert not (Path(cfg.out_dir) / "results").exists()
 
 
 class TestSweep:

@@ -129,7 +129,7 @@ class TestFit:
             X, y, ("train",) * n_train + ("val",) * n_val))
         config = PredictorConfig(basis="linear", ridge_lambda=lam)
         cand = evaluate_mask(np.ones(5, dtype=int), ds,
-                             ScoreWeights(n_features=5), config)
+                             ScoreWeights(), config)
 
         design = np.hstack([np.ones((n_train + n_val, 1)), ds.X])
         train, val = design[:n_train], design[n_train:]
@@ -213,7 +213,7 @@ class TestFastPathOracle:
         masks = [m for m in (rng.random((200, 24)) < rng.random((200, 1)))
                  .astype(int) if m.any()]
         assert len(masks) > 190
-        assert_matches_reference(masks, ds, ScoreWeights(n_features=24),
+        assert_matches_reference(masks, ds, ScoreWeights(),
                                  PredictorConfig())
 
     def test_pooled_scenarios_match_reference(self):
@@ -292,7 +292,7 @@ class TestBatchedOracle:
         duplicates = data.draw(st.lists(st.sampled_from(masks), max_size=4))
         order = data.draw(st.permutations(masks + duplicates))
         assert_matches_reference(np.array(order, dtype=int),
-                                 oracle_dataset(n), ScoreWeights(n_features=n),
+                                 oracle_dataset(n), ScoreWeights(),
                                  PredictorConfig(basis=basis), batch=True)
 
     @pytest.mark.parametrize("basis", ["quadratic", "linear"])
@@ -313,7 +313,7 @@ class TestBatchedOracle:
         masks = np.zeros((20, 24), dtype=int)
         for m in masks:
             m[rng.choice(24, 16, replace=False)] = 1
-        weights = ScoreWeights(n_features=24)
+        weights = ScoreWeights()
         got = evaluate_masks(masks, ds, weights, PredictorConfig())
         assert got == [evaluate_mask(m, ds, weights, PredictorConfig())
                        for m in masks]
@@ -368,7 +368,7 @@ class TestBatchedOracle:
     def test_score_masks_is_evaluate_masks_as_arrays(self, basis):
         ds = oracle_dataset(24)
         config = PredictorConfig(basis=basis)
-        weights = ScoreWeights(n_features=24)
+        weights = ScoreWeights()
         rng = np.random.default_rng(7)
         masks = (rng.random((40, 24)) < rng.random((40, 1))).astype(np.int8)
         masks[:, 5] = 1
@@ -419,7 +419,7 @@ def row_major_scores(masks, ds, weights, config):
              - np.take(y_hat, prep.step_from, axis=1))
     trend = np.sqrt(np.mean((steps - prep.val_steps) ** 2, axis=1))
     return err, trend, cardinality, total_scores(err, trend, cardinality,
-                                                 weights)
+                                                 masks.shape[1], weights)
 
 
 def assert_bitwise(got, want):
@@ -439,7 +439,7 @@ class TestRowMajorLayoutOracle:
     def test_batch_and_batches_of_one(self, n, basis):
         ds = oracle_dataset(n)
         config = PredictorConfig(basis=basis)
-        weights = ScoreWeights(n_features=n)
+        weights = ScoreWeights()
         rng = np.random.default_rng(n)
         masks = (rng.random((60, n)) < rng.random((60, 1))).astype(np.int8)
         masks[:, n // 2] = 1
@@ -455,7 +455,7 @@ class TestRowMajorLayoutOracle:
     def test_wide_batch_split_over_several_solves(self):
         ds = oracle_dataset(24)
         config = PredictorConfig()
-        weights = ScoreWeights(n_features=24)
+        weights = ScoreWeights()
         rng = np.random.default_rng(17)
         masks = np.zeros((20, 24), dtype=np.int8)
         for m in masks:
@@ -479,7 +479,7 @@ masks = np.zeros((60, 24), dtype=int)
 for m in masks:
     m[rng.choice(24, rng.integers(13, 25), replace=False)] = 1
 got = evaluate_masks(masks, make_planted_dataset(n_features=24),
-                     ScoreWeights(n_features=24))
+                     ScoreWeights())
 print([c.score.hex() for c in got])
 """
 

@@ -1,3 +1,5 @@
+from dataclasses import fields, replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,7 +13,7 @@ from plselect.scoring import (
     trend_consistency_error,
 )
 
-W = ScoreWeights(lambda_c=0.3, lambda_n=0.3, n_features=10)
+W = ScoreWeights(lambda_c=0.3, lambda_n=0.3)
 
 
 class TestTrendError:
@@ -110,7 +112,7 @@ class TestTotalScore:
     def test_breakdown_identity(self):
         bd = total_score(2.5, 1.25, [1, 0, 1, 0, 0, 0, 0, 0, 0, 0], W)
         expected = -(bd.rmse + W.lambda_c * bd.trend_error
-                     + W.lambda_n * bd.cardinality / W.n_features)
+                     + W.lambda_n * bd.cardinality / 10)
         assert bd.total == pytest.approx(expected, abs=1e-12)
 
     def test_negative_inputs_rejected(self):
@@ -123,17 +125,12 @@ class TestTotalScore:
         with pytest.raises(ScoringError):
             total_score(1.0, 1.0, [0] * 10, W)
 
-    def test_mask_length_must_match_n_features(self):
-        with pytest.raises(ScoringError, match="24 features.*is 10"):
-            total_score(1.0, 1.0, [1] * 6 + [0] * 18, W)
-        with pytest.raises(ScoringError, match="10 features.*is 24"):
-            total_score(1.0, 1.0, [1] * 10, ScoreWeights(n_features=24))
-
-    def test_wide_mask_with_matching_n_features(self):
-        wide = ScoreWeights(lambda_c=0.3, lambda_n=0.3, n_features=24)
-        bd = total_score(1.0, 1.0, [1] * 6 + [0] * 18, wide)
-        assert bd.cardinality == 6
-        assert bd.total == pytest.approx(-1.375, abs=1e-12)
+    @pytest.mark.parametrize("width", [5, 10, 24, 40])
+    def test_penalty_divides_by_mask_width(self, width):
+        bd = total_score(1.0, 1.0, [1] * 3 + [0] * (width - 3),
+                         ScoreWeights())
+        assert bd.cardinality == 3
+        assert bd.total == -(1.0 + 0.3 * 1.0 + 0.3 * 3 / width)
 
     def test_monotonicity(self):
         base = total_score(1.0, 1.0, [1] * 4 + [0] * 6, W).total
@@ -165,6 +162,23 @@ class TestTotalScore:
 
 
 class TestWeights:
+    def test_fields_are_the_two_weights(self):
+        assert [f.name for f in fields(ScoreWeights)] == ["lambda_c",
+                                                          "lambda_n"]
+
+    @pytest.mark.parametrize("n", [10, 24])
+    def test_n_features_is_accepted_and_ignored(self, n):
+        assert ScoreWeights(n_features=n) == ScoreWeights()
+        mask = [1] * 6 + [0] * 18
+        assert (total_score(1.0, 1.0, mask, ScoreWeights(n_features=n))
+                == total_score(1.0, 1.0, mask, ScoreWeights()))
+
+    def test_replace_keeps_the_weights(self):
+        # As config loading rebuilds its weights section.
+        assert (replace(ScoreWeights(n_features=24), lambda_c=0.1)
+                == replace(ScoreWeights(), lambda_c=0.1)
+                == ScoreWeights(lambda_c=0.1))
+
     def test_negative_weight_rejected(self):
         with pytest.raises(ScoringError):
             ScoreWeights(lambda_c=-0.1)

@@ -529,7 +529,7 @@ class TestRunSearch:
         ds = make_planted_dataset(n_features=24, n_samples=120)
         result = run_search(
             ds, SearchConfig(population_size=6, generations=3,
-                             elite_count=2), ScoreWeights(n_features=24))
+                             elite_count=2), ScoreWeights())
         assert result.final_policy.shape == (24,)
         for rec in result.records:
             assert len(rec.best.mask) == 24
@@ -598,7 +598,7 @@ class TestTrace:
         with mock.patch.object(search, "prepared_system"), \
                 mock.patch.object(search, "score_masks", score_masks):
             result = run_search(SimpleNamespace(n_features=n), cfg,
-                                ScoreWeights(n_features=n))
+                                ScoreWeights())
 
         assert len(result.records) == generations
         seen = set()
@@ -702,7 +702,7 @@ def test_wide_search_matches_golden_run_bitwise():
     golden = json.loads(GOLDEN.read_text())["wide"]
     result = run_search(make_planted_dataset(n_features=24),
                         SearchConfig(master_seed=0),
-                        ScoreWeights(n_features=24))
+                        ScoreWeights())
     assert len(result.records) == len(golden["generations"])
     for t, (rec, want) in enumerate(zip(result.records,
                                         golden["generations"])):
