@@ -125,12 +125,18 @@ class TestTotalScore:
         with pytest.raises(ScoringError):
             total_score(1.0, 1.0, [0] * 10, W)
 
-    @pytest.mark.parametrize("width", [5, 10, 24, 40])
-    def test_penalty_divides_by_mask_width(self, width):
-        bd = total_score(1.0, 1.0, [1] * 3 + [0] * (width - 3),
-                         ScoreWeights())
-        assert bd.cardinality == 3
-        assert bd.total == -(1.0 + 0.3 * 1.0 + 0.3 * 3 / width)
+    def test_penalty_divides_by_mask_width(self):
+        for width in (5, 10, 24, 40):
+            bd = total_score(1.0, 1.0, [1] * 3 + [0] * (width - 3),
+                             ScoreWeights())
+            assert bd.cardinality == 3
+            assert bd.total == -(1.0 + 0.3 * 1.0 + 0.3 * 3 / width)
+
+    def test_wide_mask_with_matching_n_features(self):
+        wide = ScoreWeights(lambda_c=0.3, lambda_n=0.3, n_features=24)
+        bd = total_score(1.0, 1.0, [1] * 6 + [0] * 18, wide)
+        assert bd.cardinality == 6
+        assert bd.total == pytest.approx(-1.375, abs=1e-12)
 
     def test_monotonicity(self):
         base = total_score(1.0, 1.0, [1] * 4 + [0] * 6, W).total
