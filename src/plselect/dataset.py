@@ -309,10 +309,12 @@ def write_csv_lines(path, lines) -> None:
 
 def read_csv(path) -> Dataset:
     """Inverse of write_csv. The first row with the wrong number of
-    fields, an unparsable number, a non-finite value, the (scenario id,
-    route index) of an earlier row, a field the csv module refuses or a
-    byte that is not UTF-8 raises DatasetError naming the file and line."""
+    fields, an unparsable number, a route index beyond int64, a
+    non-finite value, the (scenario id, route index) of an earlier row, a
+    field the csv module refuses or a byte that is not UTF-8 raises
+    DatasetError naming the file and line."""
     width = len(CSV_HEADER)
+    int64 = np.iinfo(np.int64)
     values, route_index, ids, lines, failure = [], [], [], [], None
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -333,6 +335,8 @@ def read_csv(path) -> Dataset:
                 raise ValueError(f"expected {width} fields, got {len(row)}")
             values.append([float(v) for v in row[2:]])
             route_index.append(int(row[1]))
+            if not int64.min <= route_index[-1] <= int64.max:
+                raise ValueError(f"route index {row[1]} does not fit in int64")
             ids.append(row[0])
             lines.append(reader.line_num)
     except DatasetError:

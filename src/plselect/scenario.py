@@ -311,16 +311,22 @@ def segment_box_intersection(p0, p1, bounds) -> Optional[tuple]:
     return (t_min, t_max)
 
 
-def knife_edge_loss_db(nu: float) -> float:
+def knife_edge_loss_db(nu):
     """Single knife-edge diffraction loss from the Fresnel parameter.
 
     Uses the standard approximation J(nu) = 6.9 + 20*log10(sqrt((nu-0.1)^2+1)
     + nu - 0.1) for nu > -0.78, zero below, capped at KNIFE_EDGE_CAP_DB.
+    Broadcasts over arrays. The square is C pow, as numpy's scalar **
+    takes it; an array's ** 2 multiplies, which rounds differently.
     """
-    if nu <= -0.78:
-        return 0.0
-    loss = 6.9 + 20.0 * np.log10(np.sqrt((nu - 0.1) ** 2 + 1.0) + nu - 0.1)
-    return float(min(max(loss, 0.0), KNIFE_EDGE_CAP_DB))
+    nu = np.asarray(nu, dtype=float)
+    # Far below the cut the formula may overflow or take the log of 0;
+    # those entries are dropped.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        loss = 6.9 + 20.0 * np.log10(
+            np.sqrt(np.float_power(nu - 0.1, 2.0) + 1.0) + nu - 0.1)
+    loss = np.minimum(np.maximum(loss, 0.0), KNIFE_EDGE_CAP_DB)
+    return np.where(nu <= -0.78, 0.0, loss)[()]
 
 
 def fresnel_parameter(clearance: float, d1: float, d2: float,
@@ -498,10 +504,13 @@ def extract_features(
 # Batch path: every route point of a scene at once
 # ---------------------------------------------------------------------------
 
-# Route points per block. Keeps each (points x boxes x 3) temporary near
-# 75 kB for a scene of 100 boxes, so building a dataset adds little to the
-# peak memory of the process.
-_POINT_BLOCK = 32
+# Point x box table entries per block of route points: a block holds
+# TABLE_BLOCK_ENTRIES // boxes points (at least one), 122 for a scene of
+# 100 boxes. Its (points x boxes) tables and (points x boxes x 3)
+# temporaries then peak near 2 MB however long the route, so building a
+# dataset adds little to the peak memory of the process, while numpy's
+# per-call overhead is spread over enough entries not to dominate.
+TABLE_BLOCK_ENTRIES = 3 << 12
 
 
 def scene_features_and_path_loss(
@@ -515,16 +524,17 @@ def scene_features_and_path_loss(
 
     For each block of route points, one slab-test table (Kay & Kajiya,
     1986) and one corridor-distance table over (points x boxes) feed both
-    the extractor and the oracle. Per point there remain the shadowing
-    draw, from a generator state hashed for all points at once and added
-    last as in ground_truth_path_loss, and, where the ray hits a box, the
-    Epstein-Peterson cascade over its blockers.
+    the extractor and the oracle, and the Epstein-Peterson cascade runs
+    over every blocked point of the block at once. Per point there
+    remains only the shadowing draw, from a generator state hashed for
+    all points at once and added last as in ground_truth_path_loss.
 
     The tables repeat the scalar arithmetic operation for operation. The
     scalar 1-D dot products and norms go through BLAS ddot, whose rounding
     differs from an elementwise sum, so _dot takes them from the same
     kernel. Means sum each compacted row as np.mean sums the scalar 1-D
-    array, and the f9 detour sum keeps its sequential order.
+    array, and the f9 detour sum and the cascade keep their sequential
+    order.
     """
     tx = scene.tx_position
     route = scene.rx_route
@@ -540,10 +550,11 @@ def scene_features_and_path_loss(
     wavelength = SPEED_OF_LIGHT / scene.carrier_frequency
 
     n_points = len(route)
+    block = max(1, TABLE_BLOCK_ENTRIES // max(1, len(heights)))
     features = np.zeros((n_points, len(FEATURE_SYMBOLS)))
     path_loss = np.empty(n_points)
-    for start in range(0, n_points, _POINT_BLOCK):
-        rx = route[start:start + _POINT_BLOCK]
+    for start in range(0, n_points, block):
+        rx = route[start:start + block]
         seg = rx - tx
         d = np.sqrt(_dot(seg, seg))
         if np.any(d == 0.0):
@@ -590,17 +601,10 @@ def scene_features_and_path_loss(
             0.0,
         )
 
-        fspl = free_space_path_loss_db(d, scene.carrier_frequency)
-        path_loss[start:start + len(rx)] = fspl
-        for i in np.flatnonzero(hit.any(axis=1)).tolist():
-            # Sorted along the ray as _blocker_edges sorts them: stably.
-            edges = sorted(
-                zip(t_mid[i, hit[i]].tolist(), heights[hit[i]].tolist()),
-                key=lambda e: e[0],
-            )
-            path_loss[start + i] = _knife_edge_cascade(
-                fspl[i], d[i], edges, tx[2], rx[i, 2], wavelength
-            )
+        path_loss[start:start + len(rx)] = _cascade_table(
+            free_space_path_loss_db(d, scene.carrier_frequency), d, hit,
+            t_mid, heights, tx[2], rx[:, 2], wavelength,
+        )
     if shadowing_sigma > 0:
         # _shadowing's draws, from one generator set to each point's state.
         path_loss += [rng.normal(0.0, shadowing_sigma) for rng in
@@ -614,6 +618,45 @@ def _dot(a, b):
     np.linalg.norm of the scalar path rounds it: a stacked (1 x k) @ (k x 1)
     product calls the same BLAS ddot."""
     return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def _cascade_table(pl, d, hit, t_mid, heights, tx_z, rx_z, wavelength):
+    """The free-space losses pl of a block of route points plus, for each,
+    the knife-edge loss of every box its ray hits, as _knife_edge_cascade
+    adds them one point at a time.
+
+    hit and t_mid are the block's (points x boxes) slab-test tables; d,
+    rx_z and pl hold one entry per point. pl is updated in place.
+    """
+    counts = hit.sum(axis=1)
+    n_edges = counts.max(initial=0)
+    # Each point's edges along its ray, sorted stably as _blocker_edges
+    # sorts them; the misses sort last and are cut off.
+    order = np.argsort(np.where(hit, t_mid, np.inf), axis=1,
+                       kind="stable")[:, :n_edges]
+    # nodes[:, k + 1] is edge k, node 0 the Tx and node counts + 1 the Rx;
+    # the nodes after the Rx repeat it.
+    after_rx = np.arange(n_edges + 2) > counts[:, None]
+    nodes_t = np.where(after_rx, 1.0, np.pad(
+        np.take_along_axis(t_mid, order, axis=1), ((0, 0), (1, 1))))
+    nodes_z = np.where(after_rx, rx_z[:, None], np.pad(
+        heights[order], ((0, 0), (1, 1)), constant_values=tx_z))
+    # Each edge k between its neighbouring nodes k and k + 2.
+    t_prev, t_edge, t_next = nodes_t[:, :-2], nodes_t[:, 1:-1], nodes_t[:, 2:]
+    z_prev, z_next = nodes_z[:, :-2], nodes_z[:, 2:]
+    d1 = (t_edge - t_prev) * d[:, None]
+    d2 = (t_next - t_edge) * d[:, None]
+    # Line of sight between the neighbouring nodes at the edge abscissa.
+    span = t_next - t_prev
+    with np.errstate(divide="ignore", invalid="ignore"):
+        frac = np.where(span > 0, (t_edge - t_prev) / span, 0.5)
+    z_los = z_prev + frac * (z_next - z_prev)
+    loss = knife_edge_loss_db(
+        fresnel_parameter(nodes_z[:, 1:-1] - z_los, d1, d2, wavelength))
+    # In edge order; a point with fewer edges adds nothing.
+    for k in range(n_edges):
+        np.add(pl, loss[:, k], out=pl, where=k < counts)
+    return pl
 
 
 def _slab_table(p0, seg, lo, hi):

@@ -482,11 +482,16 @@ class TestCsv:
             ("a,0,1,2,3,4,5,6,7,8,9,10,loud", "could not convert"),
             ("a,0," + "1" * 200_000, "field larger than field limit"),
             ("a,x,1,2,nan,4,5,6,7,8,9,10,11", "invalid literal for int()"),
+            ("a,99999999999999999999,1,2,3,4,5,6,7,8,9,10,11",
+             "route index 99999999999999999999 does not fit in int64"),
+            ("a,-9223372036854775809,1,2,3,4,5,6,7,8,9,10,11",
+             "route index -9223372036854775809 does not fit in int64"),
             ("a,0,1,2,3,4,5,6,7,8,9,10,11",
              "scenario 'a', route index 0 repeats line 2"),
         ],
         ids=["truncated", "overlong", "nan_feature", "inf_path_loss",
              "not_a_number", "oversized_field", "bad_route_index",
+             "route_index_above_int64", "route_index_below_int64",
              "repeated_route_point"],
     )
     def test_malformed_row_names_file_and_line(self, tmp_path, row, message):
@@ -499,6 +504,14 @@ class TestCsv:
             read_csv(path)
         assert f"{path}, line 3" in str(exc.value)
         assert message in str(exc.value)
+
+    def test_route_index_at_the_int64_limits_loads(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text("\n".join(
+            [",".join(CSV_HEADER)]
+            + [f"a,{i}," + ",".join(["1.5"] * 11)
+               for i in (-2**63, 2**63 - 1)]) + "\n")
+        assert read_csv(path).route_index.tolist() == [-2**63, 2**63 - 1]
 
     @pytest.mark.parametrize("first", ["a,0,1,2,nan,4,5,6,7,8,9,10,11",
                                        "a,0,1,2,3,4,5,6,7,8,9,10,loud",

@@ -1157,6 +1157,21 @@ class TestCli:
         err = capsys.readouterr().err
         assert f"{data}, line 6: expected 13 fields, got 12" in err
 
+    def test_route_index_beyond_int64_exit_code(self, tmp_path, capsys):
+        cfg = small_config(tmp_path, route_points=20)
+        cmd_generate(cfg)
+        data = Path(cfg.out_dir) / "data" / "pooled.csv"
+        lines = data.read_text().splitlines()
+        scenario_id, _, rest = lines[4].split(",", 2)
+        lines[4] = f"{scenario_id},99999999999999999999,{rest}"
+        data.write_text("\n".join(lines) + "\n")
+        args = ["--seed", "0", "--out", cfg.out_dir, "--task", "task1"]
+        assert main(["run"] + args) == 2
+        assert capsys.readouterr().err == (
+            f"error: {data}, line 5: route index 99999999999999999999 does "
+            "not fit in int64\n")
+        assert not (Path(cfg.out_dir) / "results").exists()
+
     def test_repeated_route_point_exit_code(self, tmp_path, capsys):
         cfg = small_config(tmp_path, route_points=20)
         cmd_generate(cfg)

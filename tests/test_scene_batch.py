@@ -5,13 +5,15 @@ ground_truth_path_loss return point by point: the dataset CSVs, and every
 result derived from them, depend on each bit.
 """
 
+from unittest.mock import patch
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from plselect import scenario
 from plselect.scenario import (
-    _POINT_BLOCK,
     Scene,
     SceneConfig,
     _blocker_edges,
@@ -107,10 +109,25 @@ TWINS = make_scene(LINE, tx=(50.0, 50.0, 3.0),
                    boxes=[WALL[:4] + (height,) for height in (20.0, 5.0)])
 TRIPLETS = make_scene(LINE, tx=(50.0, 50.0, 3.0), boxes=[
     WALL[:4] + (height,) for height in (20.0, 5.0, 12.0)])
-# A route of two point blocks whose rays hit the one box only in the
-# second block.
-LATE_BLOCKERS = make_scene([(10.0 + 2.0 * k, 20.0, 1.5) for k in range(40)],
-                           boxes=((70.0, 30.0, 6.0, 4.0, 20.0),))
+# A table budget that splits these small scenes into blocks of a few
+# points: TABLE_BLOCK_ENTRIES // boxes points each, at least one.
+SMALL_BUDGET = 8
+# Under SMALL_BUDGET, a route of several point blocks whose rays hit the
+# one box only after the first block; without the box, a route of several
+# blocks with nothing to hit.
+LATE_ROUTE = [(10.0 + 2.0 * k, 20.0, 1.5) for k in range(40)]
+LATE_BLOCKERS = make_scene(LATE_ROUTE, boxes=((70.0, 30.0, 6.0, 4.0, 20.0),))
+OPEN_ROUTE = make_scene(LATE_ROUTE)
+# Six thin walls of different heights between a low Tx and a route along
+# the same line: the rays from the Tx cross 6, 5, ..., 0 of them, so one
+# block holds rows of every edge count up to 6.
+LADDER = make_scene(
+    [(x, 50.0, 1.5) for x in (12.0, 22.0, 27.0, 32.0, 37.0, 42.0, 47.0)],
+    tx=(50.0, 50.0, 3.0),
+    boxes=[(x, 50.0, 1.0, 10.0, height) for x, height in
+           zip((20.0, 25.0, 30.0, 35.0, 40.0, 45.0),
+               (20.0, 5.0, 12.0, 8.0, 15.0, 4.0))],
+)
 
 
 def test_zero_scatterers_give_empty_tables():
@@ -144,8 +161,24 @@ def test_oracle_examples_reach_their_cases():
     for scene, count in ((TWINS, 2), (TRIPLETS, 3)):
         assert all(len(e) == count and len({t for t, _ in e}) == 1
                    for e in edges(scene))
+    assert [len(e) for e in edges(LADDER)] == [6, 5, 4, 3, 2, 1, 0]
+
+    # The blocks scene_features_and_path_loss builds under SMALL_BUDGET.
+    blocks = []
+    slab_table = scenario._slab_table
+
+    def record_block(p0, seg, lo, hi):
+        blocks.append(len(seg))
+        return slab_table(p0, seg, lo, hi)
+
+    with patch.object(scenario, "TABLE_BLOCK_ENTRIES", SMALL_BUDGET), \
+            patch.object(scenario, "_slab_table", record_block):
+        scene_features_and_path_loss(LATE_BLOCKERS)
+        late = len(blocks)
+        scene_features_and_path_loss(OPEN_ROUTE)
     blocked = [i for i, e in enumerate(edges(LATE_BLOCKERS)) if e]
-    assert blocked and min(blocked) >= _POINT_BLOCK
+    assert late > 2 and blocked and min(blocked) >= blocks[0]
+    assert len(blocks) - late > 1 and len(OPEN_ROUTE.boxes) == 0
 
 
 def test_receiver_on_transmitter_rejected():
@@ -204,5 +237,11 @@ def random_scenes(draw):
 @example(scene=TWINS, corridor_radius=50.0, shadowing_sigma=3.0)
 @example(scene=TRIPLETS, corridor_radius=50.0, shadowing_sigma=0.0)
 @example(scene=LATE_BLOCKERS, corridor_radius=50.0, shadowing_sigma=3.0)
+@example(scene=OPEN_ROUTE, corridor_radius=50.0, shadowing_sigma=3.0)
+@example(scene=LADDER, corridor_radius=50.0, shadowing_sigma=0.0)
 def test_random_scenes_bitwise(scene, corridor_radius, shadowing_sigma):
+    """At the default table budget a small scene is one block; under
+    SMALL_BUDGET its route spans blocks of a few points each."""
     assert_batch_matches_scalar(scene, shadowing_sigma, corridor_radius)
+    with patch.object(scenario, "TABLE_BLOCK_ENTRIES", SMALL_BUDGET):
+        assert_batch_matches_scalar(scene, shadowing_sigma, corridor_radius)
