@@ -6,14 +6,16 @@ enough to sit inside the population search loop.
 
 Every mask's basis is a column subset of the basis over all features, so
 prepared_system builds that full basis's train normal equations and val
-design once per dataset, and score_masks solves each mask on their
-sub-block, one stacked solve per basis width, returning rmse, trend
-error, cardinality and total as arrays. The search calls score_masks on
-masks it has made itself; evaluate_masks checks masks from elsewhere and
-then calls it. candidates is the one builder of a Candidate from those
-columns, for both. tests/test_predictor.py checks the scores against a
-least-squares solve of each mask's own ridge-augmented design, sharing
-no code with score_masks, and scoring.trend_consistency_error.
+design once per dataset, basis and ridge_lambda, with the ridge penalty
+added to the Gram matrix's diagonal once, there, and score_masks solves
+each mask on their sub-block, one stacked solve per basis width,
+returning rmse, trend error, cardinality and total as arrays. The
+search calls score_masks on masks it has made itself; evaluate_masks
+checks masks from elsewhere and then calls it. candidates is the one
+builder of a Candidate from those columns, for both.
+tests/test_predictor.py checks the scores against a least-squares solve
+of each mask's own ridge-augmented design, sharing no code with
+score_masks, and scoring.trend_consistency_error.
 
 The scoring runs its BLAS and LAPACK calls on the calling thread. Its
 solves and products are small, and OpenBLAS's worker threads spin
@@ -134,12 +136,10 @@ class PredictorConfig:
 
 def _solve_ridge(gram: np.ndarray, moment: np.ndarray,
                  ridge_lambda: float) -> np.ndarray:
-    """beta of (gram + ridge_lambda * I) beta = moment for each system of a
-    (g, w, w) stack and its (g, w) moments, with column 0, the intercept,
-    left unpenalized. Adds the penalty to gram in place."""
-    g, w = moment.shape
-    # Every diagonal entry but [0, 0]: the intercept is not penalized.
-    gram.reshape(g, w * w)[:, w + 1::w + 1] += ridge_lambda
+    """beta of gram beta = moment for each system of a (g, w, w) stack of
+    penalized Gram blocks and its (g, w) moments. ridge_lambda is the
+    penalty already on their diagonals: at 0, an ill-conditioned block
+    is refused."""
     singular = "normal equations are singular; use ridge_lambda > 0"
     if ridge_lambda == 0 and np.any(np.linalg.cond(gram) > 1e12):
         raise SingularSystemError(singular)
@@ -168,18 +168,25 @@ class Candidate:
 
 @dataclass(frozen=True)
 class _Prepared:
-    """One dataset's full-basis system, shared by all of its masks.
+    """One dataset's full-basis system for one ridge_lambda, shared by all
+    of its masks. Its arrays are read-only.
 
     Column 0 of the full basis is the intercept, columns 1..N the features,
     and, for the quadratic basis, then the products of features upper[0][c]
     and upper[1][c] for c = 0, 1, ..., in np.triu_indices order.
+
+    The Gram matrix carries the ridge penalty: ridge_lambda is added once,
+    here, to every diagonal entry but the intercept's [0, 0]. A mask's
+    sub-block then has its penalty in place, with the bits of adding it
+    after the gather.
 
     The val design is kept transposed and C-contiguous, so that each basis
     column's values over the val samples are one contiguous row.
     """
 
     n_features: int
-    gram: np.ndarray  # train design.T @ design
+    ridge_lambda: float
+    gram: np.ndarray  # train design.T @ design + the penalty
     moment: np.ndarray  # train design.T @ y
     val_t: np.ndarray  # val design.T: row c is basis column c
     val_targets: np.ndarray
@@ -198,13 +205,13 @@ def _full_design(X: np.ndarray, upper: Optional[tuple]) -> np.ndarray:
     return np.hstack(cols)
 
 
-def _prepare(ds: Dataset, basis: str) -> _Prepared:
+def _prepare(ds: Dataset, config: PredictorConfig) -> _Prepared:
     X = ds.feature_matrix("train")
     y = ds.targets("train")
     if X.shape[0] < 2:
         raise PredictorError("need at least 2 training samples")
     n = X.shape[1]
-    upper = np.triu_indices(n) if basis == "quadratic" else None
+    upper = np.triu_indices(n) if config.basis == "quadratic" else None
     width = 1 + n + (len(upper[0]) if upper is not None else 0)
     gram = np.zeros((width, width))
     moment = np.zeros(width)
@@ -212,11 +219,12 @@ def _prepare(ds: Dataset, basis: str) -> _Prepared:
         block = _full_design(X[start:start + GRAM_BLOCK_ROWS], upper)
         gram += block.T @ block
         moment += block.T @ y[start:start + GRAM_BLOCK_ROWS]
+    # Every diagonal entry but [0, 0]: the intercept is not penalized.
+    gram.flat[width + 1::width + 1] += config.ridge_lambda
     val = ds.rows("val")
     order, same = route_order(ds.scenario_id[val], ds.route_index[val])
     val_targets = ds.targets("val")
-    return _Prepared(
-        n_features=n,
+    arrays = dict(
         gram=gram,
         moment=moment,
         val_t=np.ascontiguousarray(
@@ -225,8 +233,11 @@ def _prepare(ds: Dataset, basis: str) -> _Prepared:
         step_from=order[:-1][same],
         step_to=order[1:][same],
         val_steps=np.diff(val_targets[order])[same],
-        upper=upper,
     )
+    for array in arrays.values():
+        array.flags.writeable = False
+    return _Prepared(n_features=n, ridge_lambda=config.ridge_lambda,
+                     upper=upper, **arrays)
 
 
 def evaluate_mask(
@@ -273,8 +284,7 @@ def evaluate_masks(
     if masks.shape[1] != prep.n_features:
         raise PredictorError(f"mask has {masks.shape[1]} entries but "
                              f"the dataset has {prep.n_features} features")
-    return candidates(masks, *score_masks(masks, prep, weights,
-                                          config.ridge_lambda))
+    return candidates(masks, *score_masks(masks, prep, weights))
 
 
 def candidates(masks: np.ndarray, rmse: np.ndarray, trend: np.ndarray,
@@ -291,29 +301,30 @@ def candidates(masks: np.ndarray, rmse: np.ndarray, trend: np.ndarray,
 
 
 def prepared_system(ds: Dataset, config: PredictorConfig) -> _Prepared:
-    """ds's full-basis system for config.basis, built on first use and
-    kept in ds.derived. ds must be split and standardized."""
+    """ds's full-basis system for config.basis and config.ridge_lambda,
+    built on first use and kept in ds.derived, one per such pair. ds must
+    be split and standardized."""
     if ds.split is None or ds.standardization is None:
         raise DatasetError("dataset must be split and standardized")
-    key = ("predictor", config.basis)
+    key = ("predictor", config.basis, config.ridge_lambda)
     prep = ds.derived.get(key)
     if prep is None:
         with _CALLING_THREAD_BLAS:
-            prep = ds.derived[key] = _prepare(ds, config.basis)
+            prep = ds.derived[key] = _prepare(ds, config)
     return prep
 
 
-def score_masks(masks: np.ndarray, prep: _Prepared, weights: ScoreWeights,
-                ridge_lambda: float) -> tuple:
+def score_masks(masks: np.ndarray, prep: _Prepared,
+                weights: ScoreWeights) -> tuple:
     """Val RMSE, trend-consistency error, cardinality and total score of
     each row of a (k, N) int8 array of 0s and 1s, as four arrays.
 
     The masks are not checked: each row must select at least one of
     prep's N features. The cardinality penalty divides by N. Each fit
-    solves the mask's sub-block of prep's normal equations; masks of one
-    cardinality share a basis width and are solved as one stack.
-    A stack's Gram sub-blocks are gathered by one take from the flattened
-    Gram matrix, and its val columns are copied as whole rows of
+    solves the mask's sub-block of prep's penalized normal equations;
+    masks of one cardinality share a basis width and are solved as one
+    stack. A stack's Gram sub-blocks are gathered by one take from the
+    flattened Gram matrix, and its val columns are taken as whole rows of
     prep.val_t.
     """
     cardinality = np.count_nonzero(masks, axis=1)
@@ -322,14 +333,17 @@ def score_masks(masks: np.ndarray, prep: _Prepared, weights: ScoreWeights,
     # selected, in column order.
     keep = [np.ones((len(sel), 1), dtype=bool), sel]
     if prep.upper is not None:
-        keep.append(sel[:, prep.upper[0]] & sel[:, prep.upper[1]])
+        keep.append(sel.take(prep.upper[0], axis=1)
+                    & sel.take(prep.upper[1], axis=1))
     keep = np.concatenate(keep, axis=1)
     # Masks sorted by cardinality, so that each basis width's columns are
     # one run of the nonzero columns of keep.
     order = np.argsort(cardinality, kind="stable")
-    all_cols = np.nonzero(keep[order])[1]
+    all_cols = np.nonzero(keep.take(order, axis=0))[1]
+    # Where each column's row starts in the flattened Gram matrix.
+    all_rows = all_cols * len(prep.gram)
+    gram = prep.gram.ravel()
     y_hat = np.empty((len(sel), len(prep.val_targets)))
-    full_width = len(prep.gram)
     start = offset = 0
     with _CALLING_THREAD_BLAS:
         for k, count in enumerate(np.bincount(cardinality).tolist()):
@@ -339,25 +353,32 @@ def score_masks(masks: np.ndarray, prep: _Prepared, weights: ScoreWeights,
             step = max(1, SOLVE_BLOCK_ENTRIES // (width * width))
             for first in range(start, start + count, step):
                 block = order[first:min(first + step, start + count)]
-                cols = all_cols[offset:offset + len(block) * width].reshape(
-                    len(block), width)
-                offset += len(block) * width
+                stop = offset + len(block) * width
+                cols = all_cols[offset:stop].reshape(len(block), width)
+                rows = all_rows[offset:stop].reshape(len(block), width)
+                offset = stop
                 beta = _solve_ridge(
-                    prep.gram.ravel().take(cols[:, :, None] * full_width
-                                           + cols[:, None, :]),
-                    prep.moment[cols], ridge_lambda)
+                    gram.take(rows[:, :, None] + cols[:, None, :]),
+                    prep.moment.take(cols), prep.ridge_lambda)
                 # One vector-matrix product per mask, as for a batch of
                 # one, so that a mask's score does not depend on its batch.
                 # The operands' layout decides the last bits: a contiguous
                 # copy of the (g, n_val, w) block changes them.
                 # TestRowMajorLayoutOracle pins them.
-                y_hat[block] = (beta[:, None, :] @ prep.val_t[cols])[:, 0, :]
+                y_hat[block] = (beta[:, None, :]
+                                @ prep.val_t.take(cols, axis=0))[:, 0, :]
             start += count
-    err = np.sqrt(np.mean((y_hat - prep.val_targets) ** 2, axis=1))
-    # np.take keeps each row contiguous, so that its mean sums in the
-    # order a batch of one does; fancy indexing would not.
+    err = _rms_rows(y_hat - prep.val_targets)
+    # np.take keeps each row contiguous, so that its sum runs in the
+    # order a batch of one's does; fancy indexing would not.
     steps = (np.take(y_hat, prep.step_to, axis=1)
              - np.take(y_hat, prep.step_from, axis=1))
-    trend = np.sqrt(np.mean((steps - prep.val_steps) ** 2, axis=1))
+    trend = _rms_rows(steps - prep.val_steps)
     return (err, trend, cardinality,
             total_scores(err, trend, cardinality, masks.shape[1], weights))
+
+
+def _rms_rows(d: np.ndarray) -> np.ndarray:
+    """Root mean square of each row of d, with np.mean's bits: the same
+    pairwise sum of each row, then one division by the row length."""
+    return np.sqrt(np.add.reduce(d * d, axis=1) / d.shape[1])

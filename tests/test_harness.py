@@ -224,9 +224,9 @@ class TestTaskScenarios:
             prepared.append(ds.scenario_ids())
             return real_split(ds, *args, **kwargs)
 
-        def gram(ds, basis):
+        def gram(ds, config):
             grams.append(ds.scenario_ids())
-            return real_gram(ds, basis)
+            return real_gram(ds, config)
 
         def read(path):
             reads.append(Path(path).name)

@@ -5,6 +5,8 @@ reference bit for bit; a fault the two shared would pass there. These
 checks share no code with the oracle's cascade.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -47,3 +49,71 @@ def test_swapping_tx_and_rx_keeps_path_loss(name):
         back = ground_truth_path_loss(swap_tx_and_rx(scene, i), 0,
                                       shadowing_sigma=0.0)
         assert abs(back - forth) <= 1e-12, (i, forth, back)
+
+
+C = 299_792_458.0  # m/s
+F = 3.5e9  # Hz, the default carrier
+AREA = (-1000.0, -1000.0, 1000.0, 1000.0)
+
+
+def noiseless_path_loss(scene):
+    """The scalar oracle's and the batch path's noiseless path loss at
+    every route point."""
+    scalar = [ground_truth_path_loss(scene, i, shadowing_sigma=0.0)
+              for i in range(scene.n_route_points)]
+    batch = scene_features_and_path_loss(scene, shadowing_sigma=0.0)[1]
+    return scalar, batch.tolist()
+
+
+def friis_db(d, f):
+    """Free-space path loss 20*log10(4*pi*d*f/c) (Friis, 1946)."""
+    return 20.0 * math.log10(4.0 * math.pi * d * f / C)
+
+
+def itu_knife_edge_db(nu):
+    """ITU-R P.526's single knife-edge loss J(nu), for nu > -0.78."""
+    return 6.9 + 20.0 * math.log10(
+        math.sqrt((nu - 0.1) ** 2 + 1.0) + nu - 0.1)
+
+
+def test_no_boxes_gives_free_space_loss():
+    """With nothing in the way, path loss is Friis's within 0.005 dB: the
+    oracle's -147.55 dB constant rounds 20*log10(4*pi/c) = -147.552 dB."""
+    route = [(3.0, 4.0, 1.5), (60.0, -80.0, 1.5), (-700.0, 500.0, 1.5),
+             (0.5, 0.0, 9.0)]
+    scene = Scene(tx_position=(0.0, 0.0, 10.0), rx_route=route,
+                  boxes=np.empty((0, 5)), carrier_frequency=F,
+                  area_bounds=AREA, seed=0)
+    for got in noiseless_path_loss(scene):
+        for (x, y, z), pl in zip(route, got):
+            d = math.sqrt(x * x + y * y + (z - 10.0) ** 2)
+            assert abs(pl - friis_db(d, F)) <= 0.005, (d, pl)
+
+
+@pytest.mark.parametrize("wall_height", [6.0, 8.0, 20.0])
+def test_one_thin_wall_adds_the_knife_edge_loss(wall_height):
+    """A thin wall halfway along the ray, across it and wider than any
+    detour, adds J(nu) to Friis's loss, with nu from the geometry by hand.
+
+    Tx at (0, 0, 10) and Rx at (100, 0, 1.5) are 100 m apart on the
+    ground, so the 3-D ray has length d = sqrt(100**2 + 8.5**2) and
+    crosses the wall, 0.2 m thick at x = 50, at half its length:
+    d1 = d2 = d / 2, where the line of sight is at 5.75 m. The edge
+    clears it by h = wall_height - 5.75, and nu = h * sqrt((2 / lambda)
+    * (1 / d1 + 1 / d2)) (ITU-R P.526).
+    """
+    scene = Scene(tx_position=(0.0, 0.0, 10.0),
+                  rx_route=[(100.0, 0.0, 1.5), (100.0, 300.0, 1.5)],
+                  boxes=[(50.0, 0.0, 0.2, 40.0, wall_height)],
+                  carrier_frequency=F, area_bounds=AREA, seed=0)
+    d = math.sqrt(100.0 ** 2 + 8.5 ** 2)
+    d1 = d2 = d / 2.0
+    h = wall_height - 5.75
+    nu = h * math.sqrt((2.0 / (C / F)) * (1.0 / d1 + 1.0 / d2))
+    assert 0.0 < itu_knife_edge_db(nu) < 40.0  # below the oracle's cap
+    for got in noiseless_path_loss(scene):
+        assert abs(got[0] - (friis_db(d, F) + itu_knife_edge_db(nu))) \
+            <= 0.005, (nu, got[0])
+        # The second point's ray passes beside the wall.
+        assert abs(got[1] - friis_db(math.hypot(100.0, 300.0, 8.5), F)) \
+            <= 0.005

@@ -202,10 +202,47 @@ class TestFastPathOracle:
                                  PredictorConfig(basis=basis))
 
     def test_each_basis_gets_its_own_system(self):
+        # One system per (basis, ridge_lambda): each holds its penalty in
+        # its Gram matrix, so configs that differ only in lambda must not
+        # share one.
         ds = make_planted_dataset(n_samples=150, seed=7)
-        for basis in ("quadratic", "linear", "quadratic"):
+        configs = [PredictorConfig(basis=basis, ridge_lambda=lam)
+                   for basis, lam in (("quadratic", 1.0), ("linear", 1.0),
+                                      ("quadratic", 0.25), ("linear", 3.0),
+                                      ("quadratic", 1.0), ("linear", 3.0))]
+        for config in configs:
             assert_matches_reference(all_masks(10)[::50], ds, ScoreWeights(),
-                                     PredictorConfig(basis=basis))
+                                     config)
+        systems = {config: prepared_system(ds, config) for config in configs}
+        assert len({id(prep) for prep in systems.values()}) == 4
+        for config, prep in systems.items():
+            assert prep.ridge_lambda == config.ridge_lambda
+            assert prepared_system(ds, config) is prep
+        assert not np.array_equal(
+            systems[PredictorConfig(ridge_lambda=1.0)].gram,
+            systems[PredictorConfig(ridge_lambda=0.25)].gram)
+
+    @pytest.mark.parametrize("basis", ["quadratic", "linear"])
+    def test_penalty_is_on_every_diagonal_entry_but_the_intercept(self,
+                                                                  basis):
+        ds = make_planted_dataset(n_samples=150, seed=8)
+        bare = prepared_system(ds, PredictorConfig(basis, ridge_lambda=0.0))
+        prep = prepared_system(ds, PredictorConfig(basis, ridge_lambda=0.5))
+        penalty = np.diag(np.full(len(bare.gram), 0.5))
+        penalty[0, 0] = 0.0
+        assert np.array_equal(prep.gram, bare.gram + penalty)
+        assert np.array_equal(prep.moment, bare.moment)
+
+    def test_prepared_arrays_are_read_only(self):
+        # Every mask of every search on the dataset reads the penalized
+        # Gram matrix: a write would change later scores.
+        prep = prepared_system(make_planted_dataset(n_samples=120, seed=9),
+                               PredictorConfig())
+        for name in ("gram", "moment", "val_t", "val_targets", "step_from",
+                     "step_to", "val_steps"):
+            array = getattr(prep, name)
+            with pytest.raises(ValueError, match="read-only"):
+                array[(0,) * array.ndim] = 1
 
     def test_random_wide_masks_match_reference(self):
         ds = make_planted_dataset(n_features=24, n_samples=600, seed=3)
@@ -373,7 +410,7 @@ class TestBatchedOracle:
         masks = (rng.random((40, 24)) < rng.random((40, 1))).astype(np.int8)
         masks[:, 5] = 1
         err, trend, cardinality, total = score_masks(
-            masks, prepared_system(ds, config), weights, config.ridge_lambda)
+            masks, prepared_system(ds, config), weights)
         got = evaluate_masks(masks, ds, weights, config)
         assert err.tolist() == [c.breakdown.rmse for c in got]
         assert trend.tolist() == [c.breakdown.trend_error for c in got]
@@ -394,10 +431,11 @@ def basis_columns(mask, upper):
 
 
 def row_major_scores(masks, ds, weights, config):
-    """score_masks's four arrays with the direct gathers: each stack's Gram
-    sub-blocks by 2-D fancy indexing, and its val columns from the
-    row-major val design, built here again, transposed to (g, n_val, w) for
-    one matrix-vector product per mask. A stack is one cardinality."""
+    """score_masks's four arrays with the direct gathers and np.mean: each
+    stack's penalized Gram sub-blocks by 2-D fancy indexing, solved by
+    np.linalg.solve, and its val columns from the row-major val design,
+    built here again, transposed to (g, n_val, w) for one matrix-vector
+    product per mask. A stack is one cardinality."""
     prep = prepared_system(ds, config)
     val = predictor._full_design(ds.feature_matrix("val"), prep.upper)
     cardinality = masks.sum(axis=1)
@@ -409,9 +447,9 @@ def row_major_scores(masks, ds, weights, config):
             rows = np.flatnonzero(cardinality == k)
             cols = np.array([basis_columns(masks[r], prep.upper)
                              for r in rows])
-            beta = predictor._solve_ridge(
+            beta = np.linalg.solve(
                 prep.gram[cols[:, :, None], cols[:, None, :]],
-                prep.moment[cols], config.ridge_lambda)
+                prep.moment[cols][:, :, None])[:, :, 0]
             y_hat[rows] = (val[:, cols].transpose(1, 0, 2)
                            @ beta[:, :, None])[:, :, 0]
     err = np.sqrt(np.mean((y_hat - prep.val_targets) ** 2, axis=1))
@@ -429,8 +467,9 @@ def assert_bitwise(got, want):
 
 
 class TestRowMajorLayoutOracle:
-    """score_masks gathers from a flattened Gram matrix and a transposed
-    val design; its scores equal the direct row-major gathers' bit for bit.
+    """score_masks gathers by take from a flattened Gram matrix and a
+    transposed val design, and sums squares by np.add.reduce; its scores
+    equal those of the direct row-major gathers and np.mean bit for bit.
     The last bits depend on the layout the products see: a contiguous copy
     of the (g, n_val, w) val block changes them."""
 
@@ -445,11 +484,11 @@ class TestRowMajorLayoutOracle:
         masks[:, n // 2] = 1
         prep = prepared_system(ds, config)
         want = row_major_scores(masks, ds, weights, config)
-        assert_bitwise(score_masks(masks, prep, weights, config.ridge_lambda),
+        assert_bitwise(score_masks(masks, prep, weights),
                        want)
         for i, mask in enumerate(masks):
             assert_bitwise(
-                score_masks(mask[None], prep, weights, config.ridge_lambda),
+                score_masks(mask[None], prep, weights),
                 [column[i:i + 1] for column in want])
 
     def test_wide_batch_split_over_several_solves(self):
@@ -463,7 +502,7 @@ class TestRowMajorLayoutOracle:
         prep = prepared_system(ds, config)
         width = len(basis_columns(masks[0], prep.upper))
         assert len(masks) > predictor.SOLVE_BLOCK_ENTRIES // width**2 > 1
-        assert_bitwise(score_masks(masks, prep, weights, config.ridge_lambda),
+        assert_bitwise(score_masks(masks, prep, weights),
                        row_major_scores(masks, ds, weights, config))
 
 

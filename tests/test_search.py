@@ -257,11 +257,20 @@ def memo_table(masks, totals):
 
 @st.composite
 def ranking_cases(draw):
-    """Distinct masks of up to 6 bits, totals from a few values, and rows
-    to rank, repeats allowed: ties in total and cardinality are common."""
-    n = draw(st.integers(1, 6))
-    masks = draw(st.lists(st.tuples(*[st.integers(0, 1)] * n), min_size=1,
-                          max_size=24, unique=True))
+    """Distinct masks, totals from a few values, and rows to rank, repeats
+    allowed: ties in total and cardinality are common. Widths of 7, 8 and
+    9 bits and beyond put a mask's last bits in a partly filled packed
+    byte or in a byte of their own. Masks that shuffle the tail of one
+    mask tie on cardinality and share a prefix, so that only their later
+    bytes tell them apart."""
+    n = draw(st.sampled_from([1, 2, 3, 4, 5, 6, 7, 8, 9, 24, 40]))
+    bits = st.tuples(*[st.integers(0, 1)] * n)
+    base = draw(bits)
+    # base with its bits after position k shuffled.
+    shuffled = st.integers(0, n).flatmap(lambda k: st.permutations(
+        base[k:]).map(lambda tail: base[:k] + tuple(tail)))
+    masks = draw(st.lists(bits | shuffled, min_size=1, max_size=24,
+                          unique=True))
     totals = draw(st.lists(st.sampled_from([-2.0, -1.0, -0.0, 0.0]),
                            min_size=len(masks), max_size=len(masks)))
     rows = draw(st.lists(st.integers(0, len(masks) - 1), min_size=1,
@@ -294,6 +303,7 @@ class TestElites:
     @settings(max_examples=300, deadline=None)
     @given(case=ranking_cases())
     def test_matches_sorted_key(self, case):
+        # ranked sorts on the masks' packed bytes, sorted() on their bits.
         masks, totals, rows = case
         table = memo_table(masks, totals)
         want = sorted(rows, key=lambda r: (-totals[r], sum(masks[r]),
