@@ -258,30 +258,37 @@ def format_number(value: float) -> str:
     return _NUMBER_FORMAT % value
 
 
-def check_finite(ds: Dataset, source: Optional[str] = None) -> None:
-    """Raise DatasetError naming the first row, in write_csv's file order,
-    with a non-finite feature or path loss: by its route index and its
-    source, by default its scenario id."""
-    bad = ~np.isfinite(np.column_stack([ds.X, ds.y])).all(axis=1)
+def check_rows(ds: Dataset, source: Optional[str] = None) -> np.ndarray:
+    """The row order of write_csv's file. Raises DatasetError naming the
+    first row in it with a non-finite feature or path loss or with the
+    (scenario id, route index) of the row before it, both of which
+    read_csv refuses: by its route index and its source, by default its
+    scenario id."""
+    order = np.lexsort((ds.route_index, ds.scenario_id))
+    ids, routes = ds.scenario_id[order], ds.route_index[order]
+    finite = np.isfinite(np.column_stack([ds.X, ds.y])[order]).all(axis=1)
+    bad = ~finite
+    bad[1:] |= (ids[1:] == ids[:-1]) & (routes[1:] == routes[:-1])
     if bad.any():
-        i = np.lexsort((ds.route_index, ds.scenario_id, ~bad))[0]
-        source = source or f"scenario {str(ds.scenario_id[i])!r}"
-        raise DatasetError(f"{source}, route index {ds.route_index[i]}: "
-                           "non-finite feature or path loss")
+        k = np.argmax(bad)
+        source = source or f"scenario {str(ids[k])!r}"
+        raise DatasetError(f"{source}, route index {routes[k]}: " + (
+            "non-finite feature or path loss" if not finite[k]
+            else "repeats the row before it"))
+    return order
 
 
 def write_csv(ds: Dataset, path) -> list:
     """Rows ordered by scenario then route_index, 9 significant digits.
     CSV_HEADER names the default catalog's features, so a dataset of
     another width raises DatasetError before anything is written, as
-    does a non-finite value (check_finite). Returns the data lines
-    written, for write_csv_lines."""
+    does a non-finite value or a repeated route point (check_rows).
+    Returns the data lines written, for write_csv_lines."""
     width = len(CSV_HEADER) - 3
     if ds.n_features != width:
         raise DatasetError(f"the CSV format holds {width} features, but the "
                            f"dataset has {ds.n_features}")
-    check_finite(ds)
-    order = np.lexsort((ds.route_index, ds.scenario_id))
+    order = check_rows(ds)
     values = np.column_stack([ds.X, ds.y])[order]
     ids = ds.scenario_id[order].tolist()
     routes = ds.route_index[order].tolist()

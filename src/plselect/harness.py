@@ -28,7 +28,7 @@ from .dataset import (
     DatasetError,
     _stratified_counts,
     build_dataset,
-    check_finite,
+    check_rows,
     check_split_fractions,
     format_number,
     read_csv,
@@ -353,11 +353,11 @@ def cmd_generate(cfg: ExperimentConfig) -> List[Path]:
             scene = generate_scene(scene_cfg)
         except SceneGenerationError as exc:
             raise HarnessError(f"scenario {name!r}: {exc}") from None
-        # A huge finite scene value overflows to a row check_finite names.
+        # A huge finite scene value overflows to a row check_rows names.
         with np.errstate(over="ignore", invalid="ignore"):
             ds = build_dataset([scene], [name], cfg.shadowing_sigma,
                                cfg.corridor_radius)
-        check_finite(ds, f"config scenarios.{name}")
+        check_rows(ds, f"config scenarios.{name}")
         built[name] = scene, ds
     written, lines = [], {}
     for name, (scene, ds) in built.items():

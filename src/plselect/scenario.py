@@ -25,6 +25,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -67,9 +68,6 @@ FEATURE_CATEGORIES = (
     "Knowledge",
     "Knowledge",
 )
-
-
-LAYOUTS = ("uniform", "intersection", "square")
 
 
 class SceneGenerationError(RuntimeError):
@@ -239,8 +237,7 @@ class SceneConfig:
             raise bad("route_points", "be >= 2")
         if self.max_placement_retries < 1:
             raise bad("max_placement_retries", "be >= 1")
-        if self.layout not in LAYOUTS:
-            raise bad("layout", f"be one of {LAYOUTS}")
+        _layout(self)
         if not math.isfinite(self.rx_height):
             raise bad("rx_height", "be finite")
         if not 0 <= self.corridor_width < math.inf:
@@ -732,32 +729,24 @@ def _masked_means(tables, mask):
 # Scene generation
 # ---------------------------------------------------------------------------
 
+def _layout(config):
+    """config.layout's LAYOUTS entry; ValueError names an unknown one."""
+    if config.layout not in LAYOUTS:
+        raise ValueError(f"SceneConfig.layout must be one of "
+                         f"{tuple(LAYOUTS)}, got {config.layout!r}")
+    return LAYOUTS[config.layout]
+
+
 def generate_scene(config: SceneConfig) -> Scene:
     """Build a Scene procedurally; deterministic for a fixed config."""
+    tx_route, place_boxes = _layout(config)
     rng = np.random.default_rng(np.random.SeedSequence([int(config.seed)]))
-    w, h = config.area_size
-    bounds = (0.0, 0.0, float(w), float(h))
-
-    if config.layout == "intersection":
-        tx, route = _intersection_tx_route(config)
-        boxes = _intersection_boxes(config, rng, tx, route)
-    elif config.layout == "square":
-        tx, route = _square_tx_route(config)
-        boxes = _random_boxes(config, rng, tx, route, keepout_center=True)
-    elif config.layout == "uniform":
-        tx, route = _uniform_tx_route(config, rng)
-        boxes = _random_boxes(config, rng, tx, route)
-    else:
-        raise ValueError(f"unknown layout {config.layout!r}")
-
-    return Scene(
-        tx_position=tx,
-        rx_route=route,
-        boxes=boxes,
-        carrier_frequency=config.carrier_frequency,
-        area_bounds=bounds,
-        seed=int(config.seed),
-    )
+    tx, route = tx_route(config, rng)
+    boxes = place_boxes(config, rng, np.vstack([tx, route])[:, :2])
+    return Scene(tx_position=tx, rx_route=route, boxes=boxes,
+                 carrier_frequency=config.carrier_frequency,
+                 area_bounds=(0.0, 0.0, *map(float, config.area_size)),
+                 seed=int(config.seed))
 
 
 def _route_along_waypoints(waypoints, n_points, rx_height):
@@ -785,13 +774,11 @@ def _uniform_tx_route(config, rng):
     margin = 0.05 * min(w, h)
     start = (margin, margin + rng.uniform(0, 0.1 * h))
     end = (w - margin, h - margin - rng.uniform(0, 0.1 * h))
-    route = _route_along_waypoints(
-        [start, end], config.route_points, config.rx_height
-    )
-    return tx, route
+    return tx, _route_along_waypoints([start, end], config.route_points,
+                                      config.rx_height)
 
 
-def _intersection_tx_route(config):
+def _intersection_tx_route(config, rng):
     # Two orthogonal corridors crossing at the center; Tx sits at the east
     # end of the horizontal corridor, the route runs west arm -> center ->
     # north arm so the far leg is shadowed by corner blocks.
@@ -800,13 +787,11 @@ def _intersection_tx_route(config):
     margin = 0.04 * min(w, h)
     tx = (w - margin, cy, config.tx_height)
     waypoints = [(margin, cy), (cx, cy), (cx, h - margin)]
-    route = _route_along_waypoints(
-        waypoints, config.route_points, config.rx_height
-    )
-    return tx, route
+    return tx, _route_along_waypoints(waypoints, config.route_points,
+                                      config.rx_height)
 
 
-def _square_tx_route(config):
+def _square_tx_route(config, rng):
     # Open central plaza, Tx at center; the route is a ring through the
     # perimeter scatterer belt, so radials cross belt boxes intermittently.
     w, h = config.area_size
@@ -821,75 +806,81 @@ def _square_tx_route(config):
     return tx, route
 
 
-def _sample_box(config, rng, cx, cy):
-    """A (x, y, width, depth, height) box row centered at (cx, cy)."""
-    width = rng.uniform(*config.scatterer_width)
-    depth = rng.uniform(*config.scatterer_depth)
-    height = rng.uniform(*config.scatterer_height)
-    return (cx, cy, width, depth, height)
+def _size_ranges(config):
+    """The (lows, highs) arrays of box width, depth and height. One
+    rng.uniform(lows, highs, size) call draws (width, depth, height)
+    rows, in C order, with the doubles of one scalar call per value."""
+    return np.array([config.scatterer_width, config.scatterer_depth,
+                     config.scatterer_height]).T
 
 
-def _box_clear_of(box, tx, route, margin=1.0):
-    """Whether the box's footprint grown by margin holds neither tx nor
-    any point of the (n, 3) route."""
-    x, y, w, d, _ = box
-    points = np.vstack([tx, route])
-    px, py = points[:, 0], points[:, 1]
-    return not (
-        (x - w / 2.0 - margin <= px) & (px <= x + w / 2.0 + margin)
-        & (y - d / 2.0 - margin <= py) & (py <= y + d / 2.0 + margin)
-    ).any()
+def _clear(boxes, points):
+    """Which (x, y, width, depth, height) box rows have a footprint that,
+    grown by 1 m, holds none of the (n, 2) xy points: one test over a
+    (boxes x points) table."""
+    half = boxes[:, 2:4] / 2.0
+    xmin, ymin = (boxes[:, :2] - half - 1.0).T[..., None]
+    xmax, ymax = (boxes[:, :2] + half + 1.0).T[..., None]
+    px, py = points.T
+    return ~((xmin <= px) & (px <= xmax)
+             & (ymin <= py) & (py <= ymax)).any(axis=1)
 
 
-def _random_boxes(config, rng, tx, route, keepout_center=False):
+def _random_boxes(config, rng, points, keepout):
+    """A drawn count of boxes, each at a uniform center, drawn again
+    until it lies inside the area, clears the points and, when keepout >
+    0, has its center at least keepout times the area's smaller side from
+    the area's center. A loop, not arrays: each attempt's draws follow
+    the rejections before it."""
     w, h = config.area_size
     lo, hi = config.scatterer_count
     count = int(rng.integers(lo, hi + 1))
-    max_w = config.scatterer_width[1]
-    max_d = config.scatterer_depth[1]
-    plaza_radius = 0.28 * min(w, h)
+    lows, highs = _size_ranges(config)
+    max_w, max_d, _ = highs.tolist()
     boxes = []
     for k in range(count):
         for attempt in range(config.max_placement_retries):
             cx = rng.uniform(max_w / 2.0, w - max_w / 2.0)
             cy = rng.uniform(max_d / 2.0, h - max_d / 2.0)
-            if keepout_center:
-                r = np.hypot(cx - w / 2.0, cy - h / 2.0)
-                if r < plaza_radius:
-                    continue
-            box = _sample_box(config, rng, cx, cy)
-            _, _, bw, bd, _ = box
+            if np.hypot(cx - w / 2.0, cy - h / 2.0) < keepout * min(w, h):
+                continue
+            bw, bd, bh = rng.uniform(lows, highs).tolist()
             if (cx - bw / 2.0 < 0 or cy - bd / 2.0 < 0
                     or cx + bw / 2.0 > w or cy + bd / 2.0 > h):
                 continue
-            if _box_clear_of(box, tx, route):
-                boxes.append(box)
+            if _clear(np.array([[cx, cy, bw, bd, bh]]), points)[0]:
+                boxes.append((cx, cy, bw, bd, bh))
                 break
         else:
             raise SceneGenerationError(
                 f"could not place scatterer {k}: clearance from tx/route "
-                f"failed after {config.max_placement_retries} retries"
-            )
+                f"failed after {config.max_placement_retries} retries")
     return boxes
 
 
-def _intersection_boxes(config, rng, tx, route):
+def _grid_boxes(config, rng, points):
     # Dense grid of blocks filling the four quadrants outside the two
-    # corridors; grid cells touching tx or the route are skipped.
+    # corridors. Every such cell draws a box, in x-major order; the boxes
+    # that do not clear the points are dropped.
     w, h = config.area_size
-    cx, cy = w / 2.0, h / 2.0
-    half_corr = config.corridor_width / 2.0
     cell = max(config.scatterer_width[1], config.scatterer_depth[1]) * 1.6
-    boxes = []
     xs = np.arange(cell / 2.0, w - cell / 2.0 + 1e-9, cell)
     ys = np.arange(cell / 2.0, h - cell / 2.0 + 1e-9, cell)
-    for gx in xs:
-        for gy in ys:
-            if abs(gx - cx) < half_corr + cell / 2.0:
-                continue
-            if abs(gy - cy) < half_corr + cell / 2.0:
-                continue
-            box = _sample_box(config, rng, float(gx), float(gy))
-            if _box_clear_of(box, tx, route):
-                boxes.append(box)
-    return boxes
+    gx, gy = np.meshgrid(xs, ys, indexing="ij")
+    reach = config.corridor_width / 2.0 + cell / 2.0
+    keep = (np.abs(gx - w / 2.0) >= reach) & (np.abs(gy - h / 2.0) >= reach)
+    sizes = rng.uniform(*_size_ranges(config), (keep.sum(), 3))
+    boxes = np.column_stack([gx[keep], gy[keep], sizes])
+    return boxes[_clear(boxes, points)]
+
+
+# Each layout's Tx/route function, called with the config and the scene's
+# generator, and its box placer, called with those and the (n, 2) xy
+# points of Tx and the route. The square keeps an open plaza of 0.28
+# times the area's smaller side around its center; a keepout of 0
+# rejects nothing.
+LAYOUTS = {
+    "uniform": (_uniform_tx_route, partial(_random_boxes, keepout=0.0)),
+    "intersection": (_intersection_tx_route, _grid_boxes),
+    "square": (_square_tx_route, partial(_random_boxes, keepout=0.28)),
+}

@@ -388,8 +388,10 @@ CSV_IDS = st.text(st.sampled_from(',"\r\n a\xe9\u5b57\U0001f600')
 @st.composite
 def csv_datasets(draw):
     ids = draw(st.lists(CSV_IDS, min_size=1, max_size=3, unique=True))
+    # Small route indices repeat often, as read_csv refuses.
+    route = st.integers(-2 ** 63, 2 ** 63 - 1) | st.integers(0, 2)
     rows = draw(st.lists(st.tuples(
-        st.sampled_from(ids), st.integers(-2 ** 63, 2 ** 63 - 1),
+        st.sampled_from(ids), route,
         st.lists(CSV_NUMBERS, min_size=11, max_size=11)), max_size=8))
     values = np.array([row[2] for row in rows], dtype=float).reshape(-1, 11)
     return Dataset(X=values[:, :10], y=values[:, 10],
@@ -400,23 +402,34 @@ def csv_datasets(draw):
 class TestCsv:
     @settings(max_examples=100, deadline=None)
     @given(ds=csv_datasets())
+    @example(ds=Dataset(X=np.zeros((2, 10)), y=np.zeros(2),
+                        scenario_id=["a", "a"], route_index=[0, 0]))
+    @example(ds=Dataset(X=np.zeros((2, 10)), y=[0.0, np.nan],
+                        scenario_id=["a", "a"], route_index=[0, 0]))
     def test_bytes_match_csv_writer(self, tmp_path_factory, ds):
         """write_csv writes what csv.writer writes for each row's fields,
-        its numbers formatted by format_number, in (id, route) order, or
-        refuses the first row in that order with a non-finite number."""
+        its numbers formatted by format_number, in (id, route) order, and
+        read_csv reads it back. Or it refuses the first row in that order
+        that read_csv would refuse: one with a non-finite number or with
+        the (id, route) of the row before it."""
         path = tmp_path_factory.getbasetemp() / "written.csv"
         ref = tmp_path_factory.getbasetemp() / "reference.csv"
         ids = ds.scenario_id.tolist()
         routes = ds.route_index.tolist()
         values = np.column_stack([ds.X, ds.y]).tolist()
         order = sorted(range(len(ds)), key=lambda i: (ids[i], routes[i]))
-        bad = [i for i in order if not np.isfinite(values[i]).all()]
-        if bad:
+        for k, i in enumerate(order):
+            if not np.isfinite(values[i]).all():
+                fault = "non-finite feature or path loss"
+            elif k and (ids[i], routes[i]) == (ids[order[k - 1]],
+                                               routes[order[k - 1]]):
+                fault = "repeats the row before it"
+            else:
+                continue
             with pytest.raises(DatasetError) as exc:
                 write_csv(ds, path)
             assert str(exc.value) == (
-                f"scenario {ids[bad[0]]!r}, route index {routes[bad[0]]}: "
-                "non-finite feature or path loss")
+                f"scenario {ids[i]!r}, route index {routes[i]}: {fault}")
             return
         write_csv(ds, path)
         with open(ref, "w", newline="") as fh:
@@ -428,6 +441,9 @@ class TestCsv:
         assert path.read_bytes() == ref.read_bytes()
         assert all(format_number(v) == f"{v:.9g}" for row in values
                    for v in row)
+        back = read_csv(path)
+        assert (back.scenario_id.tolist(), back.route_index.tolist()) == (
+            [ids[i] for i in order], [routes[i] for i in order])
 
     def test_round_trip(self, two_scenes, tmp_path):
         ds = build_dataset(two_scenes, ["a", "b"])

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -77,6 +78,65 @@ class TestGenerateScene:
         )
         with pytest.raises(SceneGenerationError):
             generate_scene(cfg)
+
+    def test_layout_set_after_construction_is_named(self):
+        cfg = SceneConfig()
+        cfg.layout = "hexagon"
+        with pytest.raises(ValueError, match=r"^SceneConfig\.layout must be "
+                           r"one of \('uniform', 'intersection', 'square'\), "
+                           r"got 'hexagon'$"):
+            generate_scene(cfg)
+
+
+@st.composite
+def small_configs(draw):
+    """SceneConfigs of every layout, small enough to build by the
+    hundred."""
+    def pair(lo, hi):
+        return sorted(draw(st.tuples(st.floats(lo, hi), st.floats(lo, hi))))
+
+    return SceneConfig(
+        layout=draw(st.sampled_from(["uniform", "intersection", "square"])),
+        area_size=(draw(st.floats(100.0, 300.0)),
+                   draw(st.floats(100.0, 300.0))),
+        scatterer_count=tuple(sorted(draw(st.tuples(st.integers(0, 15),
+                                                    st.integers(0, 15))))),
+        scatterer_width=tuple(pair(2.0, 25.0)),
+        scatterer_depth=tuple(pair(2.0, 25.0)),
+        route_points=draw(st.integers(2, 60)),
+        corridor_width=draw(st.floats(0.0, 40.0)),
+        seed=draw(st.integers(0, 2 ** 32)),
+    )
+
+
+class TestPlacement:
+    @settings(max_examples=150, deadline=None)
+    @given(cfg=small_configs())
+    @example(cfg=SceneConfig(layout="square", seed=2))
+    @example(cfg=SceneConfig(layout="intersection", corridor_width=0.0))
+    def test_boxes_clear_tx_and_route_and_keep_open_space(self, cfg):
+        """Each box's footprint, grown by 1 m, lies inside the area and
+        holds neither Tx nor any route point (less 1 nm, for rounding).
+        The square's box centers keep 0.28 times the area's smaller side
+        from its center; the intersection's footprints lie outside both
+        corridors."""
+        try:
+            scene = generate_scene(cfg)
+        except SceneGenerationError:
+            assume(False)
+        w, h = cfg.area_size
+        px, py, _ = np.vstack([scene.tx_position, scene.rx_route]).T
+        for x, y, width, depth, _ in scene.boxes.tolist():
+            assert 0 <= x - width / 2 and x + width / 2 <= w
+            assert 0 <= y - depth / 2 and y + depth / 2 <= h
+            reach_x, reach_y = width / 2 + 1 - 1e-9, depth / 2 + 1 - 1e-9
+            assert not ((abs(px - x) < reach_x)
+                        & (abs(py - y) < reach_y)).any()
+            if cfg.layout == "square":
+                assert math.hypot(x - w / 2, y - h / 2) >= 0.28 * min(w, h)
+            if cfg.layout == "intersection":
+                assert abs(x - w / 2) - width / 2 >= cfg.corridor_width / 2
+                assert abs(y - h / 2) - depth / 2 >= cfg.corridor_width / 2
 
 
 def json_dumps_scene(scene):
@@ -244,7 +304,7 @@ class TestRouteOracle:
     def test_square_ring_matches_scalar_trigonometry(self, area_size,
                                                      route_points):
         cfg = SceneConfig(area_size=area_size, route_points=route_points)
-        _, route = scenario._square_tx_route(cfg)
+        _, route = scenario._square_tx_route(cfg, None)
         w, h = area_size
         radius = 0.38 * min(w, h)
         angles = np.linspace(0.0, 2.0 * np.pi, route_points, endpoint=False)
