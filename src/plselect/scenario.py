@@ -26,7 +26,6 @@ import json
 import math
 from dataclasses import dataclass
 from functools import partial
-from typing import Optional
 
 import numpy as np
 
@@ -142,10 +141,6 @@ class Scene:
             raise ValueError("scatterer footprint outside area bounds")
 
     @property
-    def n_route_points(self) -> int:
-        return len(self.rx_route)
-
-    @property
     def bounds(self) -> np.ndarray:
         """(boxes, 6) table of xmin, ymin, zmin, xmax, ymax, zmax."""
         x, y, w, d, h = self.boxes.T
@@ -237,7 +232,6 @@ class SceneConfig:
             raise bad("route_points", "be >= 2")
         if self.max_placement_retries < 1:
             raise bad("max_placement_retries", "be >= 1")
-        _layout(self)
         if not math.isfinite(self.rx_height):
             raise bad("rx_height", "be finite")
         if not 0 <= self.corridor_width < math.inf:
@@ -246,67 +240,12 @@ class SceneConfig:
             if getattr(self, name)[1] > self.area_size[axis]:
                 raise bad(name, f"have a max of at most area_size[{axis}] = "
                           f"{self.area_size[axis]}")
+        _layout(self)
 
 
 # ---------------------------------------------------------------------------
-# Geometry helpers
+# Propagation formulas
 # ---------------------------------------------------------------------------
-
-def point_segment_distance_2d(point, seg_a, seg_b) -> float:
-    """Distance from a 2D point to a 2D segment."""
-    p = np.asarray(point, dtype=float)[:2]
-    a = np.asarray(seg_a, dtype=float)[:2]
-    b = np.asarray(seg_b, dtype=float)[:2]
-    ab = b - a
-    denom = float(ab @ ab)
-    if denom == 0.0:
-        return float(np.linalg.norm(p - a))
-    t = float(np.clip((p - a) @ ab / denom, 0.0, 1.0))
-    return float(np.linalg.norm(p - (a + t * ab)))
-
-
-def point_line_distance_2d(point, line_a, line_b) -> float:
-    """Perpendicular distance from a 2D point to the infinite line a-b."""
-    p = np.asarray(point, dtype=float)[:2]
-    a = np.asarray(line_a, dtype=float)[:2]
-    b = np.asarray(line_b, dtype=float)[:2]
-    ab = b - a
-    norm = float(np.linalg.norm(ab))
-    if norm == 0.0:
-        return float(np.linalg.norm(p - a))
-    ap = p - a
-    return abs(float(ab[0] * ap[1] - ab[1] * ap[0])) / norm
-
-
-def segment_box_intersection(p0, p1, bounds) -> Optional[tuple]:
-    """Parametric [t_enter, t_exit] of segment p0->p1 inside the box, or None.
-
-    Slab clipping over the three axes; t is measured along the segment in
-    [0, 1].
-    """
-    p0 = np.asarray(p0, dtype=float)
-    p1 = np.asarray(p1, dtype=float)
-    lo = np.array(bounds[:3], dtype=float)
-    hi = np.array(bounds[3:], dtype=float)
-    d = p1 - p0
-    t_min, t_max = 0.0, 1.0
-    # A tiny d[axis] can overflow t0 and t1 to +-inf; the clip stays right.
-    with np.errstate(over="ignore"):
-        for axis in range(3):
-            if d[axis] == 0.0:
-                if p0[axis] < lo[axis] or p0[axis] > hi[axis]:
-                    return None
-                continue
-            t0 = (lo[axis] - p0[axis]) / d[axis]
-            t1 = (hi[axis] - p0[axis]) / d[axis]
-            if t0 > t1:
-                t0, t1 = t1, t0
-            t_min = max(t_min, t0)
-            t_max = min(t_max, t1)
-            if t_min > t_max:
-                return None
-    return (t_min, t_max)
-
 
 def knife_edge_loss_db(nu):
     """Single knife-edge diffraction loss from the Fresnel parameter.
@@ -338,24 +277,6 @@ def fresnel_parameter(clearance: float, d1: float, d2: float,
     return clearance * np.sqrt(2.0 * (d1 + d2) / (wavelength * d1 * d2))
 
 
-def _blocker_edges(scene: Scene, rx_index: int):
-    """Edges of scatterers cut by the direct 3D segment, sorted along it.
-
-    Returns a list of (t_along, edge_height) where t is the parametric
-    midpoint of the box crossing and edge_height is the box top.
-    """
-    tx = scene.tx_position
-    rx = scene.rx_route[rx_index]
-    edges = []
-    for bounds in scene.bounds:
-        hit = segment_box_intersection(tx, rx, bounds)
-        if hit is not None:
-            t_mid = 0.5 * (hit[0] + hit[1])
-            edges.append((t_mid, bounds[5]))
-    edges.sort(key=lambda e: e[0])
-    return edges
-
-
 def free_space_path_loss_db(distance_m, frequency_hz: float):
     """FSPL in dB; broadcasts over an array of distances."""
     if np.any(np.asarray(distance_m) <= 0):
@@ -365,136 +286,6 @@ def free_space_path_loss_db(distance_m, frequency_hz: float):
         + 20.0 * np.log10(frequency_hz)
         + FSPL_CONSTANT_DB
     )
-
-
-# ---------------------------------------------------------------------------
-# Oracle
-# ---------------------------------------------------------------------------
-
-def ground_truth_path_loss(
-    scene: Scene,
-    rx_index: int,
-    shadowing_sigma: float = DEFAULT_SHADOWING_SIGMA,
-) -> float:
-    """Synthetic ground-truth path loss in dB for one route point.
-
-    FSPL + Epstein-Peterson cascade of knife-edge losses over blockers cut
-    by the direct segment + zero-mean Gaussian shadowing seeded from
-    (scene.seed, rx_index). Deterministic per (scene, rx_index, sigma).
-    """
-    if not 0 <= rx_index < scene.n_route_points:
-        raise IndexError(f"rx_index {rx_index} out of range")
-    tx = scene.tx_position
-    rx = scene.rx_route[rx_index]
-    d = float(np.linalg.norm(rx - tx))
-    if d == 0.0:
-        raise ValueError("receiver coincides with transmitter")
-
-    pl = _knife_edge_cascade(
-        free_space_path_loss_db(d, scene.carrier_frequency), d,
-        _blocker_edges(scene, rx_index), tx[2], rx[2],
-        SPEED_OF_LIGHT / scene.carrier_frequency,
-    )
-    if shadowing_sigma > 0:
-        pl += _shadowing(scene.seed, rx_index, shadowing_sigma)
-    return float(pl)
-
-
-def _knife_edge_cascade(pl, d, edges, tx_z, rx_z, wavelength):
-    """The free-space loss pl of one route point plus the knife-edge loss
-    of each of its edges, added in turn.
-
-    edges are (t_along, edge_height) pairs sorted along the Tx-Rx segment
-    of 3D length d, as _blocker_edges returns them.
-    """
-    # Epstein-Peterson: each edge sees the neighboring nodes (previous edge
-    # or Tx, next edge or Rx) as its terminals.
-    nodes_t = [0.0] + [t for t, _ in edges] + [1.0]
-    for j, (t_edge, edge_height) in enumerate(edges):
-        d1 = (t_edge - nodes_t[j]) * d
-        d2 = (nodes_t[j + 2] - t_edge) * d
-        z_prev = edges[j - 1][1] if j > 0 else tx_z
-        z_next = edges[j + 1][1] if j + 1 < len(edges) else rx_z
-        # Line of sight between the neighboring nodes at the edge abscissa.
-        span = nodes_t[j + 2] - nodes_t[j]
-        frac = (t_edge - nodes_t[j]) / span if span > 0 else 0.5
-        z_los = z_prev + frac * (z_next - z_prev)
-        nu = fresnel_parameter(edge_height - z_los, d1, d2, wavelength)
-        pl += knife_edge_loss_db(nu)
-    return pl
-
-
-def _shadowing(seed, rx_index, shadowing_sigma) -> float:
-    """The shadowing draw of route point rx_index: one zero-mean Gaussian
-    from a generator seeded with (seed, rx_index). The batch path takes the
-    same draws from streams.seed_states."""
-    seq = np.random.SeedSequence([int(seed), int(rx_index)])
-    return float(np.random.default_rng(seq).normal(0.0, shadowing_sigma))
-
-
-# ---------------------------------------------------------------------------
-# Feature extraction
-# ---------------------------------------------------------------------------
-
-def extract_features(
-    scene: Scene,
-    rx_index: int,
-    corridor_radius: float = DEFAULT_CORRIDOR_RADIUS,
-) -> np.ndarray:
-    """The ten environment features for one route point.
-
-    Empty effective-scatterer sets produce 0 sentinels for the aggregate
-    features so the vector stays finite.
-    """
-    if not 0 <= rx_index < scene.n_route_points:
-        raise IndexError(f"rx_index {rx_index} out of range")
-    tx = scene.tx_position
-    rx = scene.rx_route[rx_index]
-    d_txrx = float(np.linalg.norm(rx - tx))
-    wavelength = SPEED_OF_LIGHT / scene.carrier_frequency
-
-    effective = [
-        j
-        for j, center in enumerate(scene.boxes[:, :2])
-        if point_segment_distance_2d(center, tx, rx) <= corridor_radius
-    ]
-
-    f = np.zeros(len(FEATURE_SYMBOLS))
-    f[0] = d_txrx
-    f[1] = tx[2] - rx[2]
-
-    if effective:
-        centers = scene.boxes[effective, :2]
-        heights = scene.boxes[effective, 4]
-        f[2] = float(np.mean(tx[2] - heights))
-        f[3] = float(np.mean(np.linalg.norm(centers - tx[:2], axis=1)))
-        f[4] = float(np.mean(np.linalg.norm(centers - rx[:2], axis=1)))
-        f[5] = float(np.mean(scene.volumes[effective]))
-        f[6] = float(
-            min(point_line_distance_2d(c, tx, rx) for c in centers)
-        )
-        # First-order reflection detour excess via the half-height point.
-        detour = 0.0
-        for (cx, cy), height in zip(centers, heights):
-            p = np.array([cx, cy, height / 2.0])
-            excess = (
-                np.linalg.norm(p - tx) + np.linalg.norm(rx - p) - d_txrx
-            )
-            detour += np.exp(-excess / d_txrx)
-        f[8] = float(detour)
-
-    edges = _blocker_edges(scene, rx_index)
-    f[7] = float(len(edges))
-    # The edges are sorted along the ray; their max is the same in any order.
-    nus = []
-    for t_mid, height in edges:
-        z_los = tx[2] + t_mid * (rx[2] - tx[2])
-        nus.append(fresnel_parameter(height - z_los, t_mid * d_txrx,
-                                     (1.0 - t_mid) * d_txrx, wavelength))
-    if nus:
-        f[9] = float(max(nus))
-
-    return f
 
 
 # ---------------------------------------------------------------------------
@@ -516,15 +307,16 @@ def scene_features_and_path_loss(
     corridor_radius: float = DEFAULT_CORRIDOR_RADIUS,
 ) -> tuple:
     """Features (points x N) and ground-truth path loss (points,) for every
-    route point, bit for bit equal to extract_features and
-    ground_truth_path_loss called point by point.
+    route point, bit for bit equal to the scalar reference in
+    tests/reference_scene.py, whose extract_features and
+    ground_truth_path_loss take one point at a time.
 
     For each block of route points, one slab-test table (Kay & Kajiya,
     1986) and one corridor-distance table over (points x boxes) feed both
     the extractor and the oracle, and the Epstein-Peterson cascade runs
     over every blocked point of the block at once. Per point there
     remains only the shadowing draw, from a generator state hashed for
-    all points at once and added last as in ground_truth_path_loss.
+    all points at once and added last, as the reference adds it.
 
     The tables repeat the scalar arithmetic operation for operation. The
     scalar 1-D dot products and norms go through BLAS ddot, whose rounding
@@ -603,7 +395,8 @@ def scene_features_and_path_loss(
             t_mid, heights, tx[2], rx[:, 2], wavelength,
         )
     if shadowing_sigma > 0:
-        # _shadowing's draws, from one generator set to each point's state.
+        # The reference's per-point draws, from one generator set to each
+        # point's state.
         path_loss += [rng.normal(0.0, shadowing_sigma) for rng in
                       streams.generators(streams.seed_states(
                           scene.seed, np.arange(n_points)))]
@@ -619,15 +412,15 @@ def _dot(a, b):
 
 def _cascade_table(pl, d, hit, t_mid, heights, tx_z, rx_z, wavelength):
     """The free-space losses pl of a block of route points plus, for each,
-    the knife-edge loss of every box its ray hits, as _knife_edge_cascade
-    adds them one point at a time.
+    the knife-edge loss of every box its ray hits, as the reference's
+    cascade (tests/reference_scene.py) adds them one point at a time.
 
     hit and t_mid are the block's (points x boxes) slab-test tables; d,
     rx_z and pl hold one entry per point. pl is updated in place.
     """
     counts = hit.sum(axis=1)
     n_edges = counts.max(initial=0)
-    # Each point's edges along its ray, sorted stably as _blocker_edges
+    # Each point's edges along its ray, sorted stably as the reference
     # sorts them; the misses sort last and are cut off.
     order = np.argsort(np.where(hit, t_mid, np.inf), axis=1,
                        kind="stable")[:, :n_edges]
@@ -658,7 +451,8 @@ def _cascade_table(pl, d, hit, t_mid, heights, tx_z, rx_z, wavelength):
 
 def _slab_table(p0, seg, lo, hi):
     """Slab tests of the segments p0 -> p0 + seg[i] against the boxes
-    [lo[j], hi[j]], operation for operation as segment_box_intersection.
+    [lo[j], hi[j]], operation for operation as the reference's scalar
+    slab test in tests/reference_scene.py.
 
     Returns (hit, t_enter, t_exit) tables of shape (segments, boxes);
     t_enter and t_exit are meaningful where hit is set.
@@ -689,8 +483,8 @@ def _slab_table(p0, seg, lo, hi):
 
 def _corridor_tables(a, ab, points):
     """2D distances (segments x points) from points to the segments
-    a -> a + ab[i] and to their lines, as point_segment_distance_2d and
-    point_line_distance_2d compute them."""
+    a -> a + ab[i] and to their lines, as the reference's scalar distances
+    in tests/reference_scene.py compute them."""
     ap = points - a
     ap_norm = np.sqrt(_dot(ap, ap))
     denom = _dot(ab, ab)[:, None]
@@ -729,12 +523,37 @@ def _masked_means(tables, mask):
 # Scene generation
 # ---------------------------------------------------------------------------
 
+# The most boxes, route points and entries of the (boxes x (route points
+# + 1)) clearance table that a SceneConfig may ask for. The default
+# scenes' largest table, the intersection's 144 cells x 601 points, holds
+# 86,544 entries. Since route_points >= 2, an intersection grid holds at
+# most a third of the limit in cells, and building it peaks near 250 MB;
+# without a bound, a config of tiny boxes could ask for terabytes.
+MAX_SCENE_TABLE_ENTRIES = 1 << 22
+
+
 def _layout(config):
-    """config.layout's LAYOUTS entry; ValueError names an unknown one."""
+    """config.layout's Tx/route builder and box placer. ValueError names
+    an unknown layout, or the fields that ask for a scene over
+    MAX_SCENE_TABLE_ENTRIES, counted from the config before anything is
+    built."""
     if config.layout not in LAYOUTS:
         raise ValueError(f"SceneConfig.layout must be one of "
                          f"{tuple(LAYOUTS)}, got {config.layout!r}")
-    return LAYOUTS[config.layout]
+    tx_route, place_boxes, max_boxes = LAYOUTS[config.layout]
+    boxes, box_fields = max_boxes(config)
+    points = config.route_points
+    for count, fields, what in (
+            (boxes, box_fields, "boxes"),
+            (points, "route_points", "route points"),
+            (boxes * (points + 1), f"{box_fields} and route_points",
+             "clearance table entries, boxes x (route points + 1),")):
+        if count > MAX_SCENE_TABLE_ENTRIES:
+            raise ValueError(
+                f"SceneConfig.{fields} must ask for at most "
+                f"{MAX_SCENE_TABLE_ENTRIES} {what} in a scene of layout "
+                f"{config.layout!r}, got {count}")
+    return tx_route, place_boxes
 
 
 def generate_scene(config: SceneConfig) -> Scene:
@@ -858,15 +677,40 @@ def _random_boxes(config, rng, points, keepout):
     return boxes
 
 
+def _drawn_boxes(config):
+    """The most boxes _random_boxes places, and the field that sets it."""
+    return config.scatterer_count[1], "scatterer_count"
+
+
+def _grid_axes(config):
+    """The intersection grid's cell side and the np.arange (start, stop)
+    of its cell centers along x and along y."""
+    cell = max(config.scatterer_width[1], config.scatterer_depth[1]) * 1.6
+    return cell, [(cell / 2.0, side - cell / 2.0 + 1e-9)
+                  for side in config.area_size]
+
+
+def _grid_cells(config):
+    """The intersection grid's cell count, and the fields that set it,
+    without building the grid: np.arange(start, stop, step) has
+    ceil((stop - start) / step) entries, or none. Cells so small that an
+    axis holds inf of them count as inf."""
+    cell, axes = _grid_axes(config)
+    counts = [(stop - start) / cell for start, stop in axes]
+    fields = "scatterer_width and scatterer_depth"
+    if math.inf in counts:
+        return math.inf, fields
+    return math.prod(math.ceil(n) if n > 0 else 0 for n in counts), fields
+
+
 def _grid_boxes(config, rng, points):
     # Dense grid of blocks filling the four quadrants outside the two
     # corridors. Every such cell draws a box, in x-major order; the boxes
     # that do not clear the points are dropped.
     w, h = config.area_size
-    cell = max(config.scatterer_width[1], config.scatterer_depth[1]) * 1.6
-    xs = np.arange(cell / 2.0, w - cell / 2.0 + 1e-9, cell)
-    ys = np.arange(cell / 2.0, h - cell / 2.0 + 1e-9, cell)
-    gx, gy = np.meshgrid(xs, ys, indexing="ij")
+    cell, axes = _grid_axes(config)
+    gx, gy = np.meshgrid(*(np.arange(start, stop, cell)
+                           for start, stop in axes), indexing="ij")
     reach = config.corridor_width / 2.0 + cell / 2.0
     keep = (np.abs(gx - w / 2.0) >= reach) & (np.abs(gy - h / 2.0) >= reach)
     sizes = rng.uniform(*_size_ranges(config), (keep.sum(), 3))
@@ -875,12 +719,15 @@ def _grid_boxes(config, rng, points):
 
 
 # Each layout's Tx/route function, called with the config and the scene's
-# generator, and its box placer, called with those and the (n, 2) xy
-# points of Tx and the route. The square keeps an open plaza of 0.28
-# times the area's smaller side around its center; a keepout of 0
-# rejects nothing.
+# generator; its box placer, called with those and the (n, 2) xy points
+# of Tx and the route; and the most boxes that placer can make, with the
+# fields that set it, counted from the config alone. The square keeps an
+# open plaza of 0.28 times the area's smaller side around its center; a
+# keepout of 0 rejects nothing.
 LAYOUTS = {
-    "uniform": (_uniform_tx_route, partial(_random_boxes, keepout=0.0)),
-    "intersection": (_intersection_tx_route, _grid_boxes),
-    "square": (_square_tx_route, partial(_random_boxes, keepout=0.28)),
+    "uniform": (_uniform_tx_route, partial(_random_boxes, keepout=0.0),
+                _drawn_boxes),
+    "intersection": (_intersection_tx_route, _grid_boxes, _grid_cells),
+    "square": (_square_tx_route, partial(_random_boxes, keepout=0.28),
+               _drawn_boxes),
 }

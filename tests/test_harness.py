@@ -851,6 +851,10 @@ class TestCli:
         ("PLSELECT_SCENARIOS__SQUARE__MAX_PLACEMENT_RETRIES", "-3",
          "config scenarios.square: SceneConfig.max_placement_retries must "
          "be >= 1, got -3"),
+        ("PLSELECT_SCENARIOS__SQUARE__ROUTE_POINTS", "5000000",
+         "config scenarios.square: SceneConfig.route_points must ask for "
+         "at most 4194304 route points in a scene of layout 'square', got "
+         "5000000"),
     ])
     def test_scene_range_exit_code(self, tmp_path, capsys, monkeypatch,
                                    variable, value, message):
@@ -858,6 +862,24 @@ class TestCli:
         out = str(tmp_path / "out")
         assert main(["generate", "--out", out]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+        assert not Path(out).exists()
+
+    def test_oversized_grid_exit_code(self, tmp_path, capsys, monkeypatch):
+        """Boxes of 1 mm ask the default 400 m intersection for 250,000
+        grid cells a side; the config is refused before any is built."""
+        for side in ("WIDTH", "DEPTH"):
+            monkeypatch.setenv(
+                f"PLSELECT_SCENARIOS__INTERSECTION__SCATTERER_{side}",
+                "[0.001, 0.001]")
+        out = str(tmp_path / "out")
+        built = AssertionError("the intersection grid was built")
+        with mock.patch.object(np, "meshgrid", side_effect=built):
+            assert main(["generate", "--out", out]) == 2
+        assert capsys.readouterr().err == (
+            "error: config scenarios.intersection: SceneConfig."
+            "scatterer_width and scatterer_depth must ask for at most "
+            "4194304 boxes in a scene of layout 'intersection', got "
+            "62500000000\n")
         assert not Path(out).exists()
 
     @pytest.mark.parametrize("value", ["[]", '["nowhere"]'])

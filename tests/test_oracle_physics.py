@@ -17,9 +17,9 @@ from plselect.scenario import (
     Scene,
     SceneConfig,
     generate_scene,
-    ground_truth_path_loss,
     scene_features_and_path_loss,
 )
+from reference_scene import ground_truth_path_loss
 
 
 def swap_tx_and_rx(scene, rx_index):
@@ -63,7 +63,7 @@ def noiseless_path_loss(scene):
     """The scalar oracle's and the batch path's noiseless path loss at
     every route point."""
     scalar = [ground_truth_path_loss(scene, i, shadowing_sigma=0.0)
-              for i in range(scene.n_route_points)]
+              for i in range(len(scene.rx_route))]
     batch = scene_features_and_path_loss(scene, shadowing_sigma=0.0)[1]
     return scalar, batch.tolist()
 

@@ -1,5 +1,6 @@
 import json
 import math
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -7,14 +8,19 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from plselect import scenario
+from plselect.harness import default_config
 from plselect.scenario import (
     FSPL_CONSTANT_DB,
+    LAYOUTS,
+    MAX_SCENE_TABLE_ENTRIES,
     FeatureCatalog,
     Scene,
     SceneConfig,
     SceneGenerationError,
-    extract_features,
     generate_scene,
+)
+from reference_scene import (
+    extract_features,
     ground_truth_path_loss,
     segment_box_intersection,
 )
@@ -51,7 +57,7 @@ class TestGenerateScene:
         cfg = SceneConfig(scatterer_count=(0, 0), route_points=10, seed=7)
         scene = generate_scene(cfg)
         assert scene.boxes.shape == (0, 5)
-        assert scene.n_route_points == 10
+        assert len(scene.rx_route) == 10
 
     def test_determinism(self):
         cfg = SceneConfig(scatterer_count=(10, 20), route_points=30, seed=3)
@@ -407,6 +413,77 @@ class TestSceneConfigRanges:
                     scatterer_width=(1e-3, 1e-3), corridor_width=0.0)
 
 
+class TestSceneTableBound:
+    @settings(max_examples=60, deadline=None)
+    @given(cfg=small_configs())
+    # Cells of 32 m: the x axis fits one cell only by the arange's 1e-9
+    # slack, the y axis two; an area narrower than a cell fits none.
+    @example(cfg=SceneConfig(area_size=(32.0, 64.0),
+                             scatterer_width=(8.0, 20.0)))
+    @example(cfg=SceneConfig(area_size=(20.0, 400.0),
+                             scatterer_width=(8.0, 20.0)))
+    def test_grid_cells_counted_without_building(self, cfg):
+        """_grid_cells counts the cells whose arange axes _grid_boxes
+        hands to np.meshgrid."""
+        axes = []
+        meshgrid = np.meshgrid
+
+        def record(xs, ys, **kwargs):
+            axes.append((len(xs), len(ys)))
+            return meshgrid(xs, ys, **kwargs)
+
+        with patch.object(np, "meshgrid", record):
+            scenario._grid_boxes(cfg, np.random.default_rng(0),
+                                 np.zeros((1, 2)))
+        [(nx, ny)] = axes
+        assert scenario._grid_cells(cfg) == (
+            nx * ny, "scatterer_width and scatterer_depth")
+
+    @pytest.mark.parametrize("cfg", [
+        *(SceneConfig(layout=layout) for layout in LAYOUTS),
+        *default_config(0).scenarios.values(),
+    ])
+    def test_default_layouts_within_bound(self, cfg):
+        boxes, _ = LAYOUTS[cfg.layout][2](cfg)
+        assert boxes * (cfg.route_points + 1) <= MAX_SCENE_TABLE_ENTRIES
+        generate_scene(cfg)
+
+    @pytest.mark.parametrize("changes, fields, count", [
+        # 250,000 cells a side on the default 400 m area.
+        ({"layout": "intersection", "scatterer_width": (1e-3, 1e-3),
+          "scatterer_depth": (1e-3, 1e-3)},
+         "scatterer_width and scatterer_depth", "62500000000"),
+        # Cells of 1.6 x the smallest double: inf of them a side.
+        ({"layout": "intersection", "scatterer_width": (5e-324, 5e-324),
+          "scatterer_depth": (5e-324, 5e-324)},
+         "scatterer_width and scatterer_depth", "inf"),
+        ({"scatterer_count": (0, MAX_SCENE_TABLE_ENTRIES + 1)},
+         "scatterer_count", str(MAX_SCENE_TABLE_ENTRIES + 1)),
+        ({"layout": "square", "route_points": MAX_SCENE_TABLE_ENTRIES + 1},
+         "route_points", str(MAX_SCENE_TABLE_ENTRIES + 1)),
+        ({"scatterer_count": (0, MAX_SCENE_TABLE_ENTRIES // 2),
+          "route_points": 2},
+         "scatterer_count and route_points",
+         str(MAX_SCENE_TABLE_ENTRIES // 2 * 3)),
+    ])
+    def test_oversized_scene_refused_before_building(self, changes, fields,
+                                                     count):
+        """Refused at construction, and by generate_scene when the fields
+        are set afterwards, with no array built."""
+        message = (rf"^SceneConfig\.{fields} must ask for at most "
+                   rf"{MAX_SCENE_TABLE_ENTRIES} .*, got {count}$")
+        cfg = SceneConfig()
+        built = AssertionError("a scene array was built")
+        with patch.object(np, "meshgrid", side_effect=built), \
+                patch.object(np, "arange", side_effect=built):
+            with pytest.raises(ValueError, match=message):
+                SceneConfig(**changes)
+            for name, value in changes.items():
+                setattr(cfg, name, value)
+            with pytest.raises(ValueError, match=message):
+                generate_scene(cfg)
+
+
 class TestPathLoss:
     def test_fspl_value(self):
         scene = make_scene(route=((1000.0, 0.0, 10.0), (1001.0, 0.0, 10.0)))
@@ -484,7 +561,7 @@ class TestExtractFeatures:
             cfg = SceneConfig(scatterer_count=(10, 25), route_points=20,
                               seed=seed)
             scene = generate_scene(cfg)
-            for i in range(scene.n_route_points):
+            for i in range(len(scene.rx_route)):
                 f = extract_features(scene, i)
                 assert np.all(np.isfinite(f))
                 assert f[0] > 0
@@ -532,7 +609,7 @@ class TestSegmentBoxIntersection:
             cfg = SceneConfig(scatterer_count=(10, 20), route_points=10,
                               seed=seed)
             scene = generate_scene(cfg)
-            i = int(rng.integers(scene.n_route_points))
+            i = int(rng.integers(len(scene.rx_route)))
             f8 = extract_features(scene, i)[7]
             p0 = scene.tx_position
             p1 = scene.rx_route[i]

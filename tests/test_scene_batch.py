@@ -16,16 +16,18 @@ from plselect import scenario
 from plselect.scenario import (
     Scene,
     SceneConfig,
+    generate_scene,
+    scene_features_and_path_loss,
+)
+from reference_scene import (
     _blocker_edges,
     extract_features,
-    generate_scene,
     ground_truth_path_loss,
-    scene_features_and_path_loss,
 )
 
 
 def scalar_reference(scene, shadowing_sigma, corridor_radius):
-    points = range(scene.n_route_points)
+    points = range(len(scene.rx_route))
     features = np.array([
         extract_features(scene, i, corridor_radius=corridor_radius)
         for i in points
@@ -155,7 +157,7 @@ def test_without_shadowing():
 
 def test_oracle_examples_reach_their_cases():
     def edges(scene):
-        return [_blocker_edges(scene, i) for i in range(scene.n_route_points)]
+        return [_blocker_edges(scene, i) for i in range(len(scene.rx_route))]
 
     assert not any(edges(UNBLOCKED))
     for scene, count in ((TWINS, 2), (TRIPLETS, 3)):
