@@ -35,7 +35,8 @@ def random_subset_mask(
 
 def mutual_information(x: Sequence[float], y: Sequence[float]) -> float:
     """Plug-in histogram MI in bits, DEFAULT_MI_BINS equal-width bins,
-    clipped at 0."""
+    clipped at 0: _mi_bits of np.histogram2d's counts. The per-column
+    reference of feature_mi."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.shape != y.shape:
@@ -43,6 +44,11 @@ def mutual_information(x: Sequence[float], y: Sequence[float]) -> float:
     if x.size < DEFAULT_MI_BINS:
         raise ValueError("need at least as many samples as bins")
     joint, _, _ = np.histogram2d(x, y, bins=DEFAULT_MI_BINS)
+    return _mi_bits(joint)
+
+
+def _mi_bits(joint: np.ndarray) -> float:
+    """MI in bits of one (b, b) joint count table, clipped at 0."""
     p_joint = joint / joint.sum()
     p_x = p_joint.sum(axis=1, keepdims=True)
     p_y = p_joint.sum(axis=0, keepdims=True)
@@ -52,15 +58,49 @@ def mutual_information(x: Sequence[float], y: Sequence[float]) -> float:
     return max(mi, 0.0)
 
 
+def joint_counts(X: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The (N, b, b) float joint counts of each column of the (n, N) X
+    against y, b = DEFAULT_MI_BINS: entry j is np.histogram2d(X[:, j], y,
+    b)[0], counted for every column by one np.bincount.
+
+    Each column and y are binned as np.histogram2d bins them: b + 1
+    edges from np.linspace over the column's range, widened by 0.5 each
+    way for a constant column, np.searchsorted(side="right") for the bin,
+    and the last edge inside the last bin. A non-finite value raises
+    ValueError."""
+    columns = np.vstack([np.asarray(X, dtype=float).T,
+                         np.asarray(y, dtype=float)])
+    if columns.shape[1] < DEFAULT_MI_BINS:
+        raise ValueError("need at least as many samples as bins")
+    first, last = columns.min(axis=1), columns.max(axis=1)
+    if not (np.isfinite(first).all() and np.isfinite(last).all()):
+        raise ValueError("MI of a column with a non-finite value")
+    flat = first == last
+    first[flat] -= 0.5
+    last[flat] += 0.5
+    # Bins 0 and b + 1 hold values outside the edges, as np.histogram2d's
+    # do; for finite data they stay empty.
+    bins = np.empty(columns.shape, dtype=np.intp)
+    for j, column in enumerate(columns):
+        edges = np.linspace(first[j], last[j], DEFAULT_MI_BINS + 1)
+        bins[j] = np.searchsorted(edges, column, side="right")
+        bins[j, column == edges[-1]] -= 1
+    side = DEFAULT_MI_BINS + 2
+    n = len(columns) - 1
+    flat_index = (np.arange(n)[:, None] * side + bins[:-1]) * side + bins[-1]
+    counts = np.bincount(flat_index.ravel(), minlength=n * side * side)
+    return counts.reshape(n, side, side)[:, 1:-1, 1:-1].astype(float)
+
+
 def feature_mi(ds: Dataset) -> np.ndarray:
     """Read-only per-feature MI against path loss on the training split,
-    computed once and kept in ds.derived."""
+    computed once from one joint_counts pass and kept in ds.derived."""
     if ds.split is None:
         raise DatasetError("dataset must be split before MI ranking")
     key = ("feature_mi",)
     if key not in ds.derived:
-        X, y = ds.feature_matrix("train"), ds.targets("train")
-        mi = np.array([mutual_information(x, y) for x in X.T])
+        joint = joint_counts(ds.feature_matrix("train"), ds.targets("train"))
+        mi = np.array([_mi_bits(counts) for counts in joint])
         mi.flags.writeable = False
         ds.derived[key] = mi
     return ds.derived[key]

@@ -58,10 +58,11 @@ class Dataset:
 
     Built from the columns X (n x N), y, scenario_id and route_index, or
     from a sequence of Sample rows passed as samples, which replaces
-    them. split holds one label in SPLITS per row. standardization holds
-    per-feature (mean, std) fitted on the train split; constant_features
-    flags columns whose train std was zero (std stored as 1 so the
-    transform stays invertible).
+    them. split holds one label in SPLITS per row, and split_labels the
+    same labels as one read-only array, which rows compares against.
+    standardization holds per-feature (mean, std) fitted on the train
+    split; constant_features flags columns whose train std was zero (std
+    stored as 1 so the transform stays invertible).
     """
 
     X: np.ndarray = None
@@ -73,6 +74,8 @@ class Dataset:
     standardization: Optional[tuple] = None  # (mean array, std array)
     constant_features: Optional[tuple] = None  # per-feature bool flags
     samples: InitVar[Optional[Sequence[Sample]]] = None
+    split_labels: Optional[np.ndarray] = field(init=False, default=None,
+                                               repr=False)
 
     def __post_init__(self, samples):
         for name, dtype in COLUMNS.items():
@@ -96,12 +99,16 @@ class Dataset:
                                f"catalog has {self.catalog.n_features}")
         if self.split is not None:
             object.__setattr__(self, "split", tuple(self.split))
-            if len(self.split) != len(self):
+            labels = np.asarray(self.split)
+            if labels.shape != (len(self),):
                 raise DatasetError("split length mismatch")
-            unknown = set(self.split) - set(SPLITS)
+            unknown = set(labels[~np.isin(labels, SPLITS)].tolist())
             if unknown:
                 raise DatasetError(f"split labels {sorted(map(str, unknown))} "
                                    f"are not in {SPLITS}")
+            labels = labels.astype(str, copy=False)
+            labels.flags.writeable = False
+            object.__setattr__(self, "split_labels", labels)
 
     def __len__(self) -> int:
         return len(self.y)
@@ -121,7 +128,7 @@ class Dataset:
             return slice(None)
         if self.split is None:
             raise DatasetError("dataset has no split assigned")
-        return np.asarray(self.split) == split
+        return self.split_labels == split
 
     def feature_matrix(self, split: Optional[str] = None) -> np.ndarray:
         return self.X[self.rows(split)]

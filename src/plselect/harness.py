@@ -349,12 +349,13 @@ def cmd_generate(cfg: ExperimentConfig) -> List[Path]:
     out = Path(cfg.out_dir)
     built = {}
     for name, scene_cfg in cfg.scenarios.items():
-        try:
-            scene = generate_scene(scene_cfg)
-        except SceneGenerationError as exc:
-            raise HarnessError(f"scenario {name!r}: {exc}") from None
-        # A huge finite scene value overflows to a row check_rows names.
+        # A huge finite scene value overflows, in the scene or its rows, to
+        # a row check_rows names.
         with np.errstate(over="ignore", invalid="ignore"):
+            try:
+                scene = generate_scene(scene_cfg)
+            except SceneGenerationError as exc:
+                raise HarnessError(f"scenario {name!r}: {exc}") from None
             ds = build_dataset([scene], [name], cfg.shadowing_sigma,
                                cfg.corridor_radius)
         check_rows(ds, f"config scenarios.{name}")

@@ -324,8 +324,10 @@ def score_masks(masks: np.ndarray, prep: _Prepared,
     solves the mask's sub-block of prep's penalized normal equations;
     masks of one cardinality share a basis width and are solved as one
     stack. A stack's Gram sub-blocks are gathered by one take from the
-    flattened Gram matrix, and its val columns are taken as whole rows of
-    prep.val_t.
+    flattened Gram matrix, its val columns are taken as whole rows of
+    prep.val_t, and its predictions are written in place into a buffer
+    of masks in cardinality order, which one take puts back in mask
+    order.
     """
     cardinality = np.count_nonzero(masks, axis=1)
     sel = masks.view(bool)
@@ -343,7 +345,8 @@ def score_masks(masks: np.ndarray, prep: _Prepared,
     # Where each column's row starts in the flattened Gram matrix.
     all_rows = all_cols * len(prep.gram)
     gram = prep.gram.ravel()
-    y_hat = np.empty((len(sel), len(prep.val_targets)))
+    # Predictions in cardinality order, one (1, n_val) row per mask.
+    y_sorted = np.empty((len(sel), 1, len(prep.val_targets)))
     start = offset = 0
     with _CALLING_THREAD_BLAS:
         for k, count in enumerate(np.bincount(cardinality).tolist()):
@@ -352,10 +355,10 @@ def score_masks(masks: np.ndarray, prep: _Prepared,
             width = 1 + k if prep.upper is None else 1 + k + k * (k + 1) // 2
             step = max(1, SOLVE_BLOCK_ENTRIES // (width * width))
             for first in range(start, start + count, step):
-                block = order[first:min(first + step, start + count)]
-                stop = offset + len(block) * width
-                cols = all_cols[offset:stop].reshape(len(block), width)
-                rows = all_rows[offset:stop].reshape(len(block), width)
+                last = min(first + step, start + count)
+                stop = offset + (last - first) * width
+                cols = all_cols[offset:stop].reshape(last - first, width)
+                rows = all_rows[offset:stop].reshape(last - first, width)
                 offset = stop
                 beta = _solve_ridge(
                     gram.take(rows[:, :, None] + cols[:, None, :]),
@@ -363,11 +366,16 @@ def score_masks(masks: np.ndarray, prep: _Prepared,
                 # One vector-matrix product per mask, as for a batch of
                 # one, so that a mask's score does not depend on its batch.
                 # The operands' layout decides the last bits: a contiguous
-                # copy of the (g, n_val, w) block changes them.
+                # copy of the (g, n_val, w) block changes them, and so
+                # would an output whose rows are not n_val apart.
                 # TestRowMajorLayoutOracle pins them.
-                y_hat[block] = (beta[:, None, :]
-                                @ prep.val_t.take(cols, axis=0))[:, 0, :]
+                np.matmul(beta[:, None, :], prep.val_t.take(cols, axis=0),
+                          out=y_sorted[first:last])
             start += count
+    # Row i of y_sorted is mask order[i]'s.
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    y_hat = y_sorted[:, 0, :].take(rank, axis=0)
     err = _rms_rows(y_hat - prep.val_targets)
     # np.take keeps each row contiguous, so that its sum runs in the
     # order a batch of one's does; fancy indexing would not.

@@ -187,7 +187,8 @@ def update_policy(
 ) -> np.ndarray:
     """Moving-average pull toward the elite mean, clamped away from 0/1."""
     updated = (1.0 - eta) * policy + eta * np.asarray(elite_mean_bits)
-    return np.clip(updated, P_FLOOR, P_CEIL)
+    # np.clip's bits, without its Python-level dispatch.
+    return np.minimum(np.maximum(updated, P_FLOOR), P_CEIL)
 
 
 def normalized_entropy(policy: np.ndarray):
@@ -262,8 +263,10 @@ def run_search(
         pop_rows[t] = rows
         elite_rows[t] = table.ranked(rows)[:config.elite_count]
         new_evaluations.append(len(new))
-        policies[t + 1] = update_policy(
-            policies[t], table.mask[elite_rows[t]].mean(axis=0), config.eta)
+        # The elite mean with np.mean's bits: a float sum, one division.
+        elite_mean = np.add.reduce(table.mask[elite_rows[t]], axis=0,
+                                   dtype=float) / config.elite_count
+        policies[t + 1] = update_policy(policies[t], elite_mean, config.eta)
     policies.flags.writeable = False
 
     # Each table row was in some generation's population.

@@ -11,6 +11,7 @@ from plselect import baselines
 from plselect.baselines import (
     MI_VARIANTS,
     feature_mi,
+    joint_counts,
     mi_category_subset,
     mutual_information,
     random_subset_mask,
@@ -160,24 +161,82 @@ class TestRankingCache:
     def test_one_ranking_per_dataset(self, monkeypatch):
         ds = make_planted_dataset(seed=11)
         calls = []
-        real = baselines.mutual_information
+        real = baselines.joint_counts
 
         def spy(*args):
             calls.append(args)
             return real(*args)
 
-        monkeypatch.setattr(baselines, "mutual_information", spy)
+        monkeypatch.setattr(baselines, "joint_counts", spy)
         masks = [mi_category_subset(ds, v) for v in ("GE_Struct", "GE_EM")]
-        assert len(calls) == ds.n_features
+        assert len(calls) == 1
         mi = feature_mi(ds)
-        assert len(calls) == ds.n_features
+        assert len(calls) == 1
         assert not mi.flags.writeable
         X, y = ds.feature_matrix("train"), ds.targets("train")
-        assert mi.tolist() == [real(X[:, i], y) for i in range(ds.n_features)]
+        assert mi.tolist() == [mutual_information(X[:, i], y)
+                               for i in range(ds.n_features)]
         # A fresh copy of the dataset computes the same column and masks.
         fresh = replace(ds)
         assert np.array_equal(feature_mi(fresh), mi)
-        assert len(calls) == 2 * ds.n_features
+        assert len(calls) == 2
         for variant, mask in zip(("GE_Struct", "GE_EM"), masks):
             assert np.array_equal(mi_category_subset(fresh, variant), mask)
-        assert len(calls) == 2 * ds.n_features
+        assert len(calls) == 2
+
+
+def train_columns():
+    """(X, y) of 16 to 80 rows. Each column of X, and y, is constant,
+    repeats up to three values or spreads over up to n values, scaled by
+    a magnitude from 1e-300 to 1e300."""
+    magnitude = st.sampled_from([1.0, 1e-300, 1e3, 1e150, 1e300])
+    value = st.floats(-1.0, 1.0, allow_subnormal=False)
+
+    @st.composite
+    def build(draw):
+        n = draw(st.integers(16, 80), label="n")
+        width = draw(st.integers(1, 5), label="width")
+        columns = []
+        for _ in range(width + 1):
+            kind = draw(st.sampled_from(["spread", "repeats", "constant"]))
+            scale = draw(magnitude)
+            if kind == "constant":
+                column = np.full(n, draw(value) * scale)
+            else:
+                pool = draw(st.lists(value, min_size=1,
+                                     max_size=n if kind == "spread" else 3))
+                picks = draw(st.lists(st.integers(0, len(pool) - 1),
+                                      min_size=n, max_size=n))
+                column = np.array(pool)[picks] * scale
+            columns.append(column)
+        return np.column_stack(columns[:-1]), columns[-1]
+
+    return build()
+
+
+class TestJointCounts:
+    @given(train_columns())
+    def test_counts_and_mi_match_the_per_column_reference(self, data):
+        X, y = data
+        joint = joint_counts(X, y)
+        assert joint.shape == (X.shape[1], 16, 16)
+        for j, x in enumerate(X.T):
+            assert np.array_equal(joint[j], np.histogram2d(x, y, 16)[0])
+        ds = make_manual_dataset(X, y, ["train"] * len(y))
+        expected = [mutual_information(x, y).hex() for x in X.T]
+        assert [v.hex() for v in feature_mi(ds).tolist()] == expected
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_column_refused(self, bad):
+        X = np.zeros((20, 2))
+        X[3, 1] = bad
+        with pytest.raises(ValueError):
+            np.histogram2d(X[:, 1], np.zeros(20), 16)
+        with pytest.raises(ValueError):
+            joint_counts(X, np.arange(20.0))
+        with pytest.raises(ValueError):
+            joint_counts(np.zeros((20, 2)), X[:, 1])
+
+    def test_too_few_samples(self):
+        with pytest.raises(ValueError, match="as many samples as bins"):
+            joint_counts(np.ones((15, 3)), np.ones(15))

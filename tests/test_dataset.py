@@ -20,6 +20,7 @@ from plselect.dataset import (
     destandardize_features,
     format_number,
     read_csv,
+    select_scenarios,
     split_dataset,
     standardize,
     write_csv,
@@ -280,6 +281,54 @@ def reference_split_labels(scenario_ids, fractions, seed):
             split_idx = int(np.searchsorted(boundaries, pos, side="right"))
             labels[idx[j]] = SPLITS[split_idx]
     return tuple(labels)
+
+
+class TestSplitLabels:
+    @pytest.fixture(scope="class")
+    def labelled(self, two_scenes):
+        built = build_dataset(two_scenes, ["a", "b"])
+        split = split_dataset(built, seed=3)
+        picked = select_scenarios(split, ["b"])
+        return {
+            "split_dataset": split,
+            "standardize": standardize(split),
+            "select_scenarios": split_dataset(picked, seed=1),
+            "samples": Dataset(samples=sample_rows(built), split=split.split),
+        }
+
+    @pytest.mark.parametrize("source", ["split_dataset", "standardize",
+                                        "select_scenarios", "samples"])
+    def test_rows_compare_against_the_labels(self, labelled, source):
+        ds = labelled[source]
+        assert isinstance(ds.split, tuple)
+        np.testing.assert_array_equal(ds.split_labels, np.array(ds.split))
+        for name in SPLITS + ("other",):
+            rows = ds.rows(name)
+            assert rows.dtype == bool
+            np.testing.assert_array_equal(rows, np.array(ds.split) == name)
+
+    def test_labels_are_read_only(self, labelled):
+        ds = labelled["split_dataset"]
+        with pytest.raises(ValueError):
+            ds.split_labels[0] = "val"
+        assert not ds.split_labels.flags.writeable
+        unsplit = Dataset(X=np.zeros((1, 10)), y=[0.0], scenario_id=["a"],
+                          route_index=[0])
+        assert unsplit.split_labels is None
+
+    @pytest.mark.parametrize("split, message", [
+        (["train"], "split length mismatch"),
+        (["train", "val", "test"], "split length mismatch"),
+        (["train", "holdout"],
+         "split labels ['holdout'] are not in ('train', 'val', 'test')"),
+        (["test", 1], "split labels ['1'] are not in ('train', 'val', 'test')"),
+        ([None, "Train"], "split labels ['None', 'Train'] are not in "
+         "('train', 'val', 'test')"),
+    ])
+    def test_bad_split_refused(self, split, message):
+        with pytest.raises(DatasetError) as exc:
+            make_manual_dataset([[1.0], [2.0]], [0, 0], split)
+        assert str(exc.value) == message
 
 
 class TestSplitOracle:

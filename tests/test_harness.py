@@ -294,16 +294,17 @@ class TestTaskScenarios:
         cfg = small_config(tmp_path)
         cmd_generate(cfg)
         calls = []
-        real = baselines.mutual_information
+        real = baselines.joint_counts
 
         def spy(*args):
             calls.append(args)
             return real(*args)
 
-        monkeypatch.setattr(baselines, "mutual_information", spy)
+        monkeypatch.setattr(baselines, "joint_counts", spy)
         cmd_run(cfg)
-        # task1, task2 and task3 each rank the 10 features of one dataset.
-        assert len(calls) == 3 * 10
+        # task1, task2 and task3 each count the joint histograms of the 10
+        # features of one dataset, in one pass.
+        assert [X.shape[1] for X, _ in calls] == [10] * 3
 
 
 class TestReport:
@@ -923,6 +924,25 @@ class TestCli:
             "error: config scenarios.intersection, route index 0: non-finite "
             "feature or path loss\n")
         assert [p for p in out.rglob("*") if p.is_file()] == []
+
+    def test_generate_refuses_an_overflowing_scene_quietly(
+            self, tmp_path, monkeypatch):
+        # Cells wider than the area: no boxes, and a route that overflows.
+        monkeypatch.setenv("PLSELECT_SCENARIOS__INTERSECTION__AREA_SIZE",
+                           "[1.7e308,1.7e308]")
+        monkeypatch.setenv(
+            "PLSELECT_SCENARIOS__INTERSECTION__SCATTERER_WIDTH",
+            "[1e308,1.1e308]")
+        out = tmp_path / "out"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with redirect_stderr(io.StringIO()) as err:
+                assert main(["generate", "--out", str(out)]) == 2
+        assert [str(w.message) for w in caught] == []
+        assert err.getvalue() == (
+            "error: config scenarios.intersection, route index 0: non-finite "
+            "feature or path loss\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("name", NOT_FILE_NAMES)
     def test_scenario_name_outside_out_refused(self, tmp_path, capsys, name):
