@@ -31,7 +31,6 @@ from __future__ import annotations
 import ctypes
 import functools
 import os
-import threading
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
@@ -81,33 +80,22 @@ def _openblas_set_threads():
 
 
 class _CallingThreadBlas:
-    """Inside `with`, OpenBLAS runs on the calling thread only.
-
-    OpenBLAS's usual (pthreads) build keeps one thread count per process,
-    so scopes open at once in several Python threads share it: the first
-    to enter sets 1, and the last to leave restores what the first found.
+    """Inside `with`, OpenBLAS runs on the calling thread only: enter sets
+    its thread count to 1 and exit restores the count enter found. The
+    count is process-wide and the found count is kept on the instance, so
+    scopes must neither nest nor be open in several Python threads at
+    once; no caller opens them so.
     """
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._open = 0
-        self._saved = None
 
     def __enter__(self):
         set_threads = _openblas_set_threads()
         if set_threads is not None:
-            with self._lock:
-                if self._open == 0:
-                    self._saved = set_threads(1)
-                self._open += 1
+            self._saved = set_threads(1)
 
     def __exit__(self, *exc):
         set_threads = _openblas_set_threads()
         if set_threads is not None:
-            with self._lock:
-                self._open -= 1
-                if self._open == 0:
-                    set_threads(self._saved)
+            set_threads(self._saved)
 
 
 _CALLING_THREAD_BLAS = _CallingThreadBlas()

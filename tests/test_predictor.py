@@ -2,7 +2,6 @@ import itertools
 import os
 import subprocess
 import sys
-import threading
 from dataclasses import replace
 from functools import lru_cache
 from pathlib import Path
@@ -563,37 +562,3 @@ class TestCallingThreadBlas:
             assert set_threads(3) == 3
         finally:
             set_threads(found)
-
-    def test_scopes_open_in_several_threads_keep_one_thread(
-            self, monkeypatch):
-        # The count is process-wide, so it must stay 1 until the last of
-        # the scopes open at once closes, and then be restored.
-        count = [3]
-
-        def set_threads(n):
-            found, count[0] = count[0], n
-            return found
-
-        monkeypatch.setattr(predictor, "_openblas_set_threads",
-                            lambda: set_threads)
-        scope = predictor._CallingThreadBlas()
-        seen = []
-
-        def work():
-            for _ in range(2000):
-                with scope:
-                    seen.append(count[0])
-
-        threads = [threading.Thread(target=work) for _ in range(4)]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(t.is_alive() for t in threads)
-        assert len(seen) == 8000 and set(seen) == {1}
-        assert count == [3]

@@ -59,12 +59,63 @@ def assert_batch_matches_scalar(scene, shadowing_sigma=3.0,
     return features, path_loss
 
 
+def keep_every_box(dist, reach):
+    """scenario._in_reach with nothing culled."""
+    return np.ones(dist.shape[1], dtype=bool)
+
+
+def assert_culling_keeps_bits(scene, shadowing_sigma=3.0,
+                              corridor_radius=50.0):
+    """The batch path gives the same bits as with every box kept."""
+    culled = scene_features_and_path_loss(scene, shadowing_sigma,
+                                          corridor_radius)
+    with patch.object(scenario, "_in_reach", keep_every_box):
+        full = scene_features_and_path_loss(scene, shadowing_sigma,
+                                            corridor_radius)
+    for got, want in zip(culled, full):
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def translated(scene, shift):
+    """scene moved by shift meters in x and in y."""
+    move = np.array([shift, shift, 0.0, 0.0, 0.0])
+    xmin, ymin, xmax, ymax = scene.area_bounds
+    return Scene(tx_position=scene.tx_position + move[:3],
+                 rx_route=scene.rx_route + move[:3],
+                 boxes=scene.boxes + move,
+                 carrier_frequency=scene.carrier_frequency,
+                 area_bounds=(xmin + shift, ymin + shift,
+                              xmax + shift, ymax + shift),
+                 seed=scene.seed)
+
+
 @pytest.mark.parametrize("layout", ["intersection", "square", "uniform"])
 # 2**32 + 5: SeedSequence splits the scene seed into two 32-bit words.
 @pytest.mark.parametrize("seed", [*range(5), 2**32 + 5])
 def test_generated_scenes_bitwise(layout, seed):
     scene = generate_scene(SceneConfig(layout=layout, seed=seed))
     assert_batch_matches_scalar(scene)
+
+
+@pytest.mark.parametrize("layout", ["intersection", "square", "uniform"])
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("corridor_radius", [0.0, 5.0, 50.0, 200.0])
+def test_culling_keeps_the_bits(layout, seed, corridor_radius):
+    scene = generate_scene(SceneConfig(layout=layout, seed=seed,
+                                       route_points=300))
+    assert_culling_keeps_bits(scene, corridor_radius=corridor_radius)
+
+
+@pytest.mark.parametrize("layout", ["intersection", "square", "uniform"])
+def test_scenes_far_from_the_origin_bitwise(layout):
+    # 1e6 m out, a coordinate's rounding is about 1e-10 m. Scene takes
+    # points within np.isclose's relative tolerance, 10 m there, for one
+    # point, so the route's points are spaced wider than that; with 21,
+    # one lies on the intersection's corner.
+    scene = translated(generate_scene(SceneConfig(layout=layout,
+                                                  route_points=21)), 1e6)
+    assert_batch_matches_scalar(scene)
+    assert_culling_keeps_bits(scene)
 
 
 # ---------------------------------------------------------------------------
@@ -131,6 +182,30 @@ LADDER = make_scene(
                (20.0, 5.0, 12.0, 8.0, 15.0, 4.0))],
 )
 
+# A box of 20 x 44 m whose center lies 20 m from each ray, beyond a
+# corridor radius of 0 or 5 m, while every ray crosses its footprint.
+WIDE_BOX = make_scene(LINE[:2], boxes=((30.0, 70.0, 20.0, 44.0, 20.0),),
+                      tx=(50.0, 50.0, 3.0))
+
+
+def grazing_scene(shift):
+    """A 2.6 m square box whose corner the first ray passes at a right
+    angle to the diagonal: the ray grazes the box at the corner, and its
+    distance from the center is the half diagonal, up to rounding."""
+    center = shift + 50.0
+    corner = center + 1.3
+    return Scene(tx_position=(corner + 10.0, corner - 10.0, 10.0),
+                 rx_route=[(corner - 10.0, corner + 10.0, 1.5),
+                           (corner - 10.0, corner + 100.0, 1.5)],
+                 boxes=[(center, center, 2.6, 2.6, 20.0)],
+                 carrier_frequency=3.5e9,
+                 area_bounds=(shift, shift, shift + 200.0, shift + 200.0),
+                 seed=1)
+
+
+# 1e6 m from the origin the grazing ray's rounding reaches 1e-10 m.
+GRAZING = grazing_scene(1e6)
+
 
 def test_zero_scatterers_give_empty_tables():
     features, _ = assert_batch_matches_scalar(NO_SCATTERERS)
@@ -181,6 +256,59 @@ def test_oracle_examples_reach_their_cases():
     blocked = [i for i, e in enumerate(edges(LATE_BLOCKERS)) if e]
     assert late > 2 and blocked and min(blocked) >= blocks[0]
     assert len(blocks) - late > 1 and len(OPEN_ROUTE.boxes) == 0
+
+
+def test_culling_examples_reach_their_cases():
+    """The culled tables hold no box in some block and every box in
+    another, and the hand scenes reach the hits that only the half
+    diagonal or the slack keeps."""
+    columns = []
+    slab_table = scenario._slab_table
+
+    def record_columns(p0, seg, lo, hi):
+        columns.append(len(lo))
+        return slab_table(p0, seg, lo, hi)
+
+    def blocks(scene, corridor_radius):
+        columns.clear()
+        with patch.object(scenario, "TABLE_BLOCK_ENTRIES", SMALL_BUDGET), \
+                patch.object(scenario, "_slab_table", record_columns):
+            scene_features_and_path_loss(scene,
+                                         corridor_radius=corridor_radius)
+        return list(columns)
+
+    # The first blocks of LATE_ROUTE lie over 5 m from the box in x.
+    late = blocks(LATE_BLOCKERS, 5.0)
+    assert late[0] == 0 and 1 in late
+    assert set(blocks(LADDER, 50.0)) == {len(LADDER.boxes)}
+    for corridor_radius in (0.0, 5.0):
+        features, _ = assert_batch_matches_scalar(
+            WIDE_BOX, corridor_radius=corridor_radius)
+        assert np.all(features[:, 7] == 1.0)
+        assert np.all(features[:, 2:7] == 0.0)
+    for shift in (0.0, 1e6):
+        features, _ = assert_batch_matches_scalar(
+            grazing_scene(shift), corridor_radius=0.0)
+        assert features[:, 7].tolist() == [1.0, 0.0]
+
+
+# A box 4.2e154 m long whose footprint holds every ray, with its center
+# 2e154 m out: the square of that distance overflows, so every corridor
+# distance is inf, and only the rule that keeps a box of a non-finite
+# distance keeps the hit.
+FAR_GIANT = Scene(tx_position=(0.0, 0.0, 10.0),
+                  rx_route=[(1.0, 0.0, 1.5), (2.0, 0.0, 1.5)],
+                  boxes=[(2e154, 0.0, 4.2e154, 10.0, 20.0)],
+                  carrier_frequency=3.5e9,
+                  area_bounds=(-1e155, -100.0, 1e155, 100.0), seed=3)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_overflowing_distances_keep_their_boxes():
+    features, _ = assert_batch_matches_scalar(FAR_GIANT,
+                                              corridor_radius=5.0)
+    assert np.all(features[:, 7] == 1.0)
+    assert_culling_keeps_bits(FAR_GIANT, corridor_radius=5.0)
 
 
 def test_receiver_on_transmitter_rejected():
@@ -241,9 +369,16 @@ def random_scenes(draw):
 @example(scene=LATE_BLOCKERS, corridor_radius=50.0, shadowing_sigma=3.0)
 @example(scene=OPEN_ROUTE, corridor_radius=50.0, shadowing_sigma=3.0)
 @example(scene=LADDER, corridor_radius=50.0, shadowing_sigma=0.0)
+@example(scene=WIDE_BOX, corridor_radius=0.0, shadowing_sigma=3.0)
+@example(scene=WIDE_BOX, corridor_radius=5.0, shadowing_sigma=0.0)
+@example(scene=LATE_BLOCKERS, corridor_radius=5.0, shadowing_sigma=3.0)
+@example(scene=GRAZING, corridor_radius=0.0, shadowing_sigma=3.0)
 def test_random_scenes_bitwise(scene, corridor_radius, shadowing_sigma):
     """At the default table budget a small scene is one block; under
-    SMALL_BUDGET its route spans blocks of a few points each."""
+    SMALL_BUDGET its route spans blocks of a few points each. At both,
+    culling boxes changes no bit."""
     assert_batch_matches_scalar(scene, shadowing_sigma, corridor_radius)
+    assert_culling_keeps_bits(scene, shadowing_sigma, corridor_radius)
     with patch.object(scenario, "TABLE_BLOCK_ENTRIES", SMALL_BUDGET):
         assert_batch_matches_scalar(scene, shadowing_sigma, corridor_radius)
+        assert_culling_keeps_bits(scene, shadowing_sigma, corridor_radius)
