@@ -38,7 +38,7 @@ from .dataset import (
     write_csv,
     write_csv_lines,
 )
-from .predictor import PredictorConfig, evaluate_mask, evaluate_masks
+from .predictor import PredictorConfig, evaluate_masks
 from .scenario import (DEFAULT_CORRIDOR_RADIUS, DEFAULT_SHADOWING_SIGMA,
                        FEATURE_SYMBOLS, SceneConfig, SceneGenerationError,
                        generate_scene)
@@ -409,54 +409,54 @@ def _prepared(cfg: ExperimentConfig, pooled: Dataset, names) -> Dataset:
     return pooled.derived[key]
 
 
-def _baseline_rows(
-    cfg: ExperimentConfig, task: str, ds: Dataset, cardinality: int
-) -> List[tuple]:
-    """Rows for the full, random and MI-category baselines, scored as one
-    batch. The random masks select `cardinality` features; their mean row
-    precedes them, and with no random seeds there are neither."""
-    named = [("full", np.ones(ds.n_features, dtype=np.int8))]
-    for k in range(cfg.random_baseline_seeds):
-        rng = np.random.default_rng(
-            np.random.SeedSequence([cfg.master_seed, 9001, k])
-        )
-        named.append((f"random_seed{k}",
-                      bl.random_subset_mask(cardinality, ds.n_features, rng)))
-    named.extend((f"mi_{variant.lower()}", bl.mi_category_subset(ds, variant))
-                 for variant in bl.MI_VARIANTS)
+def _scored_rows(cfg: ExperimentConfig, task: str, ds: Dataset,
+                 named) -> List[tuple]:
+    """A (task, method, mask, rmse, score) row for each (method, mask) of
+    named, in order, all scored on ds by one evaluate_masks call."""
     scored = evaluate_masks([mask for _, mask in named], ds, cfg.weights,
                             cfg.predictor)
-    rows = [(task, method, mask, cand.breakdown.rmse, cand.score)
+    return [(task, method, mask, cand.breakdown.rmse, cand.score)
             for (method, mask), cand in zip(named, scored)]
-    random_rows = rows[1:1 + cfg.random_baseline_seeds]
-    if random_rows:
-        mean_rmse = float(np.mean([r[3] for r in random_rows]))
-        mean_score = float(np.mean([r[4] for r in random_rows]))
-        rows.insert(1, (task, "random", None, mean_rmse, mean_score))
-    return rows
 
 
 def run_task(cfg: ExperimentConfig, task: str,
              pooled: Optional[Dataset] = None) -> Dict[str, object]:
     """Agent search plus all baselines for one task on a shared dataset.
-    pooled is _read_pooled's dataset, read here if not given."""
+    pooled is _read_pooled's dataset, read here if not given.
+
+    The rows are the agent's, the full mask's, the random masks' mean,
+    each random mask's (of the agent's cardinality) and each MI
+    category subset's, all scored on the task's dataset by one
+    _scored_rows call; with no random seeds there is no random row. A
+    task of several scenarios then has one row per scenario, the agent's
+    mask scored on that scenario's own split.
+    """
     if pooled is None:
         pooled = _read_pooled(cfg, _task_list(cfg, [task]))
     names = cfg.task_scenarios[task]
     ds = _prepared(cfg, pooled, names)
     result = run_search(ds, cfg.search, cfg.weights, cfg.predictor)
-    agent = result.best_overall
+    agent = result.best_overall.mask
 
-    rows = [(task, "agent", agent.mask, agent.breakdown.rmse, agent.score)]
-    rows.extend(_baseline_rows(cfg, task, ds, int(np.sum(agent.mask))))
-
-    # Multi-scenario task: re-evaluate the pooled-selected mask on each
-    # sub-scenario's own split.
+    named = [("agent", agent), ("full", np.ones(ds.n_features, np.int8))]
+    for k in range(cfg.random_baseline_seeds):
+        rng = np.random.default_rng(
+            np.random.SeedSequence([cfg.master_seed, 9001, k])
+        )
+        named.append((f"random_seed{k}", bl.random_subset_mask(
+            sum(agent), ds.n_features, rng)))
+    named.extend((f"mi_{variant.lower()}", bl.mi_category_subset(ds, variant))
+                 for variant in bl.MI_VARIANTS)
+    rows = _scored_rows(cfg, task, ds, named)
+    random_rows = rows[2:2 + cfg.random_baseline_seeds]
+    if random_rows:
+        rows.insert(2, (task, "random", None,
+                        float(np.mean([r[3] for r in random_rows])),
+                        float(np.mean([r[4] for r in random_rows]))))
     for name in names if len(names) > 1 else ():
-        sub = _prepared(cfg, pooled, [name])
-        cand = evaluate_mask(agent.mask, sub, cfg.weights, cfg.predictor)
-        rows.append((f"{task}--{name}", "agent", agent.mask,
-                     cand.breakdown.rmse, cand.score))
+        rows += _scored_rows(cfg, f"{task}--{name}",
+                             _prepared(cfg, pooled, [name]),
+                             [("agent", agent)])
 
     return {"task": task, "dataset": ds, "search": result, "rows": rows}
 

@@ -123,12 +123,10 @@ class Scene:
             object.__setattr__(self, name, column)
         if len(self.rx_route) < 2:
             raise ValueError("rx_route needs at least 2 points")
-        # np.allclose of each consecutive pair, in one array step. A
-        # difference of finite points may overflow to inf: not close.
+        # Only an exact repeat: a tolerance relative to the coordinates
+        # would merge distinct points far from the origin.
         r = self.rx_route
-        with np.errstate(over="ignore"):
-            repeat = np.isclose(r[:-1], r[1:]).all(axis=1).any()
-        if repeat:
+        if (r[:-1] == r[1:]).all(axis=1).any():
             raise ValueError("consecutive route points must be distinct")
         if self.tx_position[2] <= 0:
             raise ValueError("tx height must be positive")

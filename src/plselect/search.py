@@ -286,14 +286,12 @@ def run_search(
 
 
 class _MemoTable:
-    """One row per distinct mask a search has scored: the mask, its bits
-    packed eight to a byte by np.packbits, and score_masks's rmse, trend
-    error, cardinality and total, each a column, with the packed bytes as
-    its key."""
+    """One row per distinct mask a search has scored: the mask, as int8
+    0s and 1s, and score_masks's rmse, trend error, cardinality and
+    total, each a column, with the mask's own N bytes as its key."""
 
     def __init__(self, capacity: int, n_features: int):
         self.mask = np.zeros((capacity, n_features), dtype=np.int8)
-        self.packed = np.zeros((capacity, -(-n_features // 8)), dtype=np.uint8)
         self.rmse = np.empty(capacity)
         self.trend = np.empty(capacity)
         self.cardinality = np.empty(capacity, dtype=np.int64)
@@ -308,13 +306,12 @@ class _MemoTable:
         follow its old rows in order of first appearance and hold only the
         mask until add fills them in."""
         start = len(self._index)
-        packed = np.packbits(masks, axis=1)
-        # Each packed row as one bytes object.
-        keys = packed.view(f"V{packed.shape[1]}").ravel().tolist()
+        # Each mask's int8 row as one bytes object.
+        keys = np.ascontiguousarray(masks, dtype=np.int8).view(
+            f"V{masks.shape[1]}").ravel().tolist()
         rows = np.array([self._index.setdefault(key, len(self._index))
                          for key in keys], dtype=np.intp)
         self.mask[rows] = masks
-        self.packed[rows] = packed
         return rows, np.arange(start, len(self._index))
 
     def add(self, rows, rmse, trend, cardinality, total) -> None:
@@ -323,9 +320,7 @@ class _MemoTable:
 
     def ranked(self, rows: np.ndarray) -> np.ndarray:
         """rows, best first: by total descending, ties broken toward
-        sparser, then lexicographically smaller masks. np.packbits puts a
-        mask's first bit highest in its first byte, so the packed bytes,
-        compared as unsigned integers one after another, order masks as
-        their bits do."""
-        return rows[np.lexsort((*self.packed[rows].T[::-1],
+        sparser, then lexicographically smaller masks, compared bit by
+        bit from the first."""
+        return rows[np.lexsort((*self.mask[rows].T[::-1],
                                 self.cardinality[rows], -self.total[rows]))]

@@ -210,6 +210,57 @@ class TestRun:
             "agent", "full", "mi_ge_struct", "mi_ge_em"]
 
 
+class TestResultRows:
+    """Each row of run_task against evaluate_mask of its own mask on its
+    own dataset, prepared afresh from pooled.csv."""
+
+    @pytest.mark.parametrize("case", ["small", "no_random_seeds",
+                                      "three_scenarios"])
+    def test_rows_match_evaluate_mask(self, tmp_path, case):
+        cfg, task = small_config(tmp_path), "task3"
+        if case == "no_random_seeds":
+            cfg.random_baseline_seeds = 0
+        elif case == "three_scenarios":
+            cfg, task = harness.seeded(replace(
+                cfg,
+                scenarios={**cfg.scenarios, "uniform": replace(
+                    cfg.scenarios["square"], layout="uniform")},
+                task_scenarios={**cfg.task_scenarios, "task4": (
+                    "intersection", "square", "uniform")},
+            ), 0), "task4"
+        cmd_generate(cfg)
+        result = harness.run_task(cfg, task)
+        rows = result["rows"]
+        names = cfg.task_scenarios[task]
+        seeds = [f"random_seed{k}" for k in range(cfg.random_baseline_seeds)]
+        assert [row[:2] for row in rows] == (
+            [(task, "agent"), (task, "full")]
+            + [(task, "random")] * bool(seeds)
+            + [(task, method) for method in seeds]
+            + [(task, "mi_ge_struct"), (task, "mi_ge_em")]
+            + [(f"{task}--{name}", "agent") for name in names])
+
+        pooled = harness._read_pooled(cfg, [task])
+        for row_task, _, mask, rmse, score in rows:
+            if mask is None:
+                continue
+            sub = row_task.partition("--")[2]
+            ds = harness._prepared(cfg, pooled, [sub] if sub else names)
+            cand = predictor.evaluate_mask(mask, ds, cfg.weights,
+                                           cfg.predictor)
+            assert (rmse, score) == (cand.breakdown.rmse, cand.score)
+
+        # The search's memo table scored the agent's mask in its own batch.
+        agent = result["search"].best_overall
+        assert rows[0][2:] == (agent.mask, agent.breakdown.rmse,
+                               agent.score)
+        random_rows = rows[3:3 + len(seeds)]
+        if seeds:
+            assert rows[2][2:] == (
+                None, float(np.mean([row[3] for row in random_rows])),
+                float(np.mean([row[4] for row in random_rows])))
+
+
 class TestTaskScenarios:
     @pytest.fixture
     def spies(self, monkeypatch):

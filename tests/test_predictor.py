@@ -331,6 +331,9 @@ class TestBatchedOracle:
                                  oracle_dataset(n), ScoreWeights(),
                                  PredictorConfig(basis=basis), batch=True)
 
+    # np.add.reduce over a row, divided by its length, must give np.mean's
+    # bits at the numpy floor.
+    @pytest.mark.numpy_floor
     @pytest.mark.parametrize("basis", ["quadratic", "linear"])
     def test_batch_equals_batches_of_one(self, basis):
         # A mask's score does not depend on the rest of its batch: the
@@ -465,6 +468,8 @@ def assert_bitwise(got, want):
         assert np.array_equal(a, b), name
 
 
+# take must gather as fancy indexing does at the numpy floor.
+@pytest.mark.numpy_floor
 class TestRowMajorLayoutOracle:
     """score_masks gathers by take from a flattened Gram matrix and a
     transposed val design, and sums squares by np.add.reduce; its scores

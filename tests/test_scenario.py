@@ -321,7 +321,8 @@ class TestRouteOracle:
                                       expected.view(np.int64))
 
 
-# np.allclose's default tolerances.
+# np.allclose's default tolerances, near which a route's points are drawn:
+# Scene refuses only an exact repeat, so points a tolerance apart are kept.
 RTOL, ATOL = 1e-5, 1e-8
 
 
@@ -345,10 +346,10 @@ def routes_with_near_repeats(draw):
 class TestRouteDistinctness:
     @staticmethod
     def has_repeat(route):
-        # The per-pair check the array step must agree with.
-        with np.errstate(over="ignore"):
-            return any(np.allclose(a, b)
-                       for a, b in zip(route[:-1], route[1:]))
+        # The per-pair check the array step must agree with: only exactly
+        # equal consecutive points are one point.
+        return any(np.array_equal(a, b)
+                   for a, b in zip(route[:-1], route[1:]))
 
     @settings(max_examples=300, deadline=None)
     @given(route=routes_with_near_repeats())
@@ -359,7 +360,7 @@ class TestRouteDistinctness:
                     (200.0, 0.0, 1.5 + RTOL * 1.5 * (1 - 1e-9))))
     # Finite points whose difference overflows.
     @example(route=((1e308, 0.0, 1.0), (-1e308, 0.0, 1.0)))
-    def test_matches_per_pair_allclose(self, route):
+    def test_matches_per_pair_array_equal(self, route):
         if self.has_repeat(route):
             with pytest.raises(ValueError, match="^consecutive route points"
                                " must be distinct$"):

@@ -13,6 +13,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from plselect import scenario
+from plselect.harness import default_config
 from plselect.scenario import (
     Scene,
     SceneConfig,
@@ -24,6 +25,11 @@ from reference_scene import (
     extract_features,
     ground_truth_path_loss,
 )
+
+# The array cascade (pow for **, where and minimum against Python's min
+# and max) and the culled tables must keep the reference's bits at the
+# numpy floor.
+pytestmark = pytest.mark.numpy_floor
 
 
 def scalar_reference(scene, shadowing_sigma, corridor_radius):
@@ -108,14 +114,17 @@ def test_culling_keeps_the_bits(layout, seed, corridor_radius):
 
 @pytest.mark.parametrize("layout", ["intersection", "square", "uniform"])
 def test_scenes_far_from_the_origin_bitwise(layout):
-    # 1e6 m out, a coordinate's rounding is about 1e-10 m. Scene takes
-    # points within np.isclose's relative tolerance, 10 m there, for one
-    # point, so the route's points are spaced wider than that; with 21,
-    # one lies on the intersection's corner.
-    scene = translated(generate_scene(SceneConfig(layout=layout,
-                                                  route_points=21)), 1e6)
-    assert_batch_matches_scalar(scene)
-    assert_culling_keeps_bits(scene)
+    # 1e6 m out, a coordinate's rounding is about 1e-10 m. A 21-point
+    # route has one point on the intersection's corner; the published
+    # scenes of that layout, 600 points whose steps go down to 0.43 m
+    # (intersection) and 1.59 m (square), are moved out whole.
+    configs = [SceneConfig(layout=layout, route_points=21)] + [
+        sc for sc in default_config().scenarios.values()
+        if sc.layout == layout]
+    for config in configs:
+        scene = translated(generate_scene(config), 1e6)
+        assert_batch_matches_scalar(scene)
+        assert_culling_keeps_bits(scene)
 
 
 # ---------------------------------------------------------------------------

@@ -178,6 +178,8 @@ class TestGenerationOperators:
         assert got.dtype == np.int8 and np.array_equal(got, want)
         assert np.array_equal(masks, before)
 
+    # The SeedSequence port at the numpy floor.
+    @pytest.mark.numpy_floor
     @settings(max_examples=100, deadline=None)
     @given(master_seed=st.integers(0, 2**64 - 1), t=st.integers(0, 10_000))
     @example(master_seed=0, t=0)
@@ -258,11 +260,10 @@ def memo_table(masks, totals):
 @st.composite
 def ranking_cases(draw):
     """Distinct masks, totals from a few values, and rows to rank, repeats
-    allowed: ties in total and cardinality are common. Widths of 7, 8 and
-    9 bits and beyond put a mask's last bits in a partly filled packed
-    byte or in a byte of their own. Masks that shuffle the tail of one
-    mask tie on cardinality and share a prefix, so that only their later
-    bytes tell them apart."""
+    allowed: ties in total and cardinality are common. Widths of 1 to 9,
+    24 and 40 bits give from one to 40 mask columns to sort on. Masks
+    that shuffle the tail of one mask tie on cardinality and share a
+    prefix, so that only their later bits tell them apart."""
     n = draw(st.sampled_from([1, 2, 3, 4, 5, 6, 7, 8, 9, 24, 40]))
     bits = st.tuples(*[st.integers(0, 1)] * n)
     base = draw(bits)
@@ -278,6 +279,24 @@ def ranking_cases(draw):
     return masks, totals, rows
 
 
+class TestMemoTableRows:
+    def test_any_integer_dtype_and_order_give_the_same_rows(self):
+        masks = np.array([[1, 0, 1], [0, 1, 1], [1, 0, 1], [0, 0, 1]],
+                         dtype=np.int8)
+        want = search._MemoTable(len(masks), 3).rows(masks)
+        for copy in (masks.astype(np.int64), np.asfortranarray(masks)):
+            table = search._MemoTable(len(masks), 3)
+            got = table.rows(copy)
+            assert [g.tolist() for g in got] == [w.tolist() for w in want]
+            assert np.array_equal(table.mask[:3], masks[[0, 1, 3]])
+            # A second call finds every mask in the table.
+            assert table.rows(masks)[0].tolist() == want[0].tolist()
+            assert len(table) == 3
+
+
+# lexsort over the int8 mask columns must rank as sorted() does at the
+# numpy floor.
+@pytest.mark.numpy_floor
 class TestElites:
     """The memo table's ranked method, the search's one ranking: best
     total first, ties toward sparser, then lexicographically smaller
@@ -303,7 +322,7 @@ class TestElites:
     @settings(max_examples=300, deadline=None)
     @given(case=ranking_cases())
     def test_matches_sorted_key(self, case):
-        # ranked sorts on the masks' packed bytes, sorted() on their bits.
+        # ranked sorts on the masks' int8 columns, sorted() on tuples.
         masks, totals, rows = case
         table = memo_table(masks, totals)
         want = sorted(rows, key=lambda r: (-totals[r], sum(masks[r]),
@@ -396,6 +415,8 @@ class TestDiagnostics:
                 self.brute_diversity(list(masks)), abs=1e-12
             )
 
+    # Stacked reductions must keep each row's bits at the numpy floor.
+    @pytest.mark.numpy_floor
     def test_stacks_match_brute_force_per_row(self):
         # A stack along the last axis gives, bit for bit, the value of
         # each of its rows alone.
@@ -572,6 +593,9 @@ class TestRunSearch:
         assert cfg.population_size == 4 and cfg.master_seed == 3
 
 
+# The trace built after the loop must keep its bits under the numpy
+# floor's reduction order.
+@pytest.mark.numpy_floor
 class TestTrace:
     """The records built after the last generation hold, bit for bit,
     what each generation's population gives alone."""
