@@ -92,6 +92,9 @@ class ExperimentConfig:
     master_seed: int = 0
 
     def __post_init__(self):
+        if "pooled" in self.scenarios:
+            raise HarnessError("scenario name 'pooled' is reserved: "
+                               "data/pooled.csv holds every scenario's rows")
         for name in ("random_baseline_seeds", "master_seed"):
             if getattr(self, name) < 0:
                 raise HarnessError(f"{name} must be non-negative")
@@ -349,15 +352,12 @@ def cmd_generate(cfg: ExperimentConfig) -> List[Path]:
     out = Path(cfg.out_dir)
     built = {}
     for name, scene_cfg in cfg.scenarios.items():
-        # A huge finite scene value overflows, in the scene or its rows, to
-        # a row check_rows names.
-        with np.errstate(over="ignore", invalid="ignore"):
-            try:
-                scene = generate_scene(scene_cfg)
-            except SceneGenerationError as exc:
-                raise HarnessError(f"scenario {name!r}: {exc}") from None
-            ds = build_dataset([scene], [name], cfg.shadowing_sigma,
-                               cfg.corridor_radius)
+        try:
+            scene = generate_scene(scene_cfg)
+        except SceneGenerationError as exc:
+            raise HarnessError(f"scenario {name!r}: {exc}") from None
+        ds = build_dataset([scene], [name], cfg.shadowing_sigma,
+                           cfg.corridor_radius)
         check_rows(ds, f"config scenarios.{name}")
         built[name] = scene, ds
     written, lines = [], {}
@@ -415,7 +415,7 @@ def _scored_rows(cfg: ExperimentConfig, task: str, ds: Dataset,
     named, in order, all scored on ds by one evaluate_masks call."""
     scored = evaluate_masks([mask for _, mask in named], ds, cfg.weights,
                             cfg.predictor)
-    return [(task, method, mask, cand.breakdown.rmse, cand.score)
+    return [(task, method, mask, cand.rmse, cand.total)
             for (method, mask), cand in zip(named, scored)]
 
 
@@ -473,7 +473,7 @@ def _write_task_outputs(cfg: ExperimentConfig, task_result: dict) -> None:
     )
 
     gen_rows = [
-        [rec.t, format_number(rec.best.score),
+        [rec.t, format_number(rec.best.total),
          format_number(rec.mean_score), format_number(rec.entropy),
          format_number(rec.diversity)]
         + [format_number(p) for p in rec.policy]

@@ -38,12 +38,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .dataset import Dataset, DatasetError
-from .scoring import (
-    ScoreBreakdown,
-    ScoreWeights,
-    route_order,
-    total_scores,
-)
+from .scoring import Candidate, ScoreWeights, route_order, total_scores
 
 # Train rows per block when the normal equations are accumulated, so that
 # the full-basis train design never exists at once.
@@ -138,20 +133,6 @@ def _solve_ridge(gram: np.ndarray, moment: np.ndarray,
     if not np.isfinite(beta).all():
         raise SingularSystemError(singular)
     return beta
-
-
-@dataclass(frozen=True)
-class Candidate:
-    mask: tuple  # binary inclusion vector
-    breakdown: ScoreBreakdown
-
-    @property
-    def score(self) -> float:
-        return self.breakdown.total
-
-    @property
-    def cardinality(self) -> int:
-        return self.breakdown.cardinality
 
 
 @dataclass(frozen=True)
@@ -275,17 +256,13 @@ def evaluate_masks(
     return candidates(masks, *score_masks(masks, prep, weights))
 
 
-def candidates(masks: np.ndarray, rmse: np.ndarray, trend: np.ndarray,
+def candidates(masks: np.ndarray, rmse: np.ndarray, trend_error: np.ndarray,
                cardinality: np.ndarray, total: np.ndarray) -> list:
     """One Candidate per row of the (k, N) masks, from its entries of
     score_masks's columns."""
-    return [
-        Candidate(mask=tuple(m), breakdown=ScoreBreakdown(
-            rmse=e, trend_error=t, cardinality=c, total=s))
-        for m, e, t, c, s in zip(masks.tolist(), rmse.tolist(),
-                                 trend.tolist(), cardinality.tolist(),
-                                 total.tolist())
-    ]
+    return [Candidate(tuple(m), e, t, c, s) for m, e, t, c, s in zip(
+        masks.tolist(), rmse.tolist(), trend_error.tolist(),
+        cardinality.tolist(), total.tolist())]
 
 
 def prepared_system(ds: Dataset, config: PredictorConfig) -> _Prepared:

@@ -306,6 +306,7 @@ TABLE_BLOCK_ENTRIES = 3 << 12
 REACH_SLACK = 1e-6
 
 
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
 def scene_features_and_path_loss(
     scene: Scene,
     shadowing_sigma: float = DEFAULT_SHADOWING_SIGMA,
@@ -360,7 +361,9 @@ def scene_features_and_path_loss(
     differs from an elementwise sum, so _dot takes them from the same
     kernel. Means sum each compacted row as np.mean sums the scalar 1-D
     array, and the f9 detour sum and the cascade keep their sequential
-    order.
+    order. numpy's float warnings are off: the non-finite intermediates
+    of misses, degenerate segments and huge values are dropped by masks,
+    and a non-finite row is refused by dataset.check_rows.
     """
     tx = scene.tx_position
     route = scene.rx_route
@@ -394,9 +397,8 @@ def scene_features_and_path_loss(
         # bounding box of Tx and the block's points, and of those, the
         # ones near some point's segment.
         xy = np.vstack([tx[:2], rx[:, :2]])
-        with np.errstate(invalid="ignore", over="ignore"):
-            outside = np.maximum(xy.min(axis=0) - centers,
-                                 centers - xy.max(axis=0)).max(axis=1)
+        outside = np.maximum(xy.min(axis=0) - centers,
+                             centers - xy.max(axis=0)).max(axis=1)
         near = np.flatnonzero(_in_reach(outside[None], reach))
         seg_dist, line_dist = _corridor_tables(tx[:2], seg[:, :2],
                                                centers[near])
@@ -433,13 +435,12 @@ def scene_features_and_path_loss(
             f[:, 8] = np.cumsum(detour, axis=1)[:, -1]
         f[:, 7] = hit.sum(axis=1)
         # Off the hit mask t_mid may be infinite; those entries are dropped.
-        with np.errstate(invalid="ignore", over="ignore"):
-            nu = fresnel_parameter(
-                h - (tx[2] + t_mid * (rx[:, 2, None] - tx[2])),
-                t_mid * d[:, None],
-                (1.0 - t_mid) * d[:, None],
-                wavelength,
-            )
+        nu = fresnel_parameter(
+            h - (tx[2] + t_mid * (rx[:, 2, None] - tx[2])),
+            t_mid * d[:, None],
+            (1.0 - t_mid) * d[:, None],
+            wavelength,
+        )
         f[:, 9] = np.where(
             hit.any(axis=1),
             np.max(np.where(hit, nu, -np.inf), axis=1, initial=-np.inf),
@@ -501,8 +502,7 @@ def _cascade_table(pl, d, hit, t_mid, heights, tx_z, rx_z, wavelength):
     d2 = (t_next - t_edge) * d[:, None]
     # Line of sight between the neighbouring nodes at the edge abscissa.
     span = t_next - t_prev
-    with np.errstate(divide="ignore", invalid="ignore"):
-        frac = np.where(span > 0, (t_edge - t_prev) / span, 0.5)
+    frac = np.where(span > 0, (t_edge - t_prev) / span, 0.5)
     z_los = z_prev + frac * (z_next - z_prev)
     loss = knife_edge_loss_db(
         fresnel_parameter(nodes_z[:, 1:-1] - z_los, d1, d2, wavelength))
@@ -524,20 +524,19 @@ def _slab_table(p0, seg, lo, hi):
     t_enter = np.zeros(shape)
     t_exit = np.ones(shape)
     miss = np.zeros(shape, dtype=bool)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for axis in range(3):
-            da = seg[:, axis, None]
-            flat = da == 0.0
-            outside = (p0[axis] < lo[:, axis]) | (p0[axis] > hi[:, axis])
-            miss |= flat & outside
-            t0 = (lo[:, axis] - p0[axis]) / da
-            t1 = (hi[:, axis] - p0[axis]) / da
-            swap = t0 > t1
-            t0, t1 = np.where(swap, t1, t0), np.where(swap, t0, t1)
-            # max(t_enter, t0) and min(t_exit, t1) keep their first argument
-            # on ties, as Python's max and min do.
-            t_enter = np.where(~flat & (t0 > t_enter), t0, t_enter)
-            t_exit = np.where(~flat & (t1 < t_exit), t1, t_exit)
+    for axis in range(3):
+        da = seg[:, axis, None]
+        flat = da == 0.0
+        outside = (p0[axis] < lo[:, axis]) | (p0[axis] > hi[:, axis])
+        miss |= flat & outside
+        t0 = (lo[:, axis] - p0[axis]) / da
+        t1 = (hi[:, axis] - p0[axis]) / da
+        swap = t0 > t1
+        t0, t1 = np.where(swap, t1, t0), np.where(swap, t0, t1)
+        # max(t_enter, t0) and min(t_exit, t1) keep their first argument
+        # on ties, as Python's max and min do.
+        t_enter = np.where(~flat & (t0 > t_enter), t0, t_enter)
+        t_exit = np.where(~flat & (t1 < t_exit), t1, t_exit)
     # The scalar test stops at the first axis where t_enter > t_exit;
     # later axes only raise t_enter and lower t_exit, so checking once at
     # the end gives the same verdict.
@@ -553,12 +552,11 @@ def _corridor_tables(a, ab, points):
     denom = _dot(ab, ab)[:, None]
     degenerate = denom == 0.0
     ab = ab[:, None, :]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = np.clip(_dot(ap, ab) / denom, 0.0, 1.0)
-        off = points - (a + t[..., None] * ab)
-        seg_dist = np.where(degenerate, ap_norm, np.sqrt(_dot(off, off)))
-        cross = np.abs(ab[..., 0] * ap[:, 1] - ab[..., 1] * ap[:, 0])
-        line_dist = np.where(degenerate, ap_norm, cross / np.sqrt(denom))
+    t = np.clip(_dot(ap, ab) / denom, 0.0, 1.0)
+    off = points - (a + t[..., None] * ab)
+    seg_dist = np.where(degenerate, ap_norm, np.sqrt(_dot(off, off)))
+    cross = np.abs(ab[..., 0] * ap[:, 1] - ab[..., 1] * ap[:, 0])
+    line_dist = np.where(degenerate, ap_norm, cross / np.sqrt(denom))
     return seg_dist, line_dist
 
 
@@ -619,8 +617,11 @@ def _layout(config):
     return tx_route, place_boxes
 
 
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
 def generate_scene(config: SceneConfig) -> Scene:
-    """Build a Scene procedurally; deterministic for a fixed config."""
+    """Build a Scene procedurally; deterministic for a fixed config. numpy's
+    float warnings are off: a huge but accepted config may overflow to
+    non-finite scene values, whose rows dataset.check_rows refuses."""
     tx_route, place_boxes = _layout(config)
     rng = np.random.default_rng(np.random.SeedSequence([int(config.seed)]))
     tx, route = tx_route(config, rng)

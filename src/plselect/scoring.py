@@ -33,11 +33,19 @@ class ScoreWeights:
 
 
 @dataclass(frozen=True)
-class ScoreBreakdown:
+class Candidate:
+    """One scored mask: its val RMSE, trend error, cardinality and total."""
+
+    mask: tuple  # binary inclusion vector
     rmse: float
     trend_error: float
     cardinality: int
     total: float  # higher is better
+
+    @property
+    def score(self) -> float:
+        """total, under the name the benchmark scripts in perfbench/ read."""
+        return self.total
 
 
 def route_order(scenario_ids: Sequence[str],
@@ -98,7 +106,7 @@ def total_score(
     trend_error_db: float,
     mask: Sequence[int],
     weights: ScoreWeights,
-) -> ScoreBreakdown:
+) -> Candidate:
     """total_scores of one (rmse, trend error, mask); N is len(mask)."""
     if rmse_db < 0 or trend_error_db < 0:
         raise ScoringError("rmse and trend error must be non-negative")
@@ -108,5 +116,6 @@ def total_score(
     rmse_db, trend_error_db = float(rmse_db), float(trend_error_db)
     total = total_scores(np.array([rmse_db]), np.array([trend_error_db]),
                          np.array([cardinality]), len(mask), weights)
-    return ScoreBreakdown(rmse=rmse_db, trend_error=trend_error_db,
-                          cardinality=int(cardinality), total=total.item())
+    return Candidate(mask=tuple(mask), rmse=rmse_db,
+                     trend_error=trend_error_db, cardinality=int(cardinality),
+                     total=total.item())

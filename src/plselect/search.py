@@ -20,17 +20,21 @@ import numpy as np
 
 from .dataset import Dataset
 from .predictor import (
-    Candidate,
     PredictorConfig,
     candidates,
     prepared_system,
     score_masks,
 )
-from .scoring import ScoreWeights
+from .scoring import Candidate, ScoreWeights
 from .streams import generators, seed_states
 
 P_FLOOR = 0.02
 P_CEIL = 0.98
+
+# The most masks, generations x population_size, that a search may draw,
+# about 839 times the default 1,250. run_search preallocates per draw, and
+# streams.seed_states takes generation indices below 2**32.
+MAX_SEARCH_DRAWS = 1 << 20
 
 
 class SearchConfigError(ValueError):
@@ -61,6 +65,12 @@ class SearchConfig:
             raise SearchConfigError("population_size must be >= 2")
         if self.generations < 1:
             raise SearchConfigError("generations must be >= 1")
+        draws = int(self.generations) * int(self.population_size)
+        if draws > MAX_SEARCH_DRAWS:
+            raise SearchConfigError(
+                f"generations x population_size must be at most "
+                f"{MAX_SEARCH_DRAWS}, got {self.generations} x "
+                f"{self.population_size} = {draws}")
         # eta = 0 is allowed as a degenerate control (frozen policy).
         if not 0 <= self.eta <= 1:
             raise SearchConfigError("eta must be in [0, 1]")
@@ -87,7 +97,7 @@ class GenerationRecord:
 @dataclass(frozen=True)
 class SearchResult:
     records: tuple  # one GenerationRecord per generation
-    best_overall: Candidate  # argmax score over every evaluated candidate
+    best_overall: Candidate  # argmax total over every evaluated candidate
     final_policy: np.ndarray  # policy after the last update
 
 
@@ -271,9 +281,9 @@ def run_search(
 
     # Each table row was in some generation's population.
     i = np.append(elite_rows[:, 0], table.ranked(np.arange(len(table)))[0])
-    *best, best_overall = candidates(table.mask[i], table.rmse[i],
-                                     table.trend[i], table.cardinality[i],
-                                     table.total[i])
+    *best, best_overall = candidates(
+        table.mask[i], table.rmse[i], table.trend_error[i],
+        table.cardinality[i], table.total[i])
     records = map(
         GenerationRecord, range(gens), policies, best,
         table.total[pop_rows].mean(axis=1).tolist(),
@@ -293,7 +303,7 @@ class _MemoTable:
     def __init__(self, capacity: int, n_features: int):
         self.mask = np.zeros((capacity, n_features), dtype=np.int8)
         self.rmse = np.empty(capacity)
-        self.trend = np.empty(capacity)
+        self.trend_error = np.empty(capacity)
         self.cardinality = np.empty(capacity, dtype=np.int64)
         self.total = np.empty(capacity)
         self._index: Dict[bytes, int] = {}
@@ -314,8 +324,8 @@ class _MemoTable:
         self.mask[rows] = masks
         return rows, np.arange(start, len(self._index))
 
-    def add(self, rows, rmse, trend, cardinality, total) -> None:
-        self.rmse[rows], self.trend[rows] = rmse, trend
+    def add(self, rows, rmse, trend_error, cardinality, total) -> None:
+        self.rmse[rows], self.trend_error[rows] = rmse, trend_error
         self.cardinality[rows], self.total[rows] = cardinality, total
 
     def ranked(self, rows: np.ndarray) -> np.ndarray:

@@ -260,8 +260,8 @@ class TestSampleAdapter:
                              for ds in (adapted, columnar))
         assert adapted.split == columnar.split
         masks = [m for m in itertools.product((0, 1), repeat=10) if any(m)]
-        assert ([c.breakdown for c in evaluate_masks(masks[::9], adapted)]
-                == [c.breakdown for c in evaluate_masks(masks[::9], columnar)])
+        assert (evaluate_masks(masks[::9], adapted)
+                == evaluate_masks(masks[::9], columnar))
 
 
 def reference_split_labels(scenario_ids, fractions, seed):

@@ -248,12 +248,11 @@ class TestResultRows:
             ds = harness._prepared(cfg, pooled, [sub] if sub else names)
             cand = predictor.evaluate_mask(mask, ds, cfg.weights,
                                            cfg.predictor)
-            assert (rmse, score) == (cand.breakdown.rmse, cand.score)
+            assert (rmse, score) == (cand.rmse, cand.total)
 
         # The search's memo table scored the agent's mask in its own batch.
         agent = result["search"].best_overall
-        assert rows[0][2:] == (agent.mask, agent.breakdown.rmse,
-                               agent.score)
+        assert rows[0][2:] == (agent.mask, agent.rmse, agent.total)
         random_rows = rows[3:3 + len(seeds)]
         if seeds:
             assert rows[2][2:] == (
@@ -993,6 +992,36 @@ class TestCli:
         assert err.getvalue() == (
             "error: config scenarios.intersection, route index 0: non-finite "
             "feature or path loss\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("source", ["file", "env"])
+    def test_scenario_name_pooled_refused(self, tmp_path, capsys,
+                                          monkeypatch, source):
+        # data/pooled.csv would hold both the scenario's rows and the pool.
+        entry = {"layout": "square", "route_points": 20}
+        args = ["generate", "--out", str(tmp_path / "out")]
+        if source == "file":
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps({"scenarios": {"pooled": entry}}))
+            args += ["--config", str(path)]
+        else:
+            monkeypatch.setenv("PLSELECT_SCENARIOS__POOLED", json.dumps(entry))
+        assert main(args) == 2
+        assert capsys.readouterr() == ("", (
+            "error: scenario name 'pooled' is reserved: data/pooled.csv "
+            "holds every scenario's rows\n"))
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["generate", "run"])
+    def test_oversized_search_exit_code(self, tmp_path, capsys, monkeypatch,
+                                        command):
+        # Preallocating its memo table would fail before the first draw.
+        monkeypatch.setenv("PLSELECT_SEARCH__POPULATION_SIZE", str(10 ** 15))
+        out = tmp_path / "out"
+        assert main([command, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: config search: generations x population_size must be at "
+            "most 1048576, got 50 x 1000000000000000 = 50000000000000000\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("name", NOT_FILE_NAMES)

@@ -137,7 +137,7 @@ class TestFit:
         beta = np.linalg.solve(train.T @ train + penalty,
                                train.T @ ds.y[:n_train])
         rmse = np.sqrt(np.mean((val @ beta - ds.y[n_train:]) ** 2))
-        assert cand.breakdown.rmse == pytest.approx(rmse, abs=1e-9)
+        assert cand.rmse == pytest.approx(rmse, abs=1e-9)
 
 
 def mask_basis(X, basis):
@@ -149,7 +149,7 @@ def mask_basis(X, basis):
     return np.hstack([X, X[:, i] * X[:, j]])
 
 
-def reference_breakdown(mask, ds, weights, config):
+def reference_candidate(mask, ds, weights, config):
     """evaluate_mask's score from brute_force_ridge on the mask's own
     basis and trend_consistency_error, on rows picked from the columns by
     the split labels directly."""
@@ -176,11 +176,10 @@ def assert_matches_reference(masks, ds, weights, config, tol=1e-9,
     assert len(got_all) == len(masks)
     for mask, cand in zip(masks, got_all):
         assert cand.mask == tuple(int(b) for b in mask)
-        got = cand.breakdown
-        want = reference_breakdown(mask, ds, weights, config)
-        assert got.cardinality == want.cardinality
+        want = reference_candidate(mask, ds, weights, config)
+        assert cand.cardinality == want.cardinality
         for field in ("rmse", "trend_error", "total"):
-            assert abs(getattr(got, field) - getattr(want, field)) <= tol, (
+            assert abs(getattr(cand, field) - getattr(want, field)) <= tol, (
                 mask, field)
 
 
@@ -414,8 +413,8 @@ class TestBatchedOracle:
         err, trend, cardinality, total = score_masks(
             masks, prepared_system(ds, config), weights)
         got = evaluate_masks(masks, ds, weights, config)
-        assert err.tolist() == [c.breakdown.rmse for c in got]
-        assert trend.tolist() == [c.breakdown.trend_error for c in got]
+        assert err.tolist() == [c.rmse for c in got]
+        assert trend.tolist() == [c.trend_error for c in got]
         assert cardinality.tolist() == masks.sum(axis=1).tolist() == [
             c.cardinality for c in got]
         assert total.tolist() == [c.score for c in got]

@@ -5,6 +5,7 @@ ground_truth_path_loss return point by point: the dataset CSVs, and every
 result derived from them, depend on each bit.
 """
 
+import warnings
 from unittest.mock import patch
 
 import numpy as np
@@ -312,12 +313,28 @@ FAR_GIANT = Scene(tx_position=(0.0, 0.0, 10.0),
                   area_bounds=(-1e155, -100.0, 1e155, 100.0), seed=3)
 
 
+# The scalar reference in tests/reference_scene.py overflows on this
+# scene; the batch path does not warn (test_entry_points_do_not_warn).
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_overflowing_distances_keep_their_boxes():
     features, _ = assert_batch_matches_scalar(FAR_GIANT,
                                               corridor_radius=5.0)
     assert np.all(features[:, 7] == 1.0)
     assert_culling_keeps_bits(FAR_GIANT, corridor_radius=5.0)
+
+
+def test_entry_points_do_not_warn():
+    """generate_scene and scene_features_and_path_loss each run under one
+    floating-point scope, so a scene whose values overflow warns of
+    nothing: its non-finite entries are masked, or its rows refused by
+    check_rows."""
+    # Cells wider than the area: no boxes, and a route that overflows.
+    huge = SceneConfig(layout="intersection", area_size=(1.7e308, 1.7e308),
+                       scatterer_width=(1e308, 1.1e308))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        scene_features_and_path_loss(FAR_GIANT, corridor_radius=5.0)
+        generate_scene(huge)
 
 
 def test_receiver_on_transmitter_rejected():

@@ -111,6 +111,8 @@ class TestTotalScore:
 
     def test_breakdown_identity(self):
         bd = total_score(2.5, 1.25, [1, 0, 1, 0, 0, 0, 0, 0, 0, 0], W)
+        assert bd.mask == (1, 0, 1, 0, 0, 0, 0, 0, 0, 0)
+        assert bd.score == bd.total
         expected = -(bd.rmse + W.lambda_c * bd.trend_error
                      + W.lambda_n * bd.cardinality / 10)
         assert bd.total == pytest.approx(expected, abs=1e-12)

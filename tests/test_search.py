@@ -592,6 +592,18 @@ class TestRunSearch:
                            elite_count=np.int32(2), master_seed=np.uint8(3))
         assert cfg.population_size == 4 and cfg.master_seed == 3
 
+    def test_draws_bounded(self):
+        bound = search.MAX_SEARCH_DRAWS
+        SearchConfig(generations=bound // 2, population_size=2,
+                     elite_count=2)
+        # The last pair's product wraps to 0 in int64 arithmetic.
+        for generations, size in ((1, bound + 1), (bound // 2 + 1, 2),
+                                  (np.int64(4), np.int64(1 << 62))):
+            with pytest.raises(SearchConfigError, match=(
+                    r"^generations x population_size must be at most "
+                    rf"{bound}, got {generations} x {size} = ")):
+                SearchConfig(generations=generations, population_size=size)
+
 
 # The trace built after the loop must keep its bits under the numpy
 # floor's reduction order.
@@ -654,8 +666,8 @@ class TestTrace:
             assert rec.diversity == population_diversity(masks)
             assert rec.mean_score == float(np.mean(scores))
             assert rec.best.mask == tuple(masks[ranked[0]].tolist())
-            assert [rec.best.breakdown.rmse, rec.best.breakdown.trend_error,
-                    rec.best.cardinality, rec.best.score] == best
+            assert [rec.best.rmse, rec.best.trend_error,
+                    rec.best.cardinality, rec.best.total] == best
             assert rec.elite_masks == tuple(
                 tuple(masks[i].tolist()) for i in ranked[:elite_count])
             assert rec.new_evaluations == len(set(keys) - seen)
@@ -723,8 +735,7 @@ def test_search_matches_golden_run(planted_ds, master_seed):
 
 
 def candidate_fields(cand):
-    b = cand.breakdown
-    return [mask_string(cand.mask), b.rmse, b.trend_error, b.total]
+    return [mask_string(cand.mask), cand.rmse, cand.trend_error, cand.total]
 
 
 def test_wide_search_matches_golden_run_bitwise():
