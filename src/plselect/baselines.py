@@ -9,8 +9,6 @@ second category (Structure or EM Knowledge), always yielding four features.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
 from .dataset import Dataset, DatasetError
@@ -31,31 +29,6 @@ def random_subset_mask(
     chosen = rng.choice(n_features, size=cardinality, replace=False)
     mask[chosen] = 1
     return mask
-
-
-def mutual_information(x: Sequence[float], y: Sequence[float]) -> float:
-    """Plug-in histogram MI in bits, DEFAULT_MI_BINS equal-width bins,
-    clipped at 0: _mi_bits of np.histogram2d's counts. The per-column
-    reference of feature_mi."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape != y.shape:
-        raise ValueError("columns must have equal length")
-    if x.size < DEFAULT_MI_BINS:
-        raise ValueError("need at least as many samples as bins")
-    joint, _, _ = np.histogram2d(x, y, bins=DEFAULT_MI_BINS)
-    return _mi_bits(joint)
-
-
-def _mi_bits(joint: np.ndarray) -> float:
-    """MI in bits of one (b, b) joint count table, clipped at 0."""
-    p_joint = joint / joint.sum()
-    p_x = p_joint.sum(axis=1, keepdims=True)
-    p_y = p_joint.sum(axis=0, keepdims=True)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = p_joint * np.log2(p_joint / (p_x * p_y))
-    mi = float(np.nansum(terms))
-    return max(mi, 0.0)
 
 
 def joint_counts(X: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -94,13 +67,22 @@ def joint_counts(X: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 def feature_mi(ds: Dataset) -> np.ndarray:
     """Read-only per-feature MI against path loss on the training split,
-    computed once from one joint_counts pass and kept in ds.derived."""
+    computed once from one joint_counts pass and kept in ds.derived.
+    tests/reference_scoring.py's mutual_information, which applies its own
+    copy of the formula to np.histogram2d's counts, is its per-column
+    reference."""
     if ds.split is None:
         raise DatasetError("dataset must be split before MI ranking")
     key = ("feature_mi",)
     if key not in ds.derived:
         joint = joint_counts(ds.feature_matrix("train"), ds.targets("train"))
-        mi = np.array([_mi_bits(counts) for counts in joint])
+        # MI in bits of each (b, b) table, clipped at 0: p log2(p / (p_x
+        # p_y)), where an empty cell's nan term counts as 0.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            p = joint / joint.sum(axis=(1, 2), keepdims=True)
+            terms = p * np.log2(p / (p.sum(axis=2, keepdims=True)
+                                     * p.sum(axis=1, keepdims=True)))
+        mi = np.maximum(np.nansum(terms, axis=(1, 2)), 0.0)
         mi.flags.writeable = False
         ds.derived[key] = mi
     return ds.derived[key]

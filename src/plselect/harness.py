@@ -73,6 +73,11 @@ class HarnessError(RuntimeError):
     pass
 
 
+# Random masks scored per task: run_task builds each in a Python loop,
+# and score_masks holds 8 * n_val bytes of predictions for each.
+MAX_RANDOM_BASELINE_SEEDS = 1 << 16
+
+
 @dataclass
 class ExperimentConfig:
     # A config document may add keys to the two dicts; a new entry starts
@@ -98,6 +103,11 @@ class ExperimentConfig:
         for name in ("random_baseline_seeds", "master_seed"):
             if getattr(self, name) < 0:
                 raise HarnessError(f"{name} must be non-negative")
+        if self.random_baseline_seeds > MAX_RANDOM_BASELINE_SEEDS:
+            raise HarnessError(
+                "random_baseline_seeds must be at most "
+                f"{MAX_RANDOM_BASELINE_SEEDS}, got "
+                f"{self.random_baseline_seeds}")
         try:
             check_split_fractions(self.split_fractions)
         except DatasetError as exc:

@@ -14,20 +14,22 @@ search calls score_masks on masks it has made itself; evaluate_masks
 checks masks from elsewhere and then calls it. candidates is the one
 builder of a Candidate from those columns, for both.
 tests/test_predictor.py checks the scores against a least-squares solve
-of each mask's own ridge-augmented design, sharing no code with
-score_masks, and scoring.trend_consistency_error.
+of each mask's own ridge-augmented design and the trend error of
+tests/reference_scoring.py, both sharing no code with score_masks.
 
 The scoring runs its BLAS and LAPACK calls on the calling thread. Its
 solves and products are small, and OpenBLAS's worker threads spin
 between them: on 2 cores a wide search used twice the CPU time of its
 wall time. Scores are therefore independent of the OpenBLAS thread count
 (OPENBLAS_NUM_THREADS, the number of cores). Where numpy's BLAS is not a
-loaded OpenBLAS with openblas_set_num_threads_local, _CallingThreadBlas
-is a no-op, and the BLAS keeps the threads it was configured with.
+loaded OpenBLAS with openblas_set_num_threads_local,
+_calling_thread_blas is a no-op, and the BLAS keeps the threads it was
+configured with.
 """
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import functools
 import os
@@ -74,26 +76,22 @@ def _openblas_set_threads():
     return None
 
 
-class _CallingThreadBlas:
-    """Inside `with`, OpenBLAS runs on the calling thread only: enter sets
-    its thread count to 1 and exit restores the count enter found. The
-    count is process-wide and the found count is kept on the instance, so
-    scopes must neither nest nor be open in several Python threads at
-    once; no caller opens them so.
+@contextlib.contextmanager
+def _calling_thread_blas():
+    """Inside `with`, OpenBLAS runs on the calling thread only: entry sets
+    its thread count to 1 and exit restores the count entry found, so
+    scopes may nest. The count is process-wide, so scopes must not be open
+    in several Python threads at once; no caller opens them so.
     """
-
-    def __enter__(self):
-        set_threads = _openblas_set_threads()
-        if set_threads is not None:
-            self._saved = set_threads(1)
-
-    def __exit__(self, *exc):
-        set_threads = _openblas_set_threads()
-        if set_threads is not None:
-            set_threads(self._saved)
-
-
-_CALLING_THREAD_BLAS = _CallingThreadBlas()
+    set_threads = _openblas_set_threads()
+    if set_threads is None:
+        yield
+        return
+    saved = set_threads(1)
+    try:
+        yield
+    finally:
+        set_threads(saved)
 
 
 class PredictorError(ValueError):
@@ -159,8 +157,8 @@ class _Prepared:
     moment: np.ndarray  # train design.T @ y
     val_t: np.ndarray  # val design.T: row c is basis column c
     val_targets: np.ndarray
-    # The val rows differenced by scoring.trend_consistency_error: step k
-    # is row step_to[k] minus row step_from[k].
+    # The val rows the trend error differences, consecutive in
+    # route_order: step k is row step_to[k] minus row step_from[k].
     step_from: np.ndarray
     step_to: np.ndarray
     val_steps: np.ndarray  # the targets' differences over those steps
@@ -274,7 +272,7 @@ def prepared_system(ds: Dataset, config: PredictorConfig) -> _Prepared:
     key = ("predictor", config.basis, config.ridge_lambda)
     prep = ds.derived.get(key)
     if prep is None:
-        with _CALLING_THREAD_BLAS:
+        with _calling_thread_blas():
             prep = ds.derived[key] = _prepare(ds, config)
     return prep
 
@@ -313,7 +311,7 @@ def score_masks(masks: np.ndarray, prep: _Prepared,
     # Predictions in cardinality order, one (1, n_val) row per mask.
     y_sorted = np.empty((len(sel), 1, len(prep.val_targets)))
     start = offset = 0
-    with _CALLING_THREAD_BLAS:
+    with _calling_thread_blas():
         for k, count in enumerate(np.bincount(cardinality).tolist()):
             if count == 0:
                 continue

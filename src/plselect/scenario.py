@@ -455,8 +455,7 @@ def scene_features_and_path_loss(
         # The reference's per-point draws, from one generator set to each
         # point's state.
         path_loss += [rng.normal(0.0, shadowing_sigma) for rng in
-                      streams.generators(streams.seed_states(
-                          scene.seed, np.arange(n_points)))]
+                      streams.generators(scene.seed, np.arange(n_points))]
     return features, path_loss
 
 

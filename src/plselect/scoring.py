@@ -4,6 +4,8 @@ feature-compactness penalty, combined into a single higher-is-better total.
 The trend-consistency error is the RMSE of first-order differences of the
 predicted vs. true path loss sequences along each scenario's route; it is
 invariant to constant offsets and penalizes missed local dips.
+predictor.score_masks computes it over the steps route_order gives;
+tests/reference_scoring.py keeps the per-prediction reference.
 """
 
 from __future__ import annotations
@@ -67,26 +69,6 @@ def route_order(scenario_ids: Sequence[str],
     if not same.any():
         raise ScoringError("no scenario has two or more ordered samples")
     return order, same
-
-
-def trend_consistency_error(
-    pred: Sequence[float],
-    truth: Sequence[float],
-    scenario_ids: Sequence[str],
-    route_indices: Sequence[int],
-) -> float:
-    """RMSE of first-order differences along each scenario's route order.
-
-    Consecutive pairs never cross scenario boundaries; scenarios with fewer
-    than two samples are excluded.
-    """
-    pred = np.asarray(pred, dtype=float)
-    truth = np.asarray(truth, dtype=float)
-    if not (len(pred) == len(truth) == len(scenario_ids) == len(route_indices)):
-        raise ScoringError("all inputs must have equal length")
-    order, same = route_order(scenario_ids, route_indices)
-    residual = np.diff(pred[order])[same] - np.diff(truth[order])[same]
-    return float(np.sqrt(np.mean(residual ** 2)))
 
 
 def total_scores(rmse_db: np.ndarray, trend_error_db: np.ndarray,

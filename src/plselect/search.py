@@ -26,14 +26,14 @@ from .predictor import (
     score_masks,
 )
 from .scoring import Candidate, ScoreWeights
-from .streams import generators, seed_states
+from .streams import generators
 
 P_FLOOR = 0.02
 P_CEIL = 0.98
 
 # The most masks, generations x population_size, that a search may draw,
 # about 839 times the default 1,250. run_search preallocates per draw, and
-# streams.seed_states takes generation indices below 2**32.
+# streams.generators takes generation indices below 2**32.
 MAX_SEARCH_DRAWS = 1 << 20
 
 
@@ -235,8 +235,8 @@ def run_search(
 
     Deterministic per master_seed: generation t samples, pairs, crosses
     and mutates with the four children of SeedSequence([master_seed, t]),
-    in that order; streams.seed_states hashes their states for every
-    generation at once. The dataset is checked once. Each
+    in that order; streams.generators hashes their states a block of
+    generations at a time. The dataset is checked once. Each
     generation's masks not seen before in the run are scored by
     predictor.score_masks in one batch, and a columnar memo table keeps
     one row per distinct mask: its rmse, trend error, cardinality and
@@ -258,7 +258,7 @@ def run_search(
     new_evaluations = []
 
     # One reused generator: each stream is drawn from before the next.
-    rngs = generators(seed_states(config.master_seed, np.arange(gens), 4))
+    rngs = generators(config.master_seed, np.arange(gens), 4)
 
     for t in range(gens):
         masks = sample_population(policies[t], size, next(rngs))

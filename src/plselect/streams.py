@@ -4,10 +4,10 @@ np.random.default_rng(np.random.SeedSequence(entropy, spawn_key=key))
 hashes the entropy's 32-bit words into a pool of four (mix_entropy),
 hashes the pool into eight words (generate_state) and seeds a PCG64 from
 them (O'Neill, 2014). NEP 19 keeps these steps fixed across numpy
-versions. Here both hashes run as uint32 array arithmetic over every seed
-at once, and the two PCG64 seeding steps in Python ints, so each seed
-costs one state assignment on a reused Generator instead of three new
-objects. Every constant is an np.uint32, so that numpy's older type
+versions. Here both hashes run as uint32 array arithmetic over a block
+of seeds at once, and the two PCG64 seeding steps in Python ints, so
+each seed costs one state assignment on a reused Generator instead of
+three new objects. Every constant is an np.uint32, so that numpy's older type
 promotion cannot widen the arithmetic.
 """
 
@@ -22,6 +22,10 @@ _MIX_MULT_L = np.uint32(0xCA01F9DD)
 _MIX_MULT_R = np.uint32(0x4973F715)
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _MASK128 = (1 << 128) - 1
+
+# Indices whose states generators hashes at once: a default search's 50
+# generations and a default scene's route points each fit in one block.
+STATE_BLOCK = 1024
 
 
 def _words(n) -> list:
@@ -109,19 +113,25 @@ def seed_states(seed: int, indices, children: int = 0) -> list:
     return states
 
 
-def generators(states):
-    """One Generator, set to each (state, inc) pair of states in turn.
+def generators(seed: int, indices, children: int = 0):
+    """One Generator, set in turn to each (state, inc) pair that
+    seed_states(seed, indices, children) gives.
 
-    Each pair yields the same object, so draw all of a pair's values
-    before taking the next.
+    The states are hashed STATE_BLOCK indices at a time, as the loop
+    reaches them, so a long stream holds one block's states at once. Each
+    pair yields the same object, so draw all of a pair's values before
+    taking the next.
     """
     rng = np.random.Generator(np.random.PCG64(0))
     bit_generator = rng.bit_generator
-    for state, inc in states:
-        bit_generator.state = {
-            "bit_generator": "PCG64",
-            "state": {"state": state, "inc": inc},
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-        yield rng
+    indices = np.asarray(indices)
+    for start in range(0, len(indices), STATE_BLOCK):
+        block = indices[start:start + STATE_BLOCK]
+        for state, inc in seed_states(seed, block, children):
+            bit_generator.state = {
+                "bit_generator": "PCG64",
+                "state": {"state": state, "inc": inc},
+                "has_uint32": 0,
+                "uinteger": 0,
+            }
+            yield rng

@@ -213,7 +213,7 @@ def _knife_edge_cascade(pl, d, edges, tx_z, rx_z, wavelength):
 def _shadowing(seed, rx_index, shadowing_sigma) -> float:
     """The shadowing draw of route point rx_index: one zero-mean Gaussian
     from a generator seeded with (seed, rx_index). The batch path takes the
-    same draws from streams.seed_states."""
+    same draws from streams.generators."""
     seq = np.random.SeedSequence([int(seed), int(rx_index)])
     return float(np.random.default_rng(seq).normal(0.0, shadowing_sigma))
 

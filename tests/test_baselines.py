@@ -13,11 +13,11 @@ from plselect.baselines import (
     feature_mi,
     joint_counts,
     mi_category_subset,
-    mutual_information,
     random_subset_mask,
 )
 from plselect.dataset import Dataset, split_dataset, standardize
 from plselect.scenario import FeatureCatalog
+from reference_scoring import mutual_information
 
 
 class TestRandomSubset:

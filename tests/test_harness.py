@@ -620,7 +620,8 @@ class TestConfigLoading:
 
     @pytest.mark.parametrize(
         "key, value",
-        [("random_baseline_seeds", -2), ("shadowing_sigma", -3.0),
+        [("random_baseline_seeds", -2),
+         ("random_baseline_seeds", 2 ** 16 + 1), ("shadowing_sigma", -3.0),
          ("corridor_radius", -1.0), ("shadowing_sigma", float("nan"))],
     )
     def test_out_of_range_values_rejected(self, key, value):
@@ -1022,6 +1023,21 @@ class TestCli:
         assert capsys.readouterr().err == (
             "error: config search: generations x population_size must be at "
             "most 1048576, got 50 x 1000000000000000 = 50000000000000000\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["generate", "run"])
+    def test_too_many_random_baseline_seeds_exit_code(
+            self, tmp_path, capsys, monkeypatch, command):
+        # Refused before any search or scoring starts.
+        for name in ("run_search", "evaluate_masks"):
+            monkeypatch.setattr(harness, name, mock.Mock(
+                side_effect=AssertionError(f"{name} called")))
+        monkeypatch.setenv("PLSELECT_RANDOM_BASELINE_SEEDS", str(10 ** 12))
+        out = tmp_path / "out"
+        assert main([command, "--out", str(out)]) == 2
+        assert capsys.readouterr() == ("", (
+            "error: random_baseline_seeds must be at most 65536, got "
+            "1000000000000\n"))
         assert not out.exists()
 
     @pytest.mark.parametrize("name", NOT_FILE_NAMES)

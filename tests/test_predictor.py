@@ -23,12 +23,8 @@ from plselect.predictor import (
     prepared_system,
     score_masks,
 )
-from plselect.scoring import (
-    ScoreWeights,
-    total_score,
-    total_scores,
-    trend_consistency_error,
-)
+from plselect.scoring import ScoreWeights, total_score, total_scores
+from reference_scoring import trend_consistency_error
 
 
 def brute_force_ridge(X, y, ridge_lambda):
@@ -443,7 +439,7 @@ def row_major_scores(masks, ds, weights, config):
     y_hat = np.empty((len(masks), len(val)))
     # On one BLAS thread, as score_masks: a threaded product or solve can
     # split its sums differently.
-    with predictor._CALLING_THREAD_BLAS:
+    with predictor._calling_thread_blas():
         for k in np.unique(cardinality):
             rows = np.flatnonzero(cardinality == k)
             cols = np.array([basis_columns(masks[r], prep.upper)
@@ -563,6 +559,19 @@ class TestCallingThreadBlas:
                 evaluate_mask([1, 0, 1, 0, 0, 0, 0, 0, 0, 0],
                               constant_column_dataset(), ScoreWeights(),
                               config)
+            assert set_threads(3) == 3
+        finally:
+            set_threads(found)
+
+    @needs_openblas
+    def test_nested_scopes_restore_the_outer_count(self):
+        set_threads = predictor._openblas_set_threads()
+        found = set_threads(3)
+        try:
+            with predictor._calling_thread_blas():
+                with predictor._calling_thread_blas():
+                    assert set_threads(1) == 1
+                assert set_threads(1) == 1
             assert set_threads(3) == 3
         finally:
             set_threads(found)

@@ -10,8 +10,8 @@ from plselect.scoring import (
     ScoringError,
     route_order,
     total_score,
-    trend_consistency_error,
 )
+from reference_scoring import reference_route_order, trend_consistency_error
 
 W = ScoreWeights(lambda_c=0.3, lambda_n=0.3)
 
@@ -61,19 +61,6 @@ class TestTrendError:
     def test_all_excluded_raises(self):
         with pytest.raises(ScoringError):
             trend_consistency_error([1.0], [1.0], ["a"], [0])
-
-
-def reference_route_order(scenario_ids, route_indices):
-    """route_order grouped by a dict and sorted one scenario at a time."""
-    groups = {}
-    for i, sid in enumerate(scenario_ids):
-        groups.setdefault(sid, []).append(i)
-    order, group = [], []
-    for g, idx in enumerate(groups.values()):
-        order.extend(sorted(idx, key=lambda i: route_indices[i]))
-        group.extend([g] * len(idx))
-    group = np.array(group, dtype=int)
-    return np.array(order, dtype=int), group[1:] == group[:-1]
 
 
 class TestRouteOrder:

@@ -190,9 +190,8 @@ class TestGenerationOperators:
         # whose spawn(4) derives its children otherwise fails here rather
         # than changing every search.
         children = np.random.SeedSequence([master_seed, t]).spawn(4)
-        states = seed_states(master_seed, [t], 4)
-        assert len(states) == 4
-        for got, child in zip(generators(states), children):
+        assert len(seed_states(master_seed, [t], 4)) == 4
+        for got, child in zip(generators(master_seed, [t], 4), children):
             want = np.random.default_rng(child)
             assert got.bit_generator.state == want.bit_generator.state
             assert np.array_equal(got.random(8), want.random(8))
@@ -649,7 +648,7 @@ class TestTrace:
         assert len(result.records) == generations
         seen = set()
         for t, rec in enumerate(result.records):
-            streams = generators(seed_states(master_seed, [t], 4))
+            streams = generators(master_seed, [t], 4)
             masks = sample_population(rec.policy, size, next(streams))
             order = next(streams).permutation(size)
             masks = crossover_population(masks, order, cfg.crossover_prob,

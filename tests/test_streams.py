@@ -6,7 +6,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from plselect.streams import generators, seed_states
+from plselect import streams
+from plselect.streams import STATE_BLOCK, generators, seed_states
 
 # The SeedSequence port must hash as numpy's own at the numpy floor.
 pytestmark = pytest.mark.numpy_floor
@@ -42,9 +43,8 @@ def assert_starts_as(got, seq):
 @example(seed=2**64, index=[7])
 @example(seed=2**96 + 1, index=[3, 4])  # five entropy words
 def test_seed_states_are_seedsequence_states(seed, index):
-    states = seed_states(seed, index)
-    assert len(states) == len(index)
-    for got, i in zip(generators(states), index):
+    assert len(seed_states(seed, index)) == len(index)
+    for got, i in zip(generators(seed, index), index):
         assert_starts_as(got, np.random.SeedSequence([seed, i]))
 
 
@@ -54,11 +54,10 @@ def test_seed_states_are_seedsequence_states(seed, index):
 @example(seed=2**32 + 5, index=[0, 49], children=4)
 @example(seed=2**64, index=[10_000], children=4)  # five words with the key
 def test_children_are_the_spawned_children(seed, index, children):
-    states = seed_states(seed, index, children)
     want = [child for i in index
             for child in np.random.SeedSequence([seed, i]).spawn(children)]
-    assert len(states) == len(want)
-    for got, child in zip(generators(states), want):
+    assert len(seed_states(seed, index, children)) == len(want)
+    for got, child in zip(generators(seed, index, children), want):
         assert_starts_as(got, child)
 
 
@@ -75,6 +74,36 @@ def test_negative_seed_raises_as_seedsequence():
 
 
 def test_generators_reuse_one_generator():
-    states = seed_states(7, range(3))
-    got = list(generators(states))
+    got = list(generators(7, range(3)))
     assert len(got) == 3 and all(g is got[0] for g in got)
+
+
+@pytest.mark.parametrize("children", [0, 2])
+def test_streams_across_block_boundaries(children):
+    # Three blocks, the last one partial; each index's generators are
+    # SeedSequence's own.
+    index = np.arange(2 * STATE_BLOCK + 3) * 7 + 5
+    states = [rng.bit_generator.state
+              for rng in generators(11, index, children)]
+    want = [np.random.SeedSequence([11, i]) for i in index.tolist()]
+    if children:
+        want = [child for seq in want for child in seq.spawn(children)]
+    assert len(states) == len(want)
+    for got, seq in zip(states, want):
+        assert got == np.random.default_rng(seq).bit_generator.state
+
+
+def test_generators_hash_one_block_at_a_time(monkeypatch):
+    calls = []
+    real = streams.seed_states
+
+    def spy(seed, indices, children=0):
+        calls.append(len(indices))
+        return real(seed, indices, children)
+
+    monkeypatch.setattr(streams, "seed_states", spy)
+    rngs = generators(3, np.arange(STATE_BLOCK + 1), 4)
+    next(rngs)
+    assert calls == [STATE_BLOCK]
+    assert sum(1 for _ in rngs) == 4 * (STATE_BLOCK + 1) - 1
+    assert calls == [STATE_BLOCK, 1]
