@@ -11,7 +11,6 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import InitVar, dataclass, field, replace
-from functools import cached_property
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -58,11 +57,14 @@ class Dataset:
 
     Built from the columns X (n x N), y, scenario_id and route_index, or
     from a sequence of Sample rows passed as samples, which replaces
-    them. split holds one label in SPLITS per row, and split_labels the
-    same labels as one read-only array, which rows compares against.
-    standardization holds per-feature (mean, std) fitted on the train
-    split; constant_features flags columns whose train std was zero (std
-    stored as 1 so the transform stays invertible).
+    them. split, once assigned, is a read-only str array of one label in
+    SPLITS per row, copied from the sequence given, which rows compares
+    against. standardization holds per-feature (mean, std) fitted on the
+    train split; constant_features flags columns whose train std was zero
+    (std stored as 1 so the transform stays invertible). derived holds
+    values other modules compute from the contents, such as a learner's
+    normal equations, by a key of theirs; dataclasses.replace starts it
+    empty.
     """
 
     X: np.ndarray = None
@@ -70,12 +72,11 @@ class Dataset:
     scenario_id: np.ndarray = None
     route_index: np.ndarray = None
     catalog: FeatureCatalog = field(default_factory=FeatureCatalog)
-    split: Optional[tuple] = None
+    split: Optional[np.ndarray] = None
     standardization: Optional[tuple] = None  # (mean array, std array)
     constant_features: Optional[tuple] = None  # per-feature bool flags
     samples: InitVar[Optional[Sequence[Sample]]] = None
-    split_labels: Optional[np.ndarray] = field(init=False, default=None,
-                                               repr=False)
+    derived: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self, samples):
         for name, dtype in COLUMNS.items():
@@ -98,17 +99,15 @@ class Dataset:
             raise DatasetError(f"X has {self.X.shape[1]} features but the "
                                f"catalog has {self.catalog.n_features}")
         if self.split is not None:
-            object.__setattr__(self, "split", tuple(self.split))
-            labels = np.asarray(self.split)
+            labels = np.array(self.split, dtype=str)
             if labels.shape != (len(self),):
                 raise DatasetError("split length mismatch")
             unknown = set(labels[~np.isin(labels, SPLITS)].tolist())
             if unknown:
-                raise DatasetError(f"split labels {sorted(map(str, unknown))} "
+                raise DatasetError(f"split labels {sorted(unknown)} "
                                    f"are not in {SPLITS}")
-            labels = labels.astype(str, copy=False)
             labels.flags.writeable = False
-            object.__setattr__(self, "split_labels", labels)
+            object.__setattr__(self, "split", labels)
 
     def __len__(self) -> int:
         return len(self.y)
@@ -128,19 +127,13 @@ class Dataset:
             return slice(None)
         if self.split is None:
             raise DatasetError("dataset has no split assigned")
-        return self.split_labels == split
+        return self.split == split
 
     def feature_matrix(self, split: Optional[str] = None) -> np.ndarray:
         return self.X[self.rows(split)]
 
     def targets(self, split: Optional[str] = None) -> np.ndarray:
         return self.y[self.rows(split)]
-
-    @cached_property
-    def derived(self) -> dict:
-        """Values computed from this dataset's contents by other modules,
-        such as a learner's normal equations, by a key of theirs."""
-        return {}
 
 
 def build_dataset(
@@ -208,7 +201,7 @@ def split_dataset(
     rows, whose first positions go to train, the next to val and the rest
     to test."""
     check_split_fractions(fractions)
-    labels = np.empty(len(ds), dtype=object)
+    labels = np.empty(len(ds), dtype=np.asarray(SPLITS).dtype)
     rng = np.random.default_rng(np.random.SeedSequence([int(seed)]))
     for sid in ds.scenario_ids():
         idx = np.flatnonzero(ds.scenario_id == sid)
@@ -219,7 +212,7 @@ def split_dataset(
             )
         perm = rng.permutation(len(idx))
         labels[idx[perm]] = np.repeat(SPLITS, counts)
-    return replace(ds, split=tuple(labels.tolist()))
+    return replace(ds, split=labels)
 
 
 def standardize(ds: Dataset) -> Dataset:

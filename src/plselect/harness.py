@@ -521,8 +521,9 @@ def cmd_report(out_dir: str, tasks: Optional[Sequence[str]] = None) -> str:
     once. Reads nothing else.
 
     Raises HarnessError listing the missing artifacts if run outputs are
-    absent, and, before anything is read or written, for a task that
-    cannot be a file name (`_check_file_name`).
+    absent, and, before anything is read, for a task that cannot be a
+    file name (`_check_file_name`). Every table is read and checked
+    before anything is written.
     """
     for task in tasks or ():
         _check_file_name(task, f"task {task!r}")
@@ -534,6 +535,7 @@ def cmd_report(out_dir: str, tasks: Optional[Sequence[str]] = None) -> str:
     tasks = dict.fromkeys(tasks)
     missing = []
     table_rows = []
+    traces = {}
     for task in tasks:
         results_path = results_dir / f"{task}_results.csv"
         gens_path = results_dir / f"{task}_generations.csv"
@@ -544,8 +546,13 @@ def cmd_report(out_dir: str, tasks: Optional[Sequence[str]] = None) -> str:
             continue
         table_rows.extend(
             _read_table(results_path, RESULTS_HEADER, "results table"))
-        gen_rows = _read_table(gens_path, GENERATIONS_HEADER,
-                               "generations trace")
+        traces[task] = _read_table(gens_path, GENERATIONS_HEADER,
+                                   "generations trace")
+    if missing or not table_rows:
+        raise HarnessError(
+            "missing run artifacts:\n" + "\n".join(missing or ["(no results)"])
+        )
+    for task, gen_rows in traces.items():
         for figure, columns in FIGURES.items():
             # Figure lines end in "\n", results lines in the csv module's
             # "\r\n": the figures were once text-mode copies of results
@@ -553,10 +560,6 @@ def cmd_report(out_dir: str, tasks: Optional[Sequence[str]] = None) -> str:
             _atomic_write_rows(out / "report" / f"fig_{figure}_{task}.csv",
                                columns, _trace_columns(gen_rows, columns),
                                lineterminator="\n")
-    if missing or not table_rows:
-        raise HarnessError(
-            "missing run artifacts:\n" + "\n".join(missing or ["(no results)"])
-        )
 
     widths = [max(map(len, column))
               for column in zip(RESULTS_HEADER, *table_rows)]

@@ -15,7 +15,7 @@ from plselect.baselines import (
     mi_category_subset,
     random_subset_mask,
 )
-from plselect.dataset import Dataset, split_dataset, standardize
+from plselect.dataset import Dataset, DatasetError, split_dataset, standardize
 from plselect.scenario import FeatureCatalog
 from reference_scoring import mutual_information
 
@@ -113,6 +113,10 @@ class TestCategorySubsets:
     def test_unknown_variant(self, planted_ds):
         with pytest.raises(ValueError):
             mi_category_subset(planted_ds, "GE_Foo")
+
+    def test_unsplit_dataset_refused(self, planted_ds):
+        with pytest.raises(DatasetError, match="must be split"):
+            feature_mi(unsplit(planted_ds))
 
     def test_noisy_copy_ranked_below_original(self):
         rng = np.random.default_rng(6)

@@ -61,6 +61,10 @@ class TestBuild:
         with pytest.raises(DatasetError):
             build_dataset(two_scenes, ["a", "a"])
 
+    def test_one_id_per_scene_required(self, two_scenes):
+        with pytest.raises(DatasetError, match="one scenario id per scene"):
+            build_dataset(two_scenes, ["a"])
+
     def test_pooled_carries_both_ids(self, two_scenes):
         # The pooled rows are each scene's own rows, in turn.
         pooled = build_dataset(two_scenes, ["a", "b"])
@@ -91,7 +95,7 @@ class TestSplit:
         ds = build_dataset(two_scenes, ["a", "b"])
         a = split_dataset(ds, seed=3).split
         b = split_dataset(ds, seed=3).split
-        assert a == b
+        np.testing.assert_array_equal(a, b)
 
     def test_odd_count_within_one_of_target(self):
         scene = generate_scene(
@@ -230,6 +234,16 @@ class TestValidation:
         with pytest.raises(DatasetError, match="split length"):
             make_manual_dataset([[1.0], [2.0]], [0, 0], ["train"])
 
+    def test_standardize_needs_a_train_row(self):
+        ds = make_manual_dataset([[1.0], [2.0]], [0, 0], ["val", "test"])
+        with pytest.raises(DatasetError, match="empty train split"):
+            standardize(ds)
+
+    def test_destandardize_needs_a_standardized_dataset(self):
+        ds = make_manual_dataset([[1.0], [2.0]], [0, 0], ["train", "val"])
+        with pytest.raises(DatasetError, match="not standardized"):
+            destandardize_features(ds, [1.0])
+
 
 def sample_rows(ds):
     """ds as Sample rows, the input of Dataset(samples=...)."""
@@ -258,7 +272,7 @@ class TestSampleAdapter:
             np.testing.assert_array_equal(a, b)
         adapted, columnar = (standardize(split_dataset(ds, seed=5))
                              for ds in (adapted, columnar))
-        assert adapted.split == columnar.split
+        np.testing.assert_array_equal(adapted.split, columnar.split)
         masks = [m for m in itertools.product((0, 1), repeat=10) if any(m)]
         assert (evaluate_masks(masks[::9], adapted)
                 == evaluate_masks(masks[::9], columnar))
@@ -300,21 +314,32 @@ class TestSplitLabels:
                                         "select_scenarios", "samples"])
     def test_rows_compare_against_the_labels(self, labelled, source):
         ds = labelled[source]
-        assert isinstance(ds.split, tuple)
-        np.testing.assert_array_equal(ds.split_labels, np.array(ds.split))
+        assert isinstance(ds.split, np.ndarray)
+        assert ds.split.dtype.kind == "U" and ds.split.shape == (len(ds),)
+        assert set(ds.split.tolist()) == set(SPLITS)
         for name in SPLITS + ("other",):
             rows = ds.rows(name)
             assert rows.dtype == bool
-            np.testing.assert_array_equal(rows, np.array(ds.split) == name)
+            np.testing.assert_array_equal(
+                rows, [label == name for label in ds.split.tolist()])
 
     def test_labels_are_read_only(self, labelled):
         ds = labelled["split_dataset"]
         with pytest.raises(ValueError):
-            ds.split_labels[0] = "val"
-        assert not ds.split_labels.flags.writeable
+            ds.split[0] = "val"
+        assert not ds.split.flags.writeable
         unsplit = Dataset(X=np.zeros((1, 10)), y=[0.0], scenario_id=["a"],
                           route_index=[0])
-        assert unsplit.split_labels is None
+        assert unsplit.split is None
+
+    def test_labels_are_a_copy(self, labelled):
+        # The labels passed in, as a list or as an array, are copied.
+        ds = labelled["split_dataset"]
+        for split in (ds.split.copy(), ds.split.tolist()):
+            copied = replace(ds, split=split)
+            split[0] = "val" if split[0] == "test" else "test"
+            np.testing.assert_array_equal(copied.split, ds.split)
+        assert not np.shares_memory(labelled["samples"].split, ds.split)
 
     @pytest.mark.parametrize("split, message", [
         (["train"], "split length mismatch"),
@@ -353,7 +378,8 @@ class TestSplitOracle:
             with pytest.raises(DatasetError, match=f"'{sid}' too small"):
                 split_dataset(ds, fractions, seed)
             return
-        assert split_dataset(ds, fractions, seed).split == want
+        np.testing.assert_array_equal(split_dataset(ds, fractions, seed).split,
+                                      want)
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 60),

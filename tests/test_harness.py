@@ -4,6 +4,8 @@ import json
 import os
 import re
 import shutil
+import subprocess
+import sys
 import warnings
 from contextlib import redirect_stderr
 from dataclasses import fields, is_dataclass, replace
@@ -15,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import plselect
 from plselect import baselines, harness, predictor
 from plselect.cli import main
 from plselect.dataset import CSV_HEADER
@@ -426,6 +429,38 @@ class TestReport:
         )):
             cmd_report(str(copy))
 
+
+    def test_missing_task_writes_nothing(self, run_outputs, tmp_path,
+                                         capsys):
+        out = tmp_path / "out"
+        shutil.copytree(Path(run_outputs[0].out_dir) / "results",
+                        out / "results")
+        missing = [out / "results" / f"task2_{kind}.csv"
+                   for kind in ("results", "generations")]
+        for path in missing:
+            path.unlink()
+        before = tree_bytes(out)
+        assert main(["report", "--out", str(out), "--task", "task1",
+                     "--task", "task2"]) == 2
+        assert capsys.readouterr().err == (
+            "error: missing run artifacts:\n"
+            + "".join(f"{path}\n" for path in missing))
+        assert not (out / "report").exists() and tree_bytes(out) == before
+
+    def test_malformed_later_trace_writes_nothing(self, run_outputs,
+                                                  tmp_path, capsys):
+        out = tmp_path / "out"
+        shutil.copytree(Path(run_outputs[0].out_dir) / "results",
+                        out / "results")
+        trace = out / "results" / "task2_generations.csv"
+        lines = trace.read_text().splitlines()
+        lines[3] = lines[3].rsplit(",", 1)[0]
+        trace.write_text("\n".join(lines) + "\n")
+        before = tree_bytes(out)
+        assert main(["report", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: malformed generations trace {trace}\n")
+        assert not (out / "report").exists() and tree_bytes(out) == before
 
     @pytest.mark.parametrize("data", MALFORMED_RESULTS,
                              ids=MALFORMED_RESULTS_IDS)
@@ -862,6 +897,8 @@ class TestCli:
              "shadowing_sigma must be finite and non-negative"),
             ("PLSELECT_CORRIDOR_RADIUS", "-1",
              "corridor_radius must be finite and non-negative"),
+            ("PLSELECT_PREDICTOR__BASIS", "cubic",
+             "config predictor: unknown basis 'cubic'"),
         ],
     )
     def test_bad_env_value_exit_code(self, tmp_path, capsys, monkeypatch,
@@ -1162,6 +1199,17 @@ class TestCli:
 
     def test_report_missing_dir_exit_code(self, tmp_path):
         assert main(["report", "--out", str(tmp_path / "nope")]) == 2
+
+    def test_module_entry_point_exit_code(self, tmp_path):
+        src = Path(plselect.__file__).resolve().parents[1]
+        proc = subprocess.run(
+            [sys.executable, "-m", "plselect.cli", "report",
+             "--out", str(tmp_path / "nope")],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": str(src)})
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: missing run artifacts:")
+        assert not (tmp_path / "nope").exists()
 
     @pytest.mark.parametrize("name", ["../../../../x", *NOT_FILE_NAMES])
     def test_report_task_outside_out_refused(self, run_outputs, tmp_path,

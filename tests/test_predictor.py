@@ -5,6 +5,7 @@ import sys
 from dataclasses import replace
 from functools import lru_cache
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -309,6 +310,22 @@ def constant_column_dataset():
     return standardize(split_dataset(unsplit(base, X=X)))
 
 
+class TestSolveRidge:
+    def test_exactly_singular_block_refused(self):
+        with pytest.raises(SingularSystemError,
+                           match="ridge_lambda > 0") as exc:
+            predictor._solve_ridge(np.zeros((1, 2, 2)), np.ones((1, 2)), 1.0)
+        assert isinstance(exc.value.__cause__, np.linalg.LinAlgError)
+
+    def test_non_finite_solution_refused(self):
+        # 1e300 / 1e-300 overflows, which np.linalg.solve does not flag.
+        with pytest.raises(SingularSystemError,
+                           match="ridge_lambda > 0") as exc:
+            predictor._solve_ridge(np.full((1, 1, 1), 1e-300),
+                                   np.full((1, 1), 1e300), 1.0)
+        assert exc.value.__cause__ is None
+
+
 class TestBatchedOracle:
     """evaluate_masks scores a batch with one stacked solve per basis
     width; per-mask brute_force_ridge and trend_consistency_error are its
@@ -544,6 +561,14 @@ class TestCallingThreadBlas:
             for threads in ("1", "2")
         ]
         assert scores[0] == scores[1]
+
+    def test_scores_unchanged_without_a_thread_count_call(self):
+        masks = all_masks(10)[::37]
+        want = evaluate_masks(masks, make_planted_dataset())
+        with mock.patch.object(predictor, "_openblas_set_threads",
+                               return_value=None) as found:
+            got = evaluate_masks(masks, make_planted_dataset())
+        assert found.called and got == want
 
     @needs_openblas
     def test_thread_count_restored_after_return_and_raise(self):

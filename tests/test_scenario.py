@@ -51,6 +51,10 @@ class TestCatalog:
         assert cat.categories == (("Geometry",) * 5 + ("Structure",) * 3
                                   + ("Knowledge",) * 2)
 
+    def test_unequal_tuples_refused(self):
+        with pytest.raises(ValueError, match="must align"):
+            FeatureCatalog(symbols=("a", "b"), categories=("Generic",))
+
 
 class TestGenerateScene:
     def test_empty_scene(self):
@@ -509,6 +513,10 @@ class TestPathLoss:
         assert ground_truth_path_loss(
             blocked, 0, shadowing_sigma=0.0
         ) > ground_truth_path_loss(clear, 0, shadowing_sigma=0.0)
+
+    def test_zero_distance_refused(self):
+        with pytest.raises(ValueError, match="distance must be positive"):
+            scenario.free_space_path_loss_db(0, 3.5e9)
 
     def test_rx_at_tx_raises(self):
         scene = make_scene(route=((0.0, 0.0, 10.0), (10.0, 0.0, 10.0)))

@@ -203,6 +203,11 @@ class TestCrossover:
         ca, cb = crossover(a, a.copy(), np.random.default_rng(0))
         assert np.array_equal(ca, a) and np.array_equal(cb, a)
 
+    def test_unequal_lengths_refused(self):
+        with pytest.raises(ValueError, match="equal length"):
+            crossover(np.ones(3, dtype=np.int8), np.ones(4, dtype=np.int8),
+                      np.random.default_rng(0))
+
     def test_per_position_multiset_preserved(self):
         rng = np.random.default_rng(3)
         for _ in range(100):
