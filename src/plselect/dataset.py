@@ -60,11 +60,11 @@ class Dataset:
     them. split, once assigned, is a read-only str array of one label in
     SPLITS per row, copied from the sequence given, which rows compares
     against. standardization holds per-feature (mean, std) fitted on the
-    train split; constant_features flags columns whose train std was zero
-    (std stored as 1 so the transform stays invertible). derived holds
-    values other modules compute from the contents, such as a learner's
-    normal equations, by a key of theirs; dataclasses.replace starts it
-    empty.
+    train split, both read-only; constant_features flags columns whose
+    train std was zero (std stored as 1 so the transform stays
+    invertible). derived holds values other modules compute from the
+    contents, such as a learner's normal equations, by a key of theirs;
+    dataclasses.replace starts it empty.
     """
 
     X: np.ndarray = None
@@ -99,7 +99,10 @@ class Dataset:
             raise DatasetError(f"X has {self.X.shape[1]} features but the "
                                f"catalog has {self.catalog.n_features}")
         if self.split is not None:
-            labels = np.array(self.split, dtype=str)
+            try:
+                labels = np.array(self.split, dtype=str)
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise DatasetError(f"split: {exc}") from None
             if labels.shape != (len(self),):
                 raise DatasetError("split length mismatch")
             unknown = set(labels[~np.isin(labels, SPLITS)].tolist())
@@ -230,6 +233,7 @@ def standardize(ds: Dataset) -> Dataset:
     std = train.std(axis=0)  # population convention
     constant = std == 0.0
     std = np.where(constant, 1.0, std)
+    mean.flags.writeable = std.flags.writeable = False
     return replace(
         ds,
         X=(ds.X - mean) / std,

@@ -99,7 +99,7 @@ class PredictorError(ValueError):
 
 
 class SingularSystemError(PredictorError):
-    """Normal equations are singular; use ridge_lambda > 0."""
+    """Normal equations are singular."""
 
 
 @dataclass(frozen=True)
@@ -110,27 +110,17 @@ class PredictorConfig:
     def __post_init__(self):
         if self.basis not in ("linear", "quadratic"):
             raise PredictorError(f"unknown basis {self.basis!r}")
-        if not 0 <= self.ridge_lambda < np.inf:
-            raise PredictorError("ridge_lambda must be finite and "
-                                 "non-negative")
+        if not 0 < self.ridge_lambda < np.inf:
+            raise PredictorError("ridge_lambda must be finite and positive")
 
 
-def _solve_ridge(gram: np.ndarray, moment: np.ndarray,
-                 ridge_lambda: float) -> np.ndarray:
+def _solve_ridge(gram: np.ndarray, moment: np.ndarray) -> np.ndarray:
     """beta of gram beta = moment for each system of a (g, w, w) stack of
-    penalized Gram blocks and its (g, w) moments. ridge_lambda is the
-    penalty already on their diagonals: at 0, an ill-conditioned block
-    is refused."""
-    singular = "normal equations are singular; use ridge_lambda > 0"
-    if ridge_lambda == 0 and np.any(np.linalg.cond(gram) > 1e12):
-        raise SingularSystemError(singular)
+    penalized Gram blocks and its (g, w) moments."""
     try:
-        beta = np.linalg.solve(gram, moment[:, :, None])[:, :, 0]
+        return np.linalg.solve(gram, moment[:, :, None])[:, :, 0]
     except np.linalg.LinAlgError as exc:
-        raise SingularSystemError(singular) from exc
-    if not np.isfinite(beta).all():
-        raise SingularSystemError(singular)
-    return beta
+        raise SingularSystemError("normal equations are singular") from exc
 
 
 @dataclass(frozen=True)
@@ -152,7 +142,6 @@ class _Prepared:
     """
 
     n_features: int
-    ridge_lambda: float
     gram: np.ndarray  # train design.T @ design + the penalty
     moment: np.ndarray  # train design.T @ y
     val_t: np.ndarray  # val design.T: row c is basis column c
@@ -203,8 +192,7 @@ def _prepare(ds: Dataset, config: PredictorConfig) -> _Prepared:
     )
     for array in arrays.values():
         array.flags.writeable = False
-    return _Prepared(n_features=n, ridge_lambda=config.ridge_lambda,
-                     upper=upper, **arrays)
+    return _Prepared(n_features=n, upper=upper, **arrays)
 
 
 def evaluate_mask(
@@ -291,6 +279,10 @@ def score_masks(masks: np.ndarray, prep: _Prepared,
     prep.val_t, and its predictions are written in place into a buffer
     of masks in cardinality order, which one take puts back in mask
     order.
+
+    Raises PredictorError if any total is not finite: a fit, the targets
+    or the weights that overflow make every score after them inf or nan.
+    numpy's overflow and invalid-value warnings are off meanwhile.
     """
     cardinality = np.count_nonzero(masks, axis=1)
     sel = masks.view(bool)
@@ -311,7 +303,7 @@ def score_masks(masks: np.ndarray, prep: _Prepared,
     # Predictions in cardinality order, one (1, n_val) row per mask.
     y_sorted = np.empty((len(sel), 1, len(prep.val_targets)))
     start = offset = 0
-    with _calling_thread_blas():
+    with _calling_thread_blas(), np.errstate(over="ignore", invalid="ignore"):
         for k, count in enumerate(np.bincount(cardinality).tolist()):
             if count == 0:
                 continue
@@ -325,7 +317,7 @@ def score_masks(masks: np.ndarray, prep: _Prepared,
                 offset = stop
                 beta = _solve_ridge(
                     gram.take(rows[:, :, None] + cols[:, None, :]),
-                    prep.moment.take(cols), prep.ridge_lambda)
+                    prep.moment.take(cols))
                 # One vector-matrix product per mask, as for a batch of
                 # one, so that a mask's score does not depend on its batch.
                 # The operands' layout decides the last bits: a contiguous
@@ -335,18 +327,21 @@ def score_masks(masks: np.ndarray, prep: _Prepared,
                 np.matmul(beta[:, None, :], prep.val_t.take(cols, axis=0),
                           out=y_sorted[first:last])
             start += count
-    # Row i of y_sorted is mask order[i]'s.
-    rank = np.empty_like(order)
-    rank[order] = np.arange(len(order))
-    y_hat = y_sorted[:, 0, :].take(rank, axis=0)
-    err = _rms_rows(y_hat - prep.val_targets)
-    # np.take keeps each row contiguous, so that its sum runs in the
-    # order a batch of one's does; fancy indexing would not.
-    steps = (np.take(y_hat, prep.step_to, axis=1)
-             - np.take(y_hat, prep.step_from, axis=1))
-    trend = _rms_rows(steps - prep.val_steps)
-    return (err, trend, cardinality,
-            total_scores(err, trend, cardinality, masks.shape[1], weights))
+        # Row i of y_sorted is mask order[i]'s.
+        rank = np.empty_like(order)
+        rank[order] = np.arange(len(order))
+        y_hat = y_sorted[:, 0, :].take(rank, axis=0)
+        err = _rms_rows(y_hat - prep.val_targets)
+        # np.take keeps each row contiguous, so that its sum runs in the
+        # order a batch of one's does; fancy indexing would not.
+        steps = (np.take(y_hat, prep.step_to, axis=1)
+                 - np.take(y_hat, prep.step_from, axis=1))
+        trend = _rms_rows(steps - prep.val_steps)
+        total = total_scores(err, trend, cardinality, masks.shape[1], weights)
+    if not np.isfinite(total).all():
+        raise PredictorError("scores are not finite: a fit, the targets or "
+                             "the weights overflow")
+    return err, trend, cardinality, total
 
 
 def _rms_rows(d: np.ndarray) -> np.ndarray:

@@ -355,6 +355,12 @@ class TestSplitLabels:
             make_manual_dataset([[1.0], [2.0]], [0, 0], split)
         assert str(exc.value) == message
 
+    def test_ragged_split_refused(self):
+        # numpy's own words for a ragged sequence differ between versions.
+        with pytest.raises(DatasetError, match="split"):
+            Dataset(X=np.zeros((2, 10)), y=[0, 0], scenario_id=["a", "a"],
+                    route_index=[0, 1], split=[["train"], "val"])
+
 
 class TestSplitOracle:
     @settings(max_examples=80, deadline=None)
@@ -420,6 +426,14 @@ class TestStandardize:
         out = standardize(ds)
         assert out.standardization[1][0] == 1.0
         assert out.constant_features == (True, False)
+
+    def test_standardization_is_read_only(self, two_scenes):
+        # destandardize_features reads both arrays.
+        out = standardize(split_dataset(build_dataset(two_scenes, ["a", "b"]),
+                                        seed=1))
+        for array in out.standardization:
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1.0
 
     def test_round_trip(self, two_scenes):
         ds = split_dataset(build_dataset(two_scenes, ["a", "b"]), seed=1)

@@ -899,6 +899,8 @@ class TestCli:
              "corridor_radius must be finite and non-negative"),
             ("PLSELECT_PREDICTOR__BASIS", "cubic",
              "config predictor: unknown basis 'cubic'"),
+            ("PLSELECT_PREDICTOR__RIDGE_LAMBDA", "0",
+             "config predictor: ridge_lambda must be finite and positive"),
         ],
     )
     def test_bad_env_value_exit_code(self, tmp_path, capsys, monkeypatch,
@@ -1031,6 +1033,27 @@ class TestCli:
             "error: config scenarios.intersection, route index 0: non-finite "
             "feature or path loss\n")
         assert not out.exists()
+
+    @pytest.mark.parametrize("variable, value", [
+        ("PLSELECT_WEIGHTS__LAMBDA_C", "1e308"),
+        ("PLSELECT_SHADOWING_SIGMA", "1e300"),
+    ])
+    def test_run_refuses_non_finite_scores_quietly(
+            self, tmp_path, capsys, monkeypatch, variable, value):
+        # Finite values whose scores overflow: lambda_c times a trend
+        # error, and the squared errors of path losses near 1e300.
+        monkeypatch.setenv(variable, value)
+        out = tmp_path / "out"
+        assert main(["generate", "--out", str(out)]) == 0
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["run", "--out", str(out)]) == 2
+        assert [str(w.message) for w in caught] == []
+        assert capsys.readouterr() == ("", (
+            "error: scores are not finite: a fit, the targets or the "
+            "weights overflow\n"))
+        assert not (out / "results").exists()
 
     @pytest.mark.parametrize("source", ["file", "env"])
     def test_scenario_name_pooled_refused(self, tmp_path, capsys,

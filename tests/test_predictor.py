@@ -2,6 +2,7 @@ import itertools
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from functools import lru_cache
 from pathlib import Path
@@ -42,10 +43,11 @@ def brute_force_ridge(X, y, ridge_lambda):
     return beta
 
 
-@pytest.mark.parametrize("value", [-1.0, float("nan"), float("inf")])
-def test_ridge_lambda_must_be_finite_and_non_negative(value):
+@pytest.mark.parametrize("value", [0.0, -0.0, -1.0, float("nan"),
+                                   float("inf")])
+def test_ridge_lambda_must_be_finite_and_positive(value):
     with pytest.raises(PredictorError,
-                       match="ridge_lambda must be finite and non-negative"):
+                       match="ridge_lambda must be finite and positive"):
         PredictorConfig(ridge_lambda=value)
 
 
@@ -211,7 +213,6 @@ class TestFastPathOracle:
         systems = {config: prepared_system(ds, config) for config in configs}
         assert len({id(prep) for prep in systems.values()}) == 4
         for config, prep in systems.items():
-            assert prep.ridge_lambda == config.ridge_lambda
             assert prepared_system(ds, config) is prep
         assert not np.array_equal(
             systems[PredictorConfig(ridge_lambda=1.0)].gram,
@@ -220,13 +221,17 @@ class TestFastPathOracle:
     @pytest.mark.parametrize("basis", ["quadratic", "linear"])
     def test_penalty_is_on_every_diagonal_entry_but_the_intercept(self,
                                                                   basis):
+        # The two systems differ by 1.0 on those entries, up to the
+        # rounding of two additions, and nowhere else.
         ds = make_planted_dataset(n_samples=150, seed=8)
-        bare = prepared_system(ds, PredictorConfig(basis, ridge_lambda=0.0))
-        prep = prepared_system(ds, PredictorConfig(basis, ridge_lambda=0.5))
-        penalty = np.diag(np.full(len(bare.gram), 0.5))
+        low = prepared_system(ds, PredictorConfig(basis, ridge_lambda=0.5))
+        high = prepared_system(ds, PredictorConfig(basis, ridge_lambda=1.5))
+        penalty = np.eye(len(low.gram))
         penalty[0, 0] = 0.0
-        assert np.array_equal(prep.gram, bare.gram + penalty)
-        assert np.array_equal(prep.moment, bare.moment)
+        diff = high.gram - low.gram
+        assert not diff[penalty == 0].any()
+        np.testing.assert_allclose(diff, penalty, rtol=0, atol=1e-9)
+        assert np.array_equal(high.moment, low.moment)
 
     def test_prepared_arrays_are_read_only(self):
         # Every mask of every search on the dataset reads the penalized
@@ -259,15 +264,15 @@ class TestFastPathOracle:
         assert_matches_reference(all_masks(10)[::7], ds, ScoreWeights(),
                                  PredictorConfig())
 
-    def test_constant_column_is_singular_on_both_paths(self):
+    @pytest.mark.parametrize("basis", ["quadratic", "linear"])
+    def test_constant_column_scores_on_both_paths(self, basis):
+        # The penalty keeps a mask with a constant column solvable.
         ds = constant_column_dataset()
-        config = PredictorConfig(basis="linear", ridge_lambda=0.0)
-        with_constant = np.array([1, 0, 1, 0, 0, 0, 0, 0, 0, 0])
-        with pytest.raises(SingularSystemError, match="ridge_lambda > 0"):
-            evaluate_mask(with_constant, ds, ScoreWeights(), config)
-        # The same system serves a mask without that column.
-        assert_matches_reference([np.array([1, 1, 0, 1, 0, 0, 0, 0, 0, 0])],
-                                 ds, ScoreWeights(), config)
+        masks = [np.array([1, 0, 1, 0, 0, 0, 0, 0, 0, 0]),
+                 np.array([0, 0, 1, 0, 0, 0, 0, 0, 0, 0]),
+                 np.array([1, 1, 0, 1, 0, 0, 0, 0, 0, 0])]
+        assert_matches_reference(masks, ds, ScoreWeights(),
+                                 PredictorConfig(basis=basis))
 
     def test_replaced_dataset_never_reuses_another_system(self):
         base = split_dataset(unsplit(
@@ -304,7 +309,8 @@ def oracle_dataset(n_features):
 
 
 def constant_column_dataset():
-    """Feature 3 is constant, so a mask with it is singular at lambda 0."""
+    """Feature 3 is constant, as f2 of a generated dataset is: without
+    the penalty, a mask with it would be singular."""
     base = make_planted_dataset(n_samples=120)
     X = np.where(np.arange(10) == 2, 7.0, base.X)
     return standardize(split_dataset(unsplit(base, X=X)))
@@ -313,17 +319,25 @@ def constant_column_dataset():
 class TestSolveRidge:
     def test_exactly_singular_block_refused(self):
         with pytest.raises(SingularSystemError,
-                           match="ridge_lambda > 0") as exc:
-            predictor._solve_ridge(np.zeros((1, 2, 2)), np.ones((1, 2)), 1.0)
+                           match="normal equations are singular") as exc:
+            predictor._solve_ridge(np.zeros((1, 2, 2)), np.ones((1, 2)))
         assert isinstance(exc.value.__cause__, np.linalg.LinAlgError)
 
     def test_non_finite_solution_refused(self):
-        # 1e300 / 1e-300 overflows, which np.linalg.solve does not flag.
-        with pytest.raises(SingularSystemError,
-                           match="ridge_lambda > 0") as exc:
-            predictor._solve_ridge(np.full((1, 1, 1), 1e-300),
-                                   np.full((1, 1), 1e300), 1.0)
-        assert exc.value.__cause__ is None
+        # 1e300 / 1e-300 overflows, which np.linalg.solve does not flag;
+        # score_masks refuses the batch's scores, without a warning.
+        prep = prepared_system(make_planted_dataset(n_samples=120, seed=9),
+                               PredictorConfig(basis="linear"))
+        width = len(prep.gram)
+        tiny = replace(prep, gram=np.eye(width) * 1e-300,
+                       moment=np.full(width, 1e300))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(PredictorError,
+                               match="scores are not finite") as exc:
+                score_masks(np.ones((2, 10), dtype=np.int8), tiny,
+                            ScoreWeights())
+        assert type(exc.value) is PredictorError
 
 
 class TestBatchedOracle:
@@ -371,15 +385,22 @@ class TestBatchedOracle:
         assert_matches_reference(masks[:4], ds, weights, PredictorConfig(),
                                  batch=True)
 
-    def test_one_singular_member_fails_the_batch_at_lambda_zero(self):
-        ds = constant_column_dataset()
-        config = PredictorConfig(basis="linear", ridge_lambda=0.0)
-        with_constant = [1, 0, 1, 0, 0, 0, 0, 0, 0, 0]
-        good = [[1, 1, 0, 0, 0, 0, 0, 0, 0, 0], [1, 1, 0, 1, 0, 0, 0, 0, 0, 0]]
-        with pytest.raises(SingularSystemError):
-            evaluate_masks(good + [with_constant], ds, ScoreWeights(), config)
-        assert_matches_reference(np.array(good), ds, ScoreWeights(), config,
-                                 batch=True)
+    @pytest.mark.parametrize("basis", ["quadratic", "linear"])
+    def test_one_non_finite_member_fails_the_batch(self, basis):
+        # Val values of 1e300 for feature 3 overflow the squared errors of
+        # every mask that selects it, and of no other.
+        prep = prepared_system(make_planted_dataset(n_samples=120, seed=9),
+                               PredictorConfig(basis=basis))
+        val_t = prep.val_t.copy()
+        val_t[3] = 1e300
+        huge = replace(prep, val_t=val_t)
+        good = np.array([[1, 1, 0, 0, 0, 0, 0, 0, 0, 0],
+                         [1, 1, 0, 1, 0, 0, 0, 0, 0, 0]], dtype=np.int8)
+        with_huge = np.array([[1, 0, 1, 0, 0, 0, 0, 0, 0, 0]], dtype=np.int8)
+        with pytest.raises(PredictorError, match="scores are not finite"):
+            score_masks(np.vstack([good, with_huge]), huge, ScoreWeights())
+        assert_bitwise(score_masks(good, huge, ScoreWeights()),
+                       score_masks(good, prep, ScoreWeights()))
 
     def test_bad_masks_raise_predictor_error(self, planted_ds):
         ones = np.ones(10, dtype=int)
@@ -579,11 +600,11 @@ class TestCallingThreadBlas:
         try:
             evaluate_masks([np.ones(10, dtype=int)], make_planted_dataset())
             assert set_threads(3) == 3
-            config = PredictorConfig(basis="linear", ridge_lambda=0.0)
+            prep = prepared_system(make_planted_dataset(), PredictorConfig())
+            singular = replace(prep, gram=np.zeros_like(prep.gram))
             with pytest.raises(SingularSystemError):
-                evaluate_mask([1, 0, 1, 0, 0, 0, 0, 0, 0, 0],
-                              constant_column_dataset(), ScoreWeights(),
-                              config)
+                score_masks(np.ones((1, 10), dtype=np.int8), singular,
+                            ScoreWeights())
             assert set_threads(3) == 3
         finally:
             set_threads(found)
