@@ -66,36 +66,32 @@ def joint_counts(X: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def feature_mi(ds: Dataset) -> np.ndarray:
-    """Read-only per-feature MI against path loss on the training split,
-    computed once from one joint_counts pass and kept in ds.derived.
-    tests/reference_scoring.py's mutual_information, which applies its own
-    copy of the formula to np.histogram2d's counts, is its per-column
-    reference."""
+    """Per-feature MI against path loss on the training split, from one
+    joint_counts pass; nothing is kept on ds. tests/reference_scoring.py's
+    mutual_information, which applies its own copy of the formula to
+    np.histogram2d's counts, is its per-column reference."""
     if ds.split is None:
         raise DatasetError("dataset must be split before MI ranking")
-    key = ("feature_mi",)
-    if key not in ds.derived:
-        joint = joint_counts(ds.feature_matrix("train"), ds.targets("train"))
-        # MI in bits of each (b, b) table, clipped at 0: p log2(p / (p_x
-        # p_y)), where an empty cell's nan term counts as 0.
-        with np.errstate(divide="ignore", invalid="ignore"):
-            p = joint / joint.sum(axis=(1, 2), keepdims=True)
-            terms = p * np.log2(p / (p.sum(axis=2, keepdims=True)
-                                     * p.sum(axis=1, keepdims=True)))
-        mi = np.maximum(np.nansum(terms, axis=(1, 2)), 0.0)
-        mi.flags.writeable = False
-        ds.derived[key] = mi
-    return ds.derived[key]
+    joint = joint_counts(ds.feature_matrix("train"), ds.targets("train"))
+    # MI in bits of each (b, b) table, clipped at 0: p log2(p / (p_x p_y)),
+    # where an empty cell's nan term counts as 0.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        p = joint / joint.sum(axis=(1, 2), keepdims=True)
+        terms = p * np.log2(p / (p.sum(axis=2, keepdims=True)
+                                 * p.sum(axis=1, keepdims=True)))
+    return np.maximum(np.nansum(terms, axis=(1, 2)), 0.0)
 
 
-def mi_category_subset(ds: Dataset, variant: str) -> np.ndarray:
-    """Top-2 Geometry features plus top-2 of the variant's second category,
-    by the categories of ds.catalog; MI ties go to the lower index."""
-    if variant not in MI_VARIANTS:
-        raise ValueError(f"variant must be one of {tuple(MI_VARIANTS)}")
+def mi_category_subset(ds: Dataset) -> dict[str, np.ndarray]:
+    """Each MI_VARIANTS variant's int8 mask, in the table's order, from one
+    feature_mi ranking: the top-2 Geometry features plus the top-2 of the
+    variant's second category, by the categories of ds.catalog; MI ties go
+    to the lower index."""
     order = np.argsort(-feature_mi(ds), kind="stable")
     categories = np.array(ds.catalog.categories)[order]
-    mask = np.zeros(ds.n_features, dtype=np.int8)
-    for category in ("Geometry", MI_VARIANTS[variant]):
-        mask[order[categories == category][:2]] = 1
-    return mask
+    masks = {}
+    for variant, second in MI_VARIANTS.items():
+        masks[variant] = mask = np.zeros(ds.n_features, dtype=np.int8)
+        for category in ("Geometry", second):
+            mask[order[categories == category][:2]] = 1
+    return masks

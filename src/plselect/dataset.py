@@ -62,9 +62,9 @@ class Dataset:
     against. standardization holds per-feature (mean, std) fitted on the
     train split, both read-only; constant_features flags columns whose
     train std was zero (std stored as 1 so the transform stays
-    invertible). derived holds values other modules compute from the
-    contents, such as a learner's normal equations, by a key of theirs;
-    dataclasses.replace starts it empty.
+    invertible). derived holds what other modules compute from the contents,
+    by their keys: normal equations, and the harness's prepared datasets on
+    the pooled one; dataclasses.replace starts it empty.
     """
 
     X: np.ndarray = None
@@ -221,16 +221,21 @@ def split_dataset(
 def standardize(ds: Dataset) -> Dataset:
     """Per-feature standardization fitted on the train split only.
 
-    Uses the population (1/n) standard deviation. Constant train columns
-    keep their mean but get std 1 and are flagged.
+    Population (1/n) std. Constant train columns keep their mean but get
+    std 1 and are flagged; a non-finite mean or std raises DatasetError.
     """
     if ds.split is None:
         raise DatasetError("split must be assigned before standardization")
     train = ds.feature_matrix("train")
     if train.shape[0] == 0:
         raise DatasetError("empty train split")
-    mean = train.mean(axis=0)
-    std = train.std(axis=0)  # population convention
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = train.mean(axis=0)
+        std = train.std(axis=0)  # population convention
+    bad = np.flatnonzero(~(np.isfinite(mean) & np.isfinite(std)))
+    if bad.size:
+        raise DatasetError("train mean or std is not finite for " + ", ".join(
+            f"f{j + 1} ({ds.catalog.symbols[j]})" for j in bad))
     constant = std == 0.0
     std = np.where(constant, 1.0, std)
     mean.flags.writeable = std.flags.writeable = False

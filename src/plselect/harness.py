@@ -455,8 +455,8 @@ def run_task(cfg: ExperimentConfig, task: str,
         )
         named.append((f"random_seed{k}", bl.random_subset_mask(
             sum(agent), ds.n_features, rng)))
-    named.extend((f"mi_{variant.lower()}", bl.mi_category_subset(ds, variant))
-                 for variant in bl.MI_VARIANTS)
+    named.extend((f"mi_{variant.lower()}", mask)
+                 for variant, mask in bl.mi_category_subset(ds).items())
     rows = _scored_rows(cfg, task, ds, named)
     random_rows = rows[2:2 + cfg.random_baseline_seeds]
     if random_rows:

@@ -41,6 +41,7 @@ KNIFE_EDGE_CAP_DB = 40.0
 
 DEFAULT_CORRIDOR_RADIUS = 50.0
 DEFAULT_SHADOWING_SIGMA = 3.0
+MAX_PLACEMENT_RETRIES = 200  # draws per scatterer before placement fails
 
 FEATURE_SYMBOLS = (
     "D_txrx",
@@ -204,7 +205,6 @@ class SceneConfig:
     rx_height: float = 1.5
     layout: str = "uniform"  # one of LAYOUTS
     corridor_width: float = 30.0
-    max_placement_retries: int = 200
     seed: int = 0
 
     def __post_init__(self):
@@ -228,8 +228,6 @@ class SceneConfig:
                 raise bad(name, "be a (min, max) pair with 0 <= min <= max")
         if self.route_points < 2:
             raise bad("route_points", "be >= 2")
-        if self.max_placement_retries < 1:
-            raise bad("max_placement_retries", "be >= 1")
         if not math.isfinite(self.rx_height):
             raise bad("rx_height", "be finite")
         if not 0 <= self.corridor_width < math.inf:
@@ -721,7 +719,7 @@ def _random_boxes(config, rng, points, keepout):
     max_w, max_d, _ = highs.tolist()
     boxes = []
     for k in range(count):
-        for attempt in range(config.max_placement_retries):
+        for attempt in range(MAX_PLACEMENT_RETRIES):
             cx = rng.uniform(max_w / 2.0, w - max_w / 2.0)
             cy = rng.uniform(max_d / 2.0, h - max_d / 2.0)
             if np.hypot(cx - w / 2.0, cy - h / 2.0) < keepout * min(w, h):
@@ -736,7 +734,7 @@ def _random_boxes(config, rng, points, keepout):
         else:
             raise SceneGenerationError(
                 f"could not place scatterer {k}: clearance from tx/route "
-                f"failed after {config.max_placement_retries} retries")
+                f"failed after {MAX_PLACEMENT_RETRIES} retries")
     return boxes
 
 

@@ -83,14 +83,16 @@ class TestMutualInformation:
 class TestCategorySubsets:
     def test_shapes_and_categories(self, planted_ds):
         categories = np.array(FeatureCatalog().categories)
+        masks = mi_category_subset(planted_ds)
+        assert list(masks) == list(MI_VARIANTS)
         for variant, second in MI_VARIANTS.items():
-            mask = mi_category_subset(planted_ds, variant)
+            mask = masks[variant]
             chosen = categories[mask == 1]
             assert mask.sum() == 4
             assert sorted(chosen) == ["Geometry"] * 2 + [second] * 2
 
     def test_ge_em_includes_both_knowledge_features(self, planted_ds):
-        mask = mi_category_subset(planted_ds, "GE_EM")
+        mask = mi_category_subset(planted_ds)["GE_EM"]
         assert mask[8] == 1 and mask[9] == 1
 
     def test_categories_come_from_the_dataset_catalog(self):
@@ -103,16 +105,12 @@ class TestCategorySubsets:
         ds = replace(make_planted_dataset(n_features=12), catalog=catalog)
         for variant, second in (("GE_Struct", range(5, 9)),
                                 ("GE_EM", range(9, 13))):
-            mask = mi_category_subset(ds, variant)
+            mask = mi_category_subset(ds)[variant]
             selected = {i + 1 for i in np.flatnonzero(mask)}
             assert mask.shape == (12,)
             assert len(selected) == 4
             assert len(selected & set(range(1, 5))) == 2
             assert len(selected & set(second)) == 2
-
-    def test_unknown_variant(self, planted_ds):
-        with pytest.raises(ValueError):
-            mi_category_subset(planted_ds, "GE_Foo")
 
     def test_unsplit_dataset_refused(self, planted_ds):
         with pytest.raises(DatasetError, match="must be split"):
@@ -129,11 +127,10 @@ class TestCategorySubsets:
         mi = feature_mi(ds)
         assert mi[0] > mi[3]
 
-    def test_mi_is_a_read_only_nonnegative_column(self, planted_ds):
+    def test_mi_is_a_nonnegative_column(self, planted_ds):
         mi = feature_mi(planted_ds)
         assert mi.shape == (10,)
         assert np.all(mi >= 0)
-        assert not mi.flags.writeable
 
     @given(st.data())
     def test_ties_go_to_the_lower_index(self, data):
@@ -156,7 +153,7 @@ class TestCategorySubsets:
                           if categories[i] == category][:2]] = 1
             with mock.patch.object(baselines, "feature_mi",
                                    return_value=mi):
-                mask = mi_category_subset(ds, variant)
+                mask = mi_category_subset(ds)[variant]
             assert mask.dtype == np.int8
             assert np.array_equal(mask, expected)
 
@@ -172,21 +169,22 @@ class TestRankingCache:
             return real(*args)
 
         monkeypatch.setattr(baselines, "joint_counts", spy)
-        masks = [mi_category_subset(ds, v) for v in ("GE_Struct", "GE_EM")]
+        masks = mi_category_subset(ds)
         assert len(calls) == 1
+        assert ds.derived == {}
+        assert all(mask.dtype == np.int8 for mask in masks.values())
         mi = feature_mi(ds)
-        assert len(calls) == 1
-        assert not mi.flags.writeable
+        assert len(calls) == 2
         X, y = ds.feature_matrix("train"), ds.targets("train")
         assert mi.tolist() == [mutual_information(X[:, i], y)
                                for i in range(ds.n_features)]
-        # A fresh copy of the dataset computes the same column and masks.
-        fresh = replace(ds)
-        assert np.array_equal(feature_mi(fresh), mi)
-        assert len(calls) == 2
-        for variant, mask in zip(("GE_Struct", "GE_EM"), masks):
-            assert np.array_equal(mi_category_subset(fresh, variant), mask)
-        assert len(calls) == 2
+        # A second call ranks again, to the same masks.
+        again = mi_category_subset(ds)
+        assert len(calls) == 3
+        assert ds.derived == {}
+        assert list(again) == list(masks) == list(MI_VARIANTS)
+        for variant, mask in masks.items():
+            assert np.array_equal(again[variant], mask)
 
 
 def train_columns():

@@ -427,6 +427,16 @@ class TestStandardize:
         assert out.standardization[1][0] == 1.0
         assert out.constant_features == (True, False)
 
+    def test_overflowing_statistics_refused(self):
+        # x2's squares overflow in the std, x3's sum overflows in the mean.
+        cols = [[1.0, 1e300, 1.7e308], [2.0, -1e300, 1.7e308],
+                [3.0, 1e300, 1.7e308], [4.0, -1e300, 1.7e308],
+                [2.5, 0.0, 0.0]]
+        ds = make_manual_dataset(cols, [0] * 5, ["train"] * 4 + ["val"])
+        with pytest.raises(DatasetError, match=r"^train mean or std is not "
+                           r"finite for f2 \(x2\), f3 \(x3\)$"):
+            standardize(ds)
+
     def test_standardization_is_read_only(self, two_scenes):
         # destandardize_features reads both arrays.
         out = standardize(split_dataset(build_dataset(two_scenes, ["a", "b"]),

@@ -939,9 +939,6 @@ class TestCli:
         ("PLSELECT_SCENARIOS__SQUARE__LAYOUT", "hexagon",
          "config scenarios.square: SceneConfig.layout must be one of "
          "('uniform', 'intersection', 'square'), got 'hexagon'"),
-        ("PLSELECT_SCENARIOS__SQUARE__MAX_PLACEMENT_RETRIES", "-3",
-         "config scenarios.square: SceneConfig.max_placement_retries must "
-         "be >= 1, got -3"),
         ("PLSELECT_SCENARIOS__SQUARE__ROUTE_POINTS", "5000000",
          "config scenarios.square: SceneConfig.route_points must ask for "
          "at most 4194304 route points in a scene of layout 'square', got "
@@ -1055,6 +1052,24 @@ class TestCli:
             "weights overflow\n"))
         assert not (out / "results").exists()
 
+    def test_run_refuses_overflowing_standardization_quietly(
+            self, tmp_path, capsys, monkeypatch):
+        # Scatterers 1e300 m high leave finite features whose train std
+        # overflows in task2.
+        monkeypatch.setenv("PLSELECT_SCENARIOS__SQUARE__SCATTERER_HEIGHT",
+                           "[1e300,1e300]")
+        out = tmp_path / "out"
+        assert main(["generate", "--out", str(out)]) == 0
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["run", "--out", str(out)]) == 2
+        assert [str(w.message) for w in caught] == []
+        assert capsys.readouterr().err == (
+            "error: train mean or std is not finite for f3 (H_ts_avg), "
+            "f6 (V_eff_mean), f10 (Dif_WEK)\n")
+        assert not list((out / "results").glob("task2_*"))
+
     @pytest.mark.parametrize("source", ["file", "env"])
     def test_scenario_name_pooled_refused(self, tmp_path, capsys,
                                           monkeypatch, source):
@@ -1141,12 +1156,22 @@ class TestCli:
         for key in ("SCATTERER_WIDTH", "SCATTERER_DEPTH"):
             monkeypatch.setenv(f"PLSELECT_SCENARIOS__SQUARE__{key}",
                                "[400, 400]")
-        monkeypatch.setenv("PLSELECT_SCENARIOS__SQUARE__MAX_PLACEMENT_RETRIES",
-                           "1")
         assert main(["generate", "--out", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err == (
             "error: scenario 'square': could not place scatterer 0: "
-            "clearance from tx/route failed after 1 retries\n")
+            "clearance from tx/route failed after 200 retries\n")
+
+    def test_placement_retries_are_not_settable(self, tmp_path, capsys,
+                                                monkeypatch):
+        monkeypatch.setenv("PLSELECT_SCENARIOS__SQUARE__MAX_PLACEMENT_RETRIES",
+                           "1")
+        out = tmp_path / "out"
+        assert main(["generate", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: unknown config key "
+            "'scenarios.square.max_placement_retries' from environment "
+            "variable PLSELECT_SCENARIOS__SQUARE__MAX_PLACEMENT_RETRIES\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["report"])
     @pytest.mark.parametrize("data", MALFORMED_RESULTS,

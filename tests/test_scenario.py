@@ -83,7 +83,6 @@ class TestGenerateScene:
             scatterer_width=(45.0, 45.0),
             scatterer_depth=(45.0, 45.0),
             route_points=30,
-            max_placement_retries=20,
             seed=0,
         )
         with pytest.raises(SceneGenerationError):
@@ -405,8 +404,6 @@ class TestSceneConfigRanges:
         ("scatterer_width", (8.0, 400.5)),
         ("scatterer_depth", (500.0, 500.0)),
         ("layout", "hexagon"),
-        ("max_placement_retries", 0),
-        ("max_placement_retries", -3),
     ])
     def test_out_of_range_value_names_field(self, field, value):
         with pytest.raises(ValueError, match=f"SceneConfig.{field} must"):
