@@ -70,8 +70,8 @@ def main(argv=None) -> int:
             for path in cmd_generate(cfg):
                 print(path)
         elif args.command == "run":
-            cmd_run(cfg, tasks=args.task)
-            print(cmd_report(cfg.out_dir, tasks=None), end="")
+            ran = [result["task"] for result in cmd_run(cfg, tasks=args.task)]
+            print(cmd_report(cfg.out_dir, tasks=ran), end="")
         elif args.command == "sweep":
             print(cmd_sweep(cfg, args.seeds, tasks=args.task))
         return EXIT_OK

@@ -357,8 +357,11 @@ def _trace_columns(gen_rows, header) -> List[list]:
 
 def cmd_generate(cfg: ExperimentConfig) -> List[Path]:
     """Generate scenes, write scene JSON dumps and dataset CSVs. pooled.csv
-    holds each scenario CSV's data lines, in scenario-id order. Every
-    scene and its rows are built and checked before any file is written."""
+    holds each scenario CSV's data lines, in scenario-id order. cfg is
+    checked again, in case a field was assigned after construction, and
+    every scene and its rows are built and checked, before any file is
+    written."""
+    cfg = replace(cfg)
     out = Path(cfg.out_dir)
     built = {}
     for name, scene_cfg in cfg.scenarios.items():
@@ -432,7 +435,8 @@ def _scored_rows(cfg: ExperimentConfig, task: str, ds: Dataset,
 def run_task(cfg: ExperimentConfig, task: str,
              pooled: Optional[Dataset] = None) -> Dict[str, object]:
     """Agent search plus all baselines for one task on a shared dataset.
-    pooled is _read_pooled's dataset, read here if not given.
+    pooled is _read_pooled's dataset, read here if not given. cfg is
+    checked again first, in case a field was assigned after construction.
 
     The rows are the agent's, the full mask's, the random masks' mean,
     each random mask's (of the agent's cardinality) and each MI
@@ -441,6 +445,7 @@ def run_task(cfg: ExperimentConfig, task: str,
     task of several scenarios then has one row per scenario, the agent's
     mask scored on that scenario's own split.
     """
+    cfg = replace(cfg)
     if pooled is None:
         pooled = _read_pooled(cfg, _task_list(cfg, [task]))
     names = cfg.task_scenarios[task]

@@ -11,8 +11,9 @@ added to the Gram matrix's diagonal once, there, and score_masks solves
 each mask on their sub-block, one stacked solve per basis width,
 returning rmse, trend error, cardinality and total as arrays. The
 search calls score_masks on masks it has made itself; evaluate_masks
-checks masks from elsewhere and then calls it. candidates is the one
-builder of a Candidate from those columns, for both.
+checks masks from elsewhere and then calls it. Both build their
+Candidates from those columns with scoring.candidates, the one builder
+of a Candidate.
 tests/test_predictor.py checks the scores against a least-squares solve
 of each mask's own ridge-augmented design and the trend error of
 tests/reference_scoring.py, both sharing no code with score_masks.
@@ -40,7 +41,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .dataset import Dataset, DatasetError
-from .scoring import Candidate, ScoreWeights, route_order, total_scores
+from .scoring import (Candidate, ScoreWeights, candidates, route_order,
+                      total_scores)
 
 # Train rows per block when the normal equations are accumulated, so that
 # the full-basis train design never exists at once.
@@ -240,15 +242,6 @@ def evaluate_masks(
         raise PredictorError(f"mask has {masks.shape[1]} entries but "
                              f"the dataset has {prep.n_features} features")
     return candidates(masks, *score_masks(masks, prep, weights))
-
-
-def candidates(masks: np.ndarray, rmse: np.ndarray, trend_error: np.ndarray,
-               cardinality: np.ndarray, total: np.ndarray) -> list:
-    """One Candidate per row of the (k, N) masks, from its entries of
-    score_masks's columns."""
-    return [Candidate(tuple(m), e, t, c, s) for m, e, t, c, s in zip(
-        masks.tolist(), rmse.tolist(), trend_error.tolist(),
-        cardinality.tolist(), total.tolist())]
 
 
 def prepared_system(ds: Dataset, config: PredictorConfig) -> _Prepared:

@@ -190,9 +190,13 @@ def _json_floats(template, rows) -> str:
     return text.replace("inf", "Infinity").replace("nan", "NaN")
 
 
-@dataclass
+@dataclass(frozen=True)
 class SceneConfig:
-    """Parameters for procedural scene generation."""
+    """Parameters for procedural scene generation, checked once, at
+    construction; a changed config is a new one (dataclasses.replace).
+    Only the uniform and square layouts draw scatterer_count boxes, and
+    only the intersection grid, one box per cell, reads corridor_width.
+    """
 
     area_size: tuple = (400.0, 400.0)  # meters (width, depth)
     scatterer_count: tuple = (20, 30)  # inclusive range (min, max)
@@ -236,7 +240,22 @@ class SceneConfig:
             if getattr(self, name)[1] > self.area_size[axis]:
                 raise bad(name, f"have a max of at most area_size[{axis}] = "
                           f"{self.area_size[axis]}")
-        _layout(self)
+        # An unknown layout, or fields that ask for a scene over
+        # MAX_SCENE_TABLE_ENTRIES, counted before anything is built.
+        if self.layout not in LAYOUTS:
+            raise bad("layout", f"be one of {tuple(LAYOUTS)}")
+        boxes, box_fields = LAYOUTS[self.layout][2](self)
+        points = self.route_points
+        for count, fields, what in (
+                (boxes, box_fields, "boxes"),
+                (points, "route_points", "route points"),
+                (boxes * (points + 1), f"{box_fields} and route_points",
+                 "clearance table entries, boxes x (route points + 1),")):
+            if count > MAX_SCENE_TABLE_ENTRIES:
+                raise ValueError(
+                    f"SceneConfig.{fields} must ask for at most "
+                    f"{MAX_SCENE_TABLE_ENTRIES} {what} in a scene of layout "
+                    f"{self.layout!r}, got {count}")
 
 
 # ---------------------------------------------------------------------------
@@ -590,36 +609,13 @@ def _masked_means(tables, mask):
 MAX_SCENE_TABLE_ENTRIES = 1 << 22
 
 
-def _layout(config):
-    """config.layout's Tx/route builder and box placer. ValueError names
-    an unknown layout, or the fields that ask for a scene over
-    MAX_SCENE_TABLE_ENTRIES, counted from the config before anything is
-    built."""
-    if config.layout not in LAYOUTS:
-        raise ValueError(f"SceneConfig.layout must be one of "
-                         f"{tuple(LAYOUTS)}, got {config.layout!r}")
-    tx_route, place_boxes, max_boxes = LAYOUTS[config.layout]
-    boxes, box_fields = max_boxes(config)
-    points = config.route_points
-    for count, fields, what in (
-            (boxes, box_fields, "boxes"),
-            (points, "route_points", "route points"),
-            (boxes * (points + 1), f"{box_fields} and route_points",
-             "clearance table entries, boxes x (route points + 1),")):
-        if count > MAX_SCENE_TABLE_ENTRIES:
-            raise ValueError(
-                f"SceneConfig.{fields} must ask for at most "
-                f"{MAX_SCENE_TABLE_ENTRIES} {what} in a scene of layout "
-                f"{config.layout!r}, got {count}")
-    return tx_route, place_boxes
-
-
 @np.errstate(divide="ignore", invalid="ignore", over="ignore")
 def generate_scene(config: SceneConfig) -> Scene:
-    """Build a Scene procedurally; deterministic for a fixed config. numpy's
-    float warnings are off: a huge but accepted config may overflow to
-    non-finite scene values, whose rows dataset.check_rows refuses."""
-    tx_route, place_boxes = _layout(config)
+    """Build a Scene procedurally; deterministic for a fixed config, which
+    SceneConfig has checked. numpy's float warnings are off: a huge but
+    accepted config may overflow to non-finite scene values, whose rows
+    dataset.check_rows refuses."""
+    tx_route, place_boxes, _ = LAYOUTS[config.layout]
     rng = np.random.default_rng(np.random.SeedSequence([int(config.seed)]))
     tx, route = tx_route(config, rng)
     boxes = place_boxes(config, rng, np.vstack([tx, route])[:, :2])

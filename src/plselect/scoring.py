@@ -50,6 +50,16 @@ class Candidate:
         return self.total
 
 
+def candidates(masks: np.ndarray, rmse: np.ndarray, trend_error: np.ndarray,
+               cardinality: np.ndarray, total: np.ndarray) -> list:
+    """One Candidate per row of the (k, N) masks, from its entries of the
+    columns that predictor.score_masks returns; the one builder of a
+    Candidate."""
+    return [Candidate(tuple(m), e, t, c, s) for m, e, t, c, s in zip(
+        masks.tolist(), rmse.tolist(), trend_error.tolist(),
+        cardinality.tolist(), total.tolist())]
+
+
 def route_order(scenario_ids: Sequence[str],
                 route_indices: Sequence[int]):
     """Sample positions in route order, and which consecutive pairs of that
@@ -95,9 +105,8 @@ def total_score(
     cardinality = np.count_nonzero(mask)
     if cardinality == 0:
         raise ScoringError("mask must select at least one feature")
-    rmse_db, trend_error_db = float(rmse_db), float(trend_error_db)
-    total = total_scores(np.array([rmse_db]), np.array([trend_error_db]),
-                         np.array([cardinality]), len(mask), weights)
-    return Candidate(mask=tuple(mask), rmse=rmse_db,
-                     trend_error=trend_error_db, cardinality=int(cardinality),
-                     total=total.item())
+    rmse = np.array([rmse_db], float)
+    trend = np.array([trend_error_db], float)
+    cardinality = np.array([cardinality])
+    total = total_scores(rmse, trend, cardinality, len(mask), weights)
+    return candidates(np.array([mask]), rmse, trend, cardinality, total)[0]

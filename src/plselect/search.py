@@ -19,13 +19,8 @@ from typing import Dict, Sequence
 import numpy as np
 
 from .dataset import Dataset
-from .predictor import (
-    PredictorConfig,
-    candidates,
-    prepared_system,
-    score_masks,
-)
-from .scoring import Candidate, ScoreWeights
+from .predictor import PredictorConfig, prepared_system, score_masks
+from .scoring import Candidate, ScoreWeights, candidates
 from .streams import generators
 
 P_FLOOR = 0.02

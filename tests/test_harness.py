@@ -32,6 +32,7 @@ from plselect.harness import (
     load_config,
 )
 from plselect.predictor import PredictorConfig
+from plselect.scenario import SceneConfig
 from plselect.scoring import ScoreWeights
 from plselect.search import SearchConfig
 
@@ -124,6 +125,17 @@ class TestGenerate:
         assert [row[0] for row in result["rows"][-2:]] == [
             "both--b,x", 'both--a"q']
 
+    def test_assigned_pooled_scenario_refused(self, tmp_path):
+        # An assignment skips ExperimentConfig's checks; cmd_generate
+        # makes them again before it writes anything.
+        cfg = small_config(tmp_path)
+        cfg.scenarios = {**cfg.scenarios,
+                         "pooled": SceneConfig(layout="square")}
+        with pytest.raises(HarnessError, match=r"^scenario name 'pooled' "
+                           r"is reserved"):
+            cmd_generate(cfg)
+        assert not Path(cfg.out_dir).exists()
+
 
 @pytest.fixture(scope="module")
 def run_outputs(tmp_path_factory):
@@ -135,6 +147,19 @@ def run_outputs(tmp_path_factory):
 
 
 class TestRun:
+    def test_assigned_random_baseline_seed_count_refused(self, tmp_path,
+                                                         monkeypatch):
+        # An assignment skips ExperimentConfig's checks; run_task makes
+        # them again before the search starts.
+        cfg = small_config(tmp_path)
+        cmd_generate(cfg)
+        monkeypatch.setattr(harness, "run_search", mock.Mock(
+            side_effect=AssertionError("run_search called")))
+        cfg.random_baseline_seeds = harness.MAX_RANDOM_BASELINE_SEEDS + 1
+        with pytest.raises(HarnessError, match=(
+                r"^random_baseline_seeds must be at most 65536, got "
+                r"65537$")):
+            harness.run_task(cfg, "task1")
 
     def test_task1_method_rows(self, run_outputs):
         cfg, _ = run_outputs
@@ -1328,6 +1353,19 @@ class TestCli:
         assert capsys.readouterr().err == "error: unknown task 'task9'\n"
         assert sorted(p.name for p in out.iterdir()) == ["data", "scenes"]
 
+    def test_run_task_reports_only_that_task(self, tmp_path, capsys):
+        # Another task's missing or stale files are not run's to report.
+        args = ["--seed", "0", "--out", str(tmp_path / "out")]
+        assert main(["generate"] + args) == 0
+        assert main(["run"] + args) == 0
+        (tmp_path / "out" / "results" / "task1_generations.csv").unlink()
+        capsys.readouterr()
+        assert main(["run"] + args + ["--task", "task2"]) == 0
+        out, err = capsys.readouterr()
+        rows = out.splitlines()[2:]
+        assert err == "" and rows
+        assert all(row.startswith("task2 ") for row in rows)
+
     def test_sweep_refuses_unknown_task_before_generating(self, tmp_path,
                                                           capsys):
         out = tmp_path / "out"
@@ -1380,7 +1418,7 @@ class TestCli:
         assert "agent" in captured.out
 
     def test_malformed_dataset_exit_code(self, tmp_path, capsys):
-        cfg = small_config(tmp_path, route_points=20)
+        cfg = small_config(tmp_path, route_points=22)
         cmd_generate(cfg)
         data = Path(cfg.out_dir) / "data" / "pooled.csv"
         lines = data.read_text().splitlines()
@@ -1392,7 +1430,7 @@ class TestCli:
         assert f"{data}, line 6: expected 13 fields, got 12" in err
 
     def test_route_index_beyond_int64_exit_code(self, tmp_path, capsys):
-        cfg = small_config(tmp_path, route_points=20)
+        cfg = small_config(tmp_path, route_points=22)
         cmd_generate(cfg)
         data = Path(cfg.out_dir) / "data" / "pooled.csv"
         lines = data.read_text().splitlines()
@@ -1407,7 +1445,7 @@ class TestCli:
         assert not (Path(cfg.out_dir) / "results").exists()
 
     def test_repeated_route_point_exit_code(self, tmp_path, capsys):
-        cfg = small_config(tmp_path, route_points=20)
+        cfg = small_config(tmp_path, route_points=22)
         cmd_generate(cfg)
         data = Path(cfg.out_dir) / "data" / "pooled.csv"
         lines = data.read_text().splitlines()

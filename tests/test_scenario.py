@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 from unittest.mock import patch
@@ -89,12 +90,15 @@ class TestGenerateScene:
             generate_scene(cfg)
 
     def test_layout_set_after_construction_is_named(self):
-        cfg = SceneConfig()
-        cfg.layout = "hexagon"
+        """Refused at construction; an assignment afterwards is refused
+        because the config is frozen."""
         with pytest.raises(ValueError, match=r"^SceneConfig\.layout must be "
                            r"one of \('uniform', 'intersection', 'square'\), "
                            r"got 'hexagon'$"):
-            generate_scene(cfg)
+            SceneConfig(layout="hexagon")
+        cfg = SceneConfig()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.layout = "hexagon"
 
 
 @st.composite
@@ -470,8 +474,8 @@ class TestSceneTableBound:
     ])
     def test_oversized_scene_refused_before_building(self, changes, fields,
                                                      count):
-        """Refused at construction, and by generate_scene when the fields
-        are set afterwards, with no array built."""
+        """Refused at construction with no array built; the fields cannot
+        be set afterwards, because the config is frozen."""
         message = (rf"^SceneConfig\.{fields} must ask for at most "
                    rf"{MAX_SCENE_TABLE_ENTRIES} .*, got {count}$")
         cfg = SceneConfig()
@@ -480,10 +484,9 @@ class TestSceneTableBound:
                 patch.object(np, "arange", side_effect=built):
             with pytest.raises(ValueError, match=message):
                 SceneConfig(**changes)
-            for name, value in changes.items():
+        for name, value in changes.items():
+            with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(cfg, name, value)
-            with pytest.raises(ValueError, match=message):
-                generate_scene(cfg)
 
 
 class TestPathLoss:
